@@ -77,8 +77,6 @@ from .search import (
     SearchReport,
     SearchSpec,
     run_search,
-    search_plain,
-    search_pruned,
     swap_xy,
     verify_witnesses,
 )

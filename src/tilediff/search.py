@@ -4,26 +4,38 @@ Enumerates every assignment of translates in [-bound, bound]^2 to the free
 cells (the base cell is pinned to (0, 0)) and confirms that no configuration
 has its integer difference set confined to the coordinate axes.
 
-Two engines: `plain` enumerates full assignments and evaluates each difference
-set from scratch; `pruned` walks the cells in row-major order and cuts a
-subtree as soon as a placed pair of torus-adjacent cells forces an off-axes
-difference vector. Difference vectors only arise from torus-adjacent cell
-pairs, so a leaf the pruned engine reaches is a valid configuration and the
-engines agree exactly.
+Difference vectors only arise from torus-adjacent cell pairs. Let cell k
+hold (qx, qy) and let M = Mx x My be the admissible offsets of a later cell
+f against k. Every vector of the pair lies on the axes exactly when f holds
+a value on
+  - the cross {x = qx - mx} | {y = qy - my}, when |Mx| = |My| = 1;
+  - the column x = qx - mx, when only |Mx| = 1;
+  - the row y = qy - my, when only |My| = 1;
+and no value at all when both offset sets have several members.
 
-The search tree splits on the first free cell's value range for parallel
-runs; partial reports merge in value order, so the final report is
-independent of worker count and scheduling.
+Two engines: `plain` enumerates full assignments and evaluates each
+difference set from scratch, and serves as the oracle; `pruned` does forward
+checking (Haralick & Elliott 1980) in static row-major order. Each free cell
+keeps a bitmask domain over the value range. Placing a cell ANDs the
+closed-form mask above into the domain of every later cell it touches, and a
+domain that empties cuts the subtree. A leaf the pruned engine reaches is
+therefore a valid configuration, and the engines agree exactly.
+
+Parallel runs split the tree over the values of the first free cell (for
+`pruned`, those that survive the base cell's constraints); partial reports
+merge in value order, so the final report is independent of worker count
+and scheduling. The workers share one node budget.
 """
 
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .model import TileConfig, Vec, normalize, on_axes
+from .model import TileConfig, Vec, on_axes
 from .diffset import admissible_offsets, axes_subset, difference_set, geometric_oracle
 
 PLAIN = "plain"
@@ -57,11 +69,15 @@ class SearchReport:
 
     The guarantee stated by a clean report is bounded: no valid configuration
     with translate max-norm <= bound exists at this n. configs_enumerated
-    counts full leaves visited; nodes_visited counts all partial placements
-    tried (pruned engine). witness_counts aggregates off-axes witness vectors
-    (per enumerated config for plain, per cut subtree for pruned);
-    witness_records, retained on request, carry replayable (config, vector)
-    pairs. wall_time is informational and excluded from structured output.
+    counts full leaves visited; nodes_visited counts every value tried for a
+    free cell (pruned engine). witness_counts aggregates off-axes witness
+    vectors: one per enumerated config for plain, and one per wiped-out
+    domain for pruned. A wiped-out cell takes the lowest value of the range,
+    every cell not yet placed takes (0, 0), and the vector comes from the
+    first placed neighbour and offset that put that value off the axes.
+    witness_records, retained on request, carry these replayable (config,
+    vector) pairs. wall_time is informational and excluded from structured
+    output.
     """
 
     spec: SearchSpec
@@ -128,22 +144,63 @@ def _lex_state(values: list, depth: int, n: int) -> int:
     return _FIXED
 
 
-def _record_witness(part: _Partial, spec: SearchSpec, config: TileConfig, vec: Vec):
+def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
     part.witness_counts[vec] = part.witness_counts.get(vec, 0) + 1
-    if spec.witnesses:
+    if config is not None:
         part.witness_records.append((config, vec))
 
 
-def _complete_with_zeros(n: int, values: list, depth: int) -> TileConfig:
-    translates = tuple(values[: depth + 1]) + ((0, 0),) * (n * n - depth - 1)
-    return TileConfig(n, translates)
+# Nodes a worker of a parallel run counts before it adds them to the total
+# shared by all workers.
+_FLUSH = 4096
+
+# The node counter shared by the workers of a parallel run; set in each
+# worker process by the pool initializer, and None in a sequential run.
+_shared_nodes = None
 
 
-def _plain_scan(spec: SearchSpec, first_values: list[Vec]) -> _Partial:
+def _share_budget(counter) -> None:
+    global _shared_nodes
+    _shared_nodes = counter
+
+
+class _NodeBudget:
+    """Stops a scan on the first node past the budget.
+
+    A sequential scan compares its own count with the budget. A worker of a
+    parallel run adds its count to the shared counter every _FLUSH nodes and
+    at the end of its chunk, and stops once the shared total is past the
+    budget, so the workers together run at most budget + jobs * _FLUSH
+    nodes before the error.
+    """
+
+    def __init__(self, budget: int, shared):
+        self.budget = budget
+        self.shared = shared
+        self.flushed = 0
+
+    def charge(self, nodes: int) -> int:
+        """Account for the scan's first `nodes` nodes; return the node count
+        at which to call again."""
+        if self.shared is None:
+            total, next_check = nodes, self.budget + 1
+        else:
+            with self.shared.get_lock():
+                self.shared.value += nodes - self.flushed
+                total = self.shared.value
+            self.flushed = nodes
+            next_check = nodes + _FLUSH
+        if total > self.budget:
+            raise ValueError("budget exceeded")
+        return next_check
+
+
+def _plain_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
     n = spec.n
     total_cells = n * n
     free = total_cells - 1
     values = _value_range(spec.bound)
+    first_values = values if chunk is None else chunk
     part = _Partial()
     if free == 0:
         rest_iter = [()] if first_values else []
@@ -172,57 +229,138 @@ def _plain_scan(spec: SearchSpec, first_values: list[Vec]) -> _Partial:
             part.valid_found += orbit
             part.valid_configs.append(config)
         else:
-            _record_witness(part, spec, config, check.witness)
+            _record_witness(part, check.witness, config if spec.witnesses else None)
     return part
 
 
 def _constraint_table(n: int):
-    """For each row-major cell position, the earlier positions it touches on
-    the torus and their admissible integer offsets."""
-    cells = [(k // n, k % n) for k in range(n * n)]
+    """For each row-major cell position k, the later cells f that touch it
+    on the torus, as (f, offsets, mx, my): offsets are the admissible
+    offsets of p_f - p_k, and mx (my) is their single x (y) offset, or None
+    when there are several."""
     table = []
-    for k, p in enumerate(cells):
-        cons = []
-        for k2 in range(k):
-            q = cells[k2]
-            ms = admissible_offsets((p[0] - q[0], p[1] - q[1]), n)
-            if ms:
-                cons.append((k2, tuple(ms)))
-        table.append(tuple(cons))
+    for k in range(n * n):
+        links = []
+        for f in range(k + 1, n * n):
+            offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
+            if offsets:
+                # offsets is Mx x My with mx outermost, so its first and
+                # last entries hold the smallest and largest mx and my.
+                (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
+                mx = mx if mx == mx_last else None
+                my = my if my == my_last else None
+                links.append((f, tuple(offsets), mx, my))
+        table.append(tuple(links))
     return table
 
 
-def _pruned_scan(spec: SearchSpec, first_values: list[Vec]) -> _Partial:
-    n = spec.n
-    total_cells = n * n
-    values = _value_range(spec.bound)
-    table = _constraint_table(n)
-    part = _Partial()
-    assigned: list[Vec] = [(0, 0)] * total_cells
+class _Forward:
+    """Forward-checking tables for one (n, bound), built once per scan.
 
-    def place(depth: int, candidates: list[Vec], settled: bool):
-        is_leaf = depth == total_cells - 1
-        for value in candidates:
-            part.nodes_visited += 1
-            if part.nodes_visited > spec.budget:
-                raise ValueError("budget exceeded")
-            assigned[depth] = value
-            vx, vy = value
-            conflict = None
-            for q_pos, ms in table[depth]:
-                qx, qy = assigned[q_pos]
-                bx, by = vx - qx, vy - qy
-                for mx, my in ms:
-                    wx, wy = bx + mx, by + my
-                    if wx != 0 and wy != 0:
-                        conflict = (wx, wy)
-                        break
-                if conflict:
-                    break
-            if conflict:
-                _record_witness(
-                    part, spec, _complete_with_zeros(n, assigned, depth), conflict
-                )
+    Value index i stands for _value_range(bound)[i], and a domain is an int
+    whose bit i is set when value i is still allowed. later[k] lists
+    (f, masks) for each later cell f touching k, where masks[i] is the
+    domain of f allowed by cell k holding value i; earlier[f] lists
+    (k, offsets) for each earlier cell k touching f, in row-major order.
+    """
+
+    def __init__(self, n: int, bound: int):
+        self.values = values = _value_range(bound)
+        column: dict[int, int] = {}
+        row: dict[int, int] = {}
+        for i, (ux, uy) in enumerate(values):
+            column[ux] = column.get(ux, 0) | 1 << i
+            row[uy] = row.get(uy, 0) | 1 << i
+        classes: dict[tuple, list[int]] = {}
+        self.later = []
+        self.earlier = [[] for _ in range(n * n)]
+        for k, links in enumerate(_constraint_table(n)):
+            mine = []
+            for f, offsets, mx, my in links:
+                masks = classes.get((mx, my))
+                if masks is None:
+                    masks = classes[mx, my] = []
+                    for qx, qy in values:
+                        allowed = 0 if mx is None else column.get(qx - mx, 0)
+                        masks.append(allowed | (0 if my is None else row.get(qy - my, 0)))
+                mine.append((f, masks))
+                self.earlier[f].append((k, offsets))
+            self.later.append(mine)
+
+    def root(self) -> tuple[list[int], int]:
+        """The domains with the base cell placed at (0, 0), and the first
+        cell whose domain this placement wipes out, or -1."""
+        zero = len(self.values) // 2  # the middle value, (0, 0)
+        domains = [(1 << len(self.values)) - 1] * len(self.later)
+        domains[0] = 1 << zero
+        return domains, _narrow(domains, self.later[0], zero)
+
+    def witness(self, assigned: list[Vec], depth: int, f: int) -> Vec:
+        """The off-axes vector that excludes the lowest value from the domain
+        of f, given cells 0..depth placed as in `assigned`."""
+        vx, vy = self.values[0]
+        for k, offsets in self.earlier[f]:
+            if k > depth:
+                break
+            qx, qy = assigned[k]
+            for mx, my in offsets:
+                wx, wy = vx - qx + mx, vy - qy + my
+                if wx != 0 and wy != 0:
+                    return (wx, wy)
+        raise AssertionError("wiped-out domain with no excluding neighbour")
+
+
+def _narrow(domains: list[int], links, i: int) -> int:
+    """AND the masks of a cell holding value i into the domains of its later
+    neighbours, in row-major order; return the first neighbour whose domain
+    empties (the rest are left as they were), or -1."""
+    for f, masks in links:
+        allowed = domains[f] & masks[i]
+        if not allowed:
+            return f
+        domains[f] = allowed
+    return -1
+
+
+def _pruned_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
+    n = spec.n
+    if n == 1:
+        # No free cells: the plain scan evaluates the single configuration.
+        return _plain_scan(spec, chunk)
+    part = _Partial()
+    fwd = _Forward(n, spec.bound)
+    values = fwd.values
+    later = fwd.later
+    last = n * n - 1
+    assigned: list[Vec] = [(0, 0)] * (last + 1)
+    meter = _NodeBudget(spec.budget, _shared_nodes)
+    checkpoint = meter.charge(0)
+    nodes = 0
+
+    def cut(depth: int, f: int):
+        config = None
+        if spec.witnesses:
+            translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
+            translates[f] = values[0]
+            config = TileConfig(n, tuple(translates))
+        _record_witness(part, fwd.witness(assigned, depth, f), config)
+
+    def place(depth: int, domains: list[int], settled: bool):
+        nonlocal nodes, checkpoint
+        links = later[depth]
+        domain = domains[depth]
+        while domain:
+            low = domain & -domain
+            domain ^= low
+            i = low.bit_length() - 1
+            nodes += 1
+            if nodes >= checkpoint:
+                checkpoint = meter.charge(nodes)
+            assigned[depth] = values[i]
+            child = domains[:]
+            wiped = _narrow(child, links, i)
+            if wiped >= 0:
+                cut(depth, wiped)
                 continue
             orbit = 2 if spec.symmetry else 1
             sub_settled = settled
@@ -234,7 +372,7 @@ def _pruned_scan(spec: SearchSpec, first_values: list[Vec]) -> _Partial:
                     sub_settled = True
                 elif state == _FIXED:
                     orbit = 1  # self-symmetric leaf; scans always settle at leaves
-            if is_leaf:
+            if depth == last:
                 config = TileConfig(n, tuple(assigned))
                 # Adjacent pairs carry every difference vector, so a reached
                 # leaf must be valid; cross-check against the full set.
@@ -244,34 +382,58 @@ def _pruned_scan(spec: SearchSpec, first_values: list[Vec]) -> _Partial:
                 part.valid_found += orbit
                 part.valid_configs.append(config)
             else:
-                place(depth + 1, values, sub_settled)
+                place(depth + 1, child, sub_settled)
 
-    if total_cells == 1:
-        # No free cells: evaluate the single configuration directly.
-        part.nodes_visited += 1
-        config = TileConfig(n, ((0, 0),))
-        check = axes_subset(difference_set(config))
-        part.configs_enumerated += 1
-        if check.on_axes:
-            part.valid_found += 1
-            part.valid_configs.append(config)
-        else:
-            _record_witness(part, spec, config, check.witness)
+    domains, wiped = fwd.root()
+    if wiped >= 0:
+        # The whole tree is cut. A wiped root leaves no first values to
+        # split, so run_search scans it in one process, once.
+        cut(0, wiped)
         return part
-    place(1, first_values, False)
+    if chunk is not None:
+        domains[1] &= sum(1 << values.index(v) for v in chunk)
+    place(1, domains, False)
+    part.nodes_visited = nodes
+    meter.charge(nodes)
     return part
 
 
-def _scan_chunk(args) -> _Partial:
-    spec, first_values = args
+def _first_values(spec: SearchSpec) -> list[Vec]:
+    """The values of the first free cell that the engine tries, in order:
+    the full range for plain, those the base cell allows for pruned."""
+    values = _value_range(spec.bound)
     if spec.engine == PLAIN:
-        return _plain_scan(spec, first_values)
-    return _pruned_scan(spec, first_values)
+        return values
+    domains, wiped = _Forward(spec.n, spec.bound).root()
+    if wiped >= 0:
+        return []
+    return [v for i, v in enumerate(values) if domains[1] >> i & 1]
+
+
+def _scan_chunk(args) -> _Partial:
+    """Scan the subtree under the first free cell's values in the chunk,
+    or the whole tree when the chunk is None."""
+    spec, chunk = args
+    if spec.engine == PLAIN:
+        return _plain_scan(spec, chunk)
+    return _pruned_scan(spec, chunk)
 
 
 def _chunks(values: list[Vec], parts: int) -> list[list[Vec]]:
     size = (len(values) + parts - 1) // parts
     return [values[k : k + size] for k in range(0, len(values), size)]
+
+
+def _parallel_scan(spec: SearchSpec, chunks: list[list[Vec]], counter) -> _Partial:
+    """Scan the chunks on spec.jobs workers that share the node counter,
+    and merge their reports in chunk order."""
+    merged = _Partial()
+    with ProcessPoolExecutor(
+        max_workers=spec.jobs, initializer=_share_budget, initargs=(counter,)
+    ) as pool:
+        for result in pool.map(_scan_chunk, [(spec, c) for c in chunks]):
+            merged.merge(result)
+    return merged
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
@@ -283,18 +445,12 @@ def run_search(spec: SearchSpec) -> SearchReport:
         leaves = (2 * spec.bound + 1) ** (2 * free)
         if leaves > spec.budget:
             raise ValueError("budget exceeded")
-    values = _value_range(spec.bound)
-    if free == 0 or spec.jobs == 1:
-        part = _scan_chunk((spec, values))
+    first = _first_values(spec) if free and spec.jobs > 1 else []
+    if not first:
+        part = _scan_chunk((spec, None))
     else:
-        merged = _Partial()
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunked = _chunks(values, spec.jobs)
-            for result in pool.map(_scan_chunk, [(spec, c) for c in chunked]):
-                merged.merge(result)
-        part = merged
-        if spec.engine == PRUNED and part.nodes_visited > spec.budget:
-            raise ValueError("budget exceeded")
+        counter = multiprocessing.Value("q", 0)
+        part = _parallel_scan(spec, _chunks(first, spec.jobs), counter)
     elapsed = time.perf_counter() - start
     return SearchReport(
         spec=spec,
@@ -306,18 +462,6 @@ def run_search(spec: SearchSpec) -> SearchReport:
         valid_configs=tuple(part.valid_configs),
         wall_time=elapsed,
     )
-
-
-def search_plain(spec: SearchSpec) -> SearchReport:
-    if spec.engine != PLAIN:
-        spec = replace(spec, engine=PLAIN)
-    return run_search(spec)
-
-
-def search_pruned(spec: SearchSpec) -> SearchReport:
-    if spec.engine != PRUNED:
-        spec = replace(spec, engine=PRUNED)
-    return run_search(spec)
 
 
 def verify_witnesses(report: SearchReport, records=None) -> bool:
@@ -350,59 +494,3 @@ def swap_xy(config: TileConfig) -> TileConfig:
             for j in range(n)
         },
     )
-
-
-def reflect_x(config: TileConfig) -> TileConfig:
-    """Mirror x -> -x, renormalized. The mirrored box of cell (i, j) is the
-    box of cell (n-1-i, j) translated by (-1 - ux, uy)."""
-    n = config.n
-    return normalize(
-        TileConfig.from_map(
-            n,
-            {
-                (n - 1 - i, j): (-1 - config.u(i, j)[0], config.u(i, j)[1])
-                for i in range(n)
-                for j in range(n)
-            },
-        )
-    )
-
-
-def reflect_y(config: TileConfig) -> TileConfig:
-    n = config.n
-    return normalize(
-        TileConfig.from_map(
-            n,
-            {
-                (i, n - 1 - j): (config.u(i, j)[0], -1 - config.u(i, j)[1])
-                for i in range(n)
-                for j in range(n)
-            },
-        )
-    )
-
-
-def swap_antidiagonal(config: TileConfig) -> TileConfig:
-    n = config.n
-    return normalize(
-        TileConfig.from_map(
-            n,
-            {
-                (n - 1 - j, n - 1 - i): (-1 - config.u(i, j)[1], -1 - config.u(i, j)[0])
-                for i in range(n)
-                for j in range(n)
-            },
-        )
-    )
-
-
-# The reflection family of the axes condition: the x<->y swap (used for the
-# symmetry quotient; it preserves the bounded search space exactly) and the
-# remaining axis reflections (which renormalize and may grow the bound,
-# so they are soundness checks rather than quotient maps).
-CONFIG_SYMMETRIES = {
-    "swap_xy": swap_xy,
-    "reflect_x": reflect_x,
-    "reflect_y": reflect_y,
-    "swap_antidiagonal": swap_antidiagonal,
-}

@@ -1,5 +1,8 @@
-"""Search engines: counts, equivalence, pruning, symmetry, witnesses."""
+"""Search engines: counts, equivalence, pruning, symmetry, witnesses,
+forward-checking domains and the shared node budget."""
 
+import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -9,17 +12,79 @@ from tilediff import (
     axes_subset,
     difference_set,
     run_search,
-    search_plain,
-    search_pruned,
     verify_witnesses,
 )
+from tilediff.diffset import admissible_offsets
+from tilediff.model import TileConfig, normalize, on_axes
 from tilediff.search import (
-    CONFIG_SYMMETRIES,
+    _FLUSH,
+    _Forward,
+    _chunks,
+    _first_values,
+    _narrow,
+    _parallel_scan,
+    _scan_chunk,
     _value_range,
     swap_xy,
 )
 
 from conftest import random_config
+
+
+def reflect_x(config: TileConfig) -> TileConfig:
+    """Mirror x -> -x, renormalized. The mirrored box of cell (i, j) is the
+    box of cell (n-1-i, j) translated by (-1 - ux, uy)."""
+    n = config.n
+    return normalize(
+        TileConfig.from_map(
+            n,
+            {
+                (n - 1 - i, j): (-1 - config.u(i, j)[0], config.u(i, j)[1])
+                for i in range(n)
+                for j in range(n)
+            },
+        )
+    )
+
+
+def reflect_y(config: TileConfig) -> TileConfig:
+    n = config.n
+    return normalize(
+        TileConfig.from_map(
+            n,
+            {
+                (i, n - 1 - j): (config.u(i, j)[0], -1 - config.u(i, j)[1])
+                for i in range(n)
+                for j in range(n)
+            },
+        )
+    )
+
+
+def swap_antidiagonal(config: TileConfig) -> TileConfig:
+    n = config.n
+    return normalize(
+        TileConfig.from_map(
+            n,
+            {
+                (n - 1 - j, n - 1 - i): (-1 - config.u(i, j)[1], -1 - config.u(i, j)[0])
+                for i in range(n)
+                for j in range(n)
+            },
+        )
+    )
+
+
+# The reflection family of the axes condition: the x<->y swap (used for the
+# symmetry quotient; it preserves the bounded search space exactly) and the
+# remaining axis reflections (which renormalize and may grow the bound,
+# so they are soundness checks rather than quotient maps).
+CONFIG_SYMMETRIES = {
+    "swap_xy": swap_xy,
+    "reflect_x": reflect_x,
+    "reflect_y": reflect_y,
+    "swap_antidiagonal": swap_antidiagonal,
+}
 
 
 def test_search_spec_validation():
@@ -34,52 +99,52 @@ def test_search_spec_validation():
 
 
 def test_verify_without_records_is_stale():
-    report = search_plain(SearchSpec(n=2, bound=0, engine="plain"))
+    report = run_search(SearchSpec(n=2, bound=0, engine="plain"))
     with pytest.raises(ValueError, match="stale witness"):
         verify_witnesses(report)
 
 
 def test_plain_single_cell():
-    report = search_plain(SearchSpec(n=1, bound=3, engine="plain", witnesses=True))
+    report = run_search(SearchSpec(n=1, bound=3, engine="plain", witnesses=True))
     assert report.configs_enumerated == 1
     assert report.valid_found == 0
     assert report.witness_counts == (((-1, -1), 1),)
 
 
 def test_plain_two_grid_bound_one():
-    report = search_plain(SearchSpec(n=2, bound=1, engine="plain"))
+    report = run_search(SearchSpec(n=2, bound=1, engine="plain"))
     assert report.configs_enumerated == 3 ** 6  # == 9 ** 3 == 729
     assert report.valid_found == 0
 
 
 def test_plain_two_grid_bound_zero():
-    report = search_plain(SearchSpec(n=2, bound=0, engine="plain"))
+    report = run_search(SearchSpec(n=2, bound=0, engine="plain"))
     assert report.configs_enumerated == 1
     assert report.valid_found == 0
 
 
 def test_engines_agree_at_two_grid():
-    plain = search_plain(SearchSpec(n=2, bound=1, engine="plain"))
-    pruned = search_pruned(SearchSpec(n=2, bound=1, engine="pruned"))
+    plain = run_search(SearchSpec(n=2, bound=1, engine="plain"))
+    pruned = run_search(SearchSpec(n=2, bound=1, engine="pruned"))
     assert plain.valid_found == pruned.valid_found == 0
     assert plain.valid_configs == pruned.valid_configs == ()
     assert pruned.nodes_visited < 729 * 4
 
 
 def test_pruned_two_grid_bound_two():
-    report = search_pruned(SearchSpec(n=2, bound=2, engine="pruned"))
+    report = run_search(SearchSpec(n=2, bound=2, engine="pruned"))
     assert report.valid_found == 0
 
 
 def test_pruned_three_grid_bound_one():
-    report = search_pruned(SearchSpec(n=3, bound=1, engine="pruned"))
+    report = run_search(SearchSpec(n=3, bound=1, engine="pruned"))
     assert report.valid_found == 0
     assert report.nodes_visited < 100_000
 
 
 def test_pruned_three_grid_bound_two():
     # The plain space here is 25^8 (~1.5e11); pruning collapses it outright.
-    report = search_pruned(SearchSpec(n=3, bound=2, engine="pruned"))
+    report = run_search(SearchSpec(n=3, bound=2, engine="pruned"))
     assert report.valid_found == 0
     assert report.configs_enumerated == 0
 
@@ -103,19 +168,19 @@ def test_monotonicity_in_bound():
 
 
 def test_witness_replay():
-    report = search_plain(SearchSpec(n=2, bound=1, engine="plain", witnesses=True))
+    report = run_search(SearchSpec(n=2, bound=1, engine="plain", witnesses=True))
     assert len(report.witness_records) == 729
     assert verify_witnesses(report) is True
 
 
 def test_witness_replay_pruned_records():
-    report = search_pruned(SearchSpec(n=2, bound=1, engine="pruned", witnesses=True))
+    report = run_search(SearchSpec(n=2, bound=1, engine="pruned", witnesses=True))
     assert report.witness_records
     assert verify_witnesses(report) is True
 
 
 def test_tampered_witness_detected():
-    report = search_plain(SearchSpec(n=1, bound=1, engine="plain", witnesses=True))
+    report = run_search(SearchSpec(n=1, bound=1, engine="plain", witnesses=True))
     (config, _vec) = report.witness_records[0]
     with pytest.raises(ValueError, match="stale witness"):
         verify_witnesses(report, records=((config, (0, 1)),))
@@ -159,13 +224,11 @@ def test_swap_symmetry_is_involution():
 
 def test_symmetry_quotient_orbits_cover_space():
     # Canonical representatives weighted by orbit size recover the full count.
-    full = search_plain(SearchSpec(n=2, bound=1, engine="plain"))
-    sym = search_plain(SearchSpec(n=2, bound=1, engine="plain", symmetry=True))
+    full = run_search(SearchSpec(n=2, bound=1, engine="plain"))
+    sym = run_search(SearchSpec(n=2, bound=1, engine="plain", symmetry=True))
     assert sym.configs_enumerated < full.configs_enumerated
     orbit_total = 0
     values = _value_range(1)
-    import itertools
-
     for assignment in itertools.product(values, repeat=3):
         translates = ((0, 0),) + assignment
         n = 2
@@ -179,8 +242,8 @@ def test_symmetry_quotient_orbits_cover_space():
 
 
 def test_symmetry_engines_agree():
-    plain = search_plain(SearchSpec(n=2, bound=1, engine="plain", symmetry=True))
-    pruned = search_pruned(SearchSpec(n=2, bound=1, engine="pruned", symmetry=True))
+    plain = run_search(SearchSpec(n=2, bound=1, engine="plain", symmetry=True))
+    pruned = run_search(SearchSpec(n=2, bound=1, engine="pruned", symmetry=True))
     assert plain.valid_found == pruned.valid_found == 0
     assert plain.valid_configs == pruned.valid_configs == ()
 
@@ -188,7 +251,134 @@ def test_symmetry_engines_agree():
 def test_pruned_leaves_match_plain_validity_semantics():
     # Any leaf the pruned engine reaches must be a valid configuration; with
     # none existing, enumerated leaves are zero while plain scans them all.
-    plain = search_plain(SearchSpec(n=2, bound=1, engine="plain"))
-    pruned = search_pruned(SearchSpec(n=2, bound=1, engine="pruned"))
+    plain = run_search(SearchSpec(n=2, bound=1, engine="plain"))
+    pruned = run_search(SearchSpec(n=2, bound=1, engine="pruned"))
     assert plain.configs_enumerated == 729
     assert pruned.configs_enumerated == len(pruned.valid_configs) == 0
+
+
+def _allowed(values, n, placed, f):
+    """Brute force: the mask of values of cell f that keep every difference
+    vector against the placed cells {k: translate} on the axes."""
+    pf = divmod(f, n)
+    mask = 0
+    for i, (vx, vy) in enumerate(values):
+        ok = True
+        for k, (qx, qy) in placed.items():
+            pk = divmod(k, n)
+            for mx, my in admissible_offsets((pf[0] - pk[0], pf[1] - pk[1]), n):
+                ok = ok and on_axes((vx - qx + mx, vy - qy + my))
+        if ok:
+            mask |= 1 << i
+    return mask
+
+
+def test_closed_form_masks_match_brute_force():
+    # Every torus-adjacent pair (so every offset class) at n <= 5, b <= 3:
+    # the row, column or cross mask equals the per-pair rule.
+    for n in range(1, 6):
+        for bound in range(4):
+            fwd = _Forward(n, bound)
+            for k in range(n * n):
+                links = dict(fwd.later[k])
+                for f in range(k + 1, n * n):
+                    d = (f // n - k // n, f % n - k % n)
+                    assert (f in links) == bool(admissible_offsets(d, n)), (n, k, f)
+                    if f not in links:
+                        continue
+                    for i, value in enumerate(fwd.values):
+                        expected = _allowed(fwd.values, n, {k: value}, f)
+                        assert links[f][i] == expected, (n, bound, k, f, value)
+
+
+def test_forward_domains_match_brute_force_on_random_prefixes():
+    rng = random.Random(1980)
+    for n in (2, 3, 4, 5):
+        for bound in range(4):
+            fwd = _Forward(n, bound)
+            for _ in range(12):
+                domains, wiped = fwd.root()
+                placed = {0: (0, 0)}
+                depth = 0
+                while wiped < 0 and depth < n * n - 1:
+                    depth += 1
+                    choices = [i for i in range(len(fwd.values)) if domains[depth] >> i & 1]
+                    i = rng.choice(choices)
+                    placed[depth] = fwd.values[i]
+                    wiped = _narrow(domains, fwd.later[depth], i)
+                    if rng.random() < 0.2:
+                        break
+                if wiped >= 0:
+                    assert _allowed(fwd.values, n, placed, wiped) == 0
+                    assert all(_allowed(fwd.values, n, placed, f)
+                               for f in range(depth + 1, wiped)), (n, bound, placed)
+                    continue
+                for f in range(depth + 1, n * n):
+                    assert domains[f] == _allowed(fwd.values, n, placed, f), (n, bound, placed, f)
+
+
+def test_pruned_four_grid_bound_one_finishes_in_default_budget():
+    report = run_search(SearchSpec(n=4, bound=1, engine="pruned"))
+    assert report.valid_found == 0
+    assert report.nodes_visited <= SearchSpec(n=4, bound=1).budget
+
+
+def test_pruned_three_grid_bound_three_node_count():
+    report = run_search(SearchSpec(n=3, bound=3, engine="pruned"))
+    assert report.valid_found == 0
+    assert report.nodes_visited < 10_000
+
+
+def test_budget_stops_on_first_node_past_it():
+    nodes = run_search(SearchSpec(n=3, bound=1, engine="pruned")).nodes_visited
+    exact = run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes))
+    assert exact.nodes_visited == nodes
+    with pytest.raises(ValueError, match="^budget exceeded$"):
+        run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes - 1))
+
+
+@pytest.mark.parametrize("n, bound", [(2, 2), (3, 1)])
+def test_witness_replay_forward_checking(n, bound):
+    report = run_search(SearchSpec(n=n, bound=bound, engine="pruned", witnesses=True))
+    assert sum(c for _, c in report.witness_counts) == len(report.witness_records)
+    assert verify_witnesses(report) is True
+    # Counts do not depend on whether the records are kept.
+    unrecorded = run_search(SearchSpec(n=n, bound=bound, engine="pruned"))
+    assert unrecorded.witness_counts == report.witness_counts
+
+
+def test_parallel_split_over_surviving_first_values():
+    # The chunks cover the first free cell's values that the base cell
+    # allows, so none is empty, and the merged report equals the sequential one.
+    spec = SearchSpec(n=3, bound=2, engine="pruned", witnesses=True, symmetry=True)
+    first = _first_values(spec)
+    assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
+    assert all(_chunks(first, 3))
+    seq = run_search(spec)
+    par = run_search(SearchSpec(n=3, bound=2, engine="pruned", witnesses=True,
+                                symmetry=True, jobs=3))
+    for field in ("configs_enumerated", "nodes_visited", "valid_found",
+                  "witness_counts", "witness_records", "valid_configs"):
+        assert getattr(seq, field) == getattr(par, field)
+
+
+def test_worker_stops_when_shared_budget_is_spent(monkeypatch):
+    # This worker's own count stays far below the budget, but the other
+    # workers have already spent it.
+    spec = SearchSpec(n=3, bound=1, engine="pruned", budget=1_000_000)
+    counter = multiprocessing.Value("q", spec.budget - 10)
+    monkeypatch.setattr("tilediff.search._shared_nodes", counter)
+    with pytest.raises(ValueError, match="^budget exceeded$"):
+        _scan_chunk((spec, _first_values(spec)))
+    assert counter.value > spec.budget
+
+
+def test_workers_share_one_budget():
+    # More workers than cores. The three chunks take 17,028, 34,543 and
+    # 2,083 nodes, each below the budget on its own; the shared total stops
+    # them all within one flush each of the budget.
+    spec = SearchSpec(n=4, bound=1, engine="pruned", budget=35_000, jobs=4)
+    counter = multiprocessing.Value("q", 0)
+    with pytest.raises(ValueError, match="^budget exceeded$"):
+        _parallel_scan(spec, _chunks(_first_values(spec), spec.jobs), counter)
+    assert spec.budget < counter.value <= spec.budget + spec.jobs * _FLUSH
