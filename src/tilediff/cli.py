@@ -24,7 +24,7 @@ from .model import (
 )
 from .diffset import axes_subset, difference_set, lattice_span
 from .discretize import cover_cells, epsilon_gap, reduce_to_transversal, discretization_exact
-from .torus import parse_coloring
+from .torus import EdgeColoring, parse_coloring
 from .topology import (
     AuditReport,
     boundary_curves,
@@ -77,6 +77,20 @@ def _read_text(path: str) -> str:
 def _parse_config_file(path: str) -> TileConfig:
     try:
         return parse_config(_read_text(path))
+    except FileFormatError as exc:
+        raise SystemExit(f"error: {path}: {exc}")
+
+
+def _read_source(path: str) -> TileConfig | EdgeColoring:
+    """Parse a config file (one with a ``u`` line) or else a coloring file."""
+    text = _read_text(path)
+    tags = set()
+    for line in text.splitlines():
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            tags.add(stripped.split()[0])
+    try:
+        return parse_config(text) if "u" in tags else parse_coloring(text)
     except FileFormatError as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
@@ -161,16 +175,16 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_search(args) -> int:
-    spec = SearchSpec(
-        n=args.n,
-        bound=args.bound,
-        engine=args.engine,
-        symmetry=args.symmetry,
-        budget=args.budget,
-        jobs=args.jobs,
-        witnesses=args.witnesses,
-    )
     try:
+        spec = SearchSpec(
+            n=args.n,
+            bound=args.bound,
+            engine=args.engine,
+            symmetry=args.symmetry,
+            budget=args.budget,
+            jobs=args.jobs,
+            witnesses=args.witnesses,
+        )
         report = run_search(spec)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -215,19 +229,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    text = _read_text(args.file)
-    tags = set()
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            tags.add(stripped.split()[0])
-    try:
-        if "u" in tags:
-            source = parse_config(text)
-        else:
-            source = parse_coloring(text)
-    except FileFormatError as exc:
-        raise SystemExit(f"error: {args.file}: {exc}")
+    source = _read_source(args.file)
     if isinstance(source, TileConfig):
         report = impossibility_audit(normalize(source))
         if args.json:
@@ -285,16 +287,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
-    text = _read_text(args.file)
-    tags = set()
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            tags.add(stripped.split()[0])
-    try:
-        source = parse_config(text) if "u" in tags else parse_coloring(text)
-    except FileFormatError as exc:
-        raise SystemExit(f"error: {args.file}: {exc}")
+    source = _read_source(args.file)
     try:
         spec = RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
         svg = render_svg(source, spec)

@@ -1,11 +1,13 @@
 """Integer difference sets of tiling configurations.
 
-Two independent routes compute the same set: `difference_set` uses the
-integer offset rule (an integer vector lands in the difference of two
+Two independent routes compute the same set. `difference_set` uses the
+integer offset rule: an integer vector lands in the difference of two
 translated grid squares exactly when the cells are within one step of each
-other on the n-torus, per coordinate), while `geometric_oracle` builds every
-pairwise difference box with exact rationals and lists its integer points.
-The routes are property-tested against each other and must never disagree.
+other on the n-torus, per coordinate. It visits each cell's at most 9 torus
+neighbours, so it costs O(n^2). `geometric_oracle` builds every pairwise
+difference box with exact rationals and lists its integer points; it stays
+O(n^4) on purpose, as the independent route. The routes are property-tested
+against each other and must never disagree.
 
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
 canonical triangular (Hermite-form) basis.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .model import TileConfig, Vec, on_axes, validate
@@ -58,34 +61,59 @@ def admissible_offsets(d: Vec, n: int) -> list[Vec]:
     return [(mx, my) for mx in mxs for my in mys]
 
 
+@lru_cache(maxsize=64)
+def _axis_neighbours(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Per index a in range(n): each index b within one step of a on the
+    n-cycle (ascending), with the offsets m in {-1, 0, 1} (ascending) for
+    which |a - b - m*n| <= 1.
+
+    Per a the offsets number exactly 3 in total, one per a - b - m*n in
+    {-1, 0, 1}; at n <= 2 one b takes more than one of them.
+    """
+    table = []
+    for a in range(n):
+        bs = sorted({(a + t) % n for t in (-1, 0, 1)})
+        table.append(
+            tuple((b, tuple(m for m in (-1, 0, 1) if abs(a - b - m * n) <= 1)) for b in bs)
+        )
+    return tuple(table)
+
+
 def difference_set(config: TileConfig, with_provenance: bool = False) -> DiffSet:
-    """Exact integer difference set via the offset rule.
+    """Exact integer difference set via the offset rule, in O(n^2).
 
     Only cell pairs adjacent on the torus (including wraps and corners)
-    admit offsets, so the result is a union over those pairs of
-    u(p) - u(q) + m.
+    admit offsets, so the result is the union over each cell p and its
+    torus neighbours q of u(p) - u(q) + m. Every cell yields exactly 9
+    (q, m) pairs, so the provenance lists hold 9*n^2 triples in total.
+    Each list is ordered by p row-major, then q row-major, then m
+    lexicographically, which fixes the order of `witness_pairs`.
     """
     problems = validate(config)
     if problems:
         raise ValueError("invalid config: " + "; ".join(problems))
     n = config.n
+    translates = config.translates
+    # One tuple per cell, shared by every witness pair that names it.
     cells = list(config.cells())
+    neighbours = _axis_neighbours(n)
     vectors: set[Vec] = set()
     provenance: dict[Vec, list[WitnessPair]] = {} if with_provenance else None
-    for p in cells:
-        up = config.u(*p)
-        for q in cells:
-            d = (p[0] - q[0], p[1] - q[1])
-            ms = admissible_offsets(d, n)
-            if not ms:
-                continue
-            uq = config.u(*q)
-            base = (up[0] - uq[0], up[1] - uq[1])
-            for m in ms:
-                w = (base[0] + m[0], base[1] + m[1])
-                vectors.add(w)
-                if with_provenance:
-                    provenance.setdefault(w, []).append((p, q, m))
+    for i in range(n):
+        for j in range(n):
+            ux, uy = translates[i * n + j]
+            for i2, mxs in neighbours[i]:
+                for j2, mys in neighbours[j]:
+                    vx, vy = translates[i2 * n + j2]
+                    bx, by = ux - vx, uy - vy
+                    for mx in mxs:
+                        for my in mys:
+                            w = (bx + mx, by + my)
+                            vectors.add(w)
+                            if with_provenance:
+                                provenance.setdefault(w, []).append(
+                                    (cells[i * n + j], cells[i2 * n + j2], (mx, my))
+                                )
     return DiffSet(frozenset(vectors), provenance)
 
 

@@ -106,6 +106,21 @@ def test_search_budget_error(workdir):
     assert "budget exceeded" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n", "2", "--bound", "1", "--jobs", "0"], "budget and jobs must be positive"),
+        (["--n", "2", "--bound", "1", "--budget", "0"], "budget and jobs must be positive"),
+        (["--n", "2", "--bound", "-1"], "negative bound"),
+        (["--n", "0", "--bound", "1"], "non-positive n"),
+    ],
+)
+def test_search_rejects_bad_spec_without_traceback(workdir, args, message):
+    result = run_cli(["search", *args], workdir)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_analyze_coloring_table(workdir):
     result = run_cli(["analyze", "band.coloring", "--mode", "corner", "--json"], workdir)
     assert result.returncode == 0

@@ -10,6 +10,7 @@ from tilediff import (
     geometric_oracle,
     lattice_span,
 )
+from tilediff.diffset import admissible_offsets
 from tilediff.model import on_axes
 
 from conftest import random_config
@@ -59,6 +60,64 @@ def test_oracle_matches_random_larger():
     for _ in range(120):
         c = random_config(rng, rng.randint(3, 4), 3)
         assert difference_set(c).vectors == geometric_oracle(c).vectors
+    # From n = 5 on, most cell pairs do not touch, even across the wrap.
+    rng = random.Random(92)
+    for n in range(5, 11):
+        for _ in range(3 if n <= 8 else 2):
+            c = random_config(rng, n, 3)
+            assert difference_set(c).vectors == geometric_oracle(c).vectors
+
+
+def pair_loop_provenance(config):
+    """Reference: the offset rule applied to all n^4 ordered cell pairs, in
+    row-major order of p, then of q, then lexicographic order of m."""
+    provenance = {}
+    for p in config.cells():
+        up = config.u(*p)
+        for q in config.cells():
+            uq = config.u(*q)
+            for m in admissible_offsets((p[0] - q[0], p[1] - q[1]), config.n):
+                w = (up[0] - uq[0] + m[0], up[1] - uq[1] + m[1])
+                provenance.setdefault(w, []).append((p, q, m))
+    return provenance
+
+
+def test_provenance_matches_pair_loop_in_order():
+    rng = random.Random(47)
+    multi_pair_witnesses = 0
+    for n in range(1, 7):
+        for _ in range(12):
+            c = random_config(rng, n, 2)
+            ds = difference_set(c, with_provenance=True)
+            expected = pair_loop_provenance(c)
+            assert ds.vectors == set(expected)
+            # List equality: the order inside each list must match too.
+            assert ds.provenance == expected, c
+            if len(axes_subset(ds).witness_pairs) > 1:
+                multi_pair_witnesses += 1
+    assert multi_pair_witnesses > 0
+
+
+def test_provenance_at_n2_where_one_pair_takes_two_offsets():
+    # At n = 2 the two indices of an axis are neighbours both directly and
+    # across the wrap, so one cell pair admits two offsets per axis.
+    offsets = {}
+    for c in [TileConfig.uniform(2), TileConfig(2, ((0, 0), (-1, -1), (-2, 0), (2, 1)))]:
+        ds = difference_set(c, with_provenance=True)
+        assert ds.provenance == pair_loop_provenance(c)
+        for pairs in ds.provenance.values():
+            for p, q, m in pairs:
+                offsets.setdefault((p, q), set()).add(m)
+    assert offsets[((0, 0), (1, 1))] == {
+        (mx, my) for mx in (-1, 0) for my in (-1, 0)
+    }
+
+
+def test_provenance_holds_nine_triples_per_cell():
+    rng = random.Random(53)
+    for n in range(1, 13):
+        ds = difference_set(random_config(rng, n, 3), with_provenance=True)
+        assert sum(len(pairs) for pairs in ds.provenance.values()) == 9 * n * n
 
 
 def _as_diffset(vectors):
