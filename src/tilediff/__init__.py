@@ -27,6 +27,7 @@ from .diffset import (
     difference_set,
     geometric_oracle,
     lattice_span,
+    witness_pairs,
 )
 from .discretize import (
     BoundaryIntegerPointError,

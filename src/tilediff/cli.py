@@ -98,10 +98,10 @@ def _read_source(path: str) -> TileConfig | EdgeColoring:
 def cmd_check(args) -> int:
     config = _parse_config_file(args.config)
     problems = validate(config)
-    ds = difference_set(config, with_provenance=True)
+    ds = difference_set(config)
     check = axes_subset(ds)
     span = lattice_span(ds)
-    audit = impossibility_audit(normalize(config))
+    audit = impossibility_audit(normalize(config), ds)
     if args.json:
         _emit_json(
             {
@@ -143,14 +143,12 @@ def cmd_discretize(args) -> int:
         raise SystemExit(f"error: {args.boxes}: {exc}")
     gap = epsilon_gap(boxes)
     n = args.n if args.n is not None else gap.n0
-    cover = cover_cells(boxes, n)
-    equal = discretization_exact(boxes, n)
-    transversal = None
-    if args.reduce:
-        try:
-            transversal = reduce_to_transversal(cover)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
+    try:
+        cover = cover_cells(boxes, n)
+        equal = discretization_exact(boxes, n)
+        transversal = reduce_to_transversal(cover) if args.reduce else None
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
     if args.json:
         _emit_json(
             {
@@ -293,7 +291,10 @@ def cmd_render(args) -> int:
         svg = render_svg(source, spec)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    Path(args.out).write_text(svg, encoding="utf-8")
+    try:
+        Path(args.out).write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {args.out}: {exc.strerror}")
     print(f"wrote {args.out}")
     return 0
 

@@ -9,6 +9,9 @@ difference box with exact rationals and lists its integer points; it stays
 O(n^4) on purpose, as the independent route. The routes are property-tested
 against each other and must never disagree.
 
+Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
+behind one vector on demand, with one more O(n^2) scan of the same loop.
+
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
 canonical triangular (Hermite-form) basis.
 """
@@ -32,13 +35,11 @@ WitnessPair = tuple[tuple[int, int], tuple[int, int], Vec]
 class DiffSet:
     """Integer points of the difference set of a configuration's plane set.
 
-    Always symmetric and containing the origin. `provenance` maps a vector to
-    the list of witness pairs that produce it; it is None unless requested
-    (the search hot path never retains it).
+    Always symmetric and containing the origin. Only the vectors are kept;
+    `witness_pairs` names the cell pairs behind any one of them.
     """
 
     vectors: frozenset[Vec]
-    provenance: Optional[dict[Vec, list[WitnessPair]]] = None
 
     def __contains__(self, v: Vec) -> bool:
         return v in self.vectors
@@ -79,26 +80,25 @@ def _axis_neighbours(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], .
     return tuple(table)
 
 
-def difference_set(config: TileConfig, with_provenance: bool = False) -> DiffSet:
+def _checked(config: TileConfig) -> None:
+    problems = validate(config)
+    if problems:
+        raise ValueError("invalid config: " + "; ".join(problems))
+
+
+def difference_set(config: TileConfig) -> DiffSet:
     """Exact integer difference set via the offset rule, in O(n^2).
 
     Only cell pairs adjacent on the torus (including wraps and corners)
     admit offsets, so the result is the union over each cell p and its
     torus neighbours q of u(p) - u(q) + m. Every cell yields exactly 9
-    (q, m) pairs, so the provenance lists hold 9*n^2 triples in total.
-    Each list is ordered by p row-major, then q row-major, then m
-    lexicographically, which fixes the order of `witness_pairs`.
+    (q, m) pairs.
     """
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
+    _checked(config)
     n = config.n
     translates = config.translates
-    # One tuple per cell, shared by every witness pair that names it.
-    cells = list(config.cells())
     neighbours = _axis_neighbours(n)
     vectors: set[Vec] = set()
-    provenance: dict[Vec, list[WitnessPair]] = {} if with_provenance else None
     for i in range(n):
         for j in range(n):
             ux, uy = translates[i * n + j]
@@ -108,13 +108,35 @@ def difference_set(config: TileConfig, with_provenance: bool = False) -> DiffSet
                     bx, by = ux - vx, uy - vy
                     for mx in mxs:
                         for my in mys:
-                            w = (bx + mx, by + my)
-                            vectors.add(w)
-                            if with_provenance:
-                                provenance.setdefault(w, []).append(
-                                    (cells[i * n + j], cells[i2 * n + j2], (mx, my))
-                                )
-    return DiffSet(frozenset(vectors), provenance)
+                            vectors.add((bx + mx, by + my))
+    return DiffSet(frozenset(vectors))
+
+
+def witness_pairs(config: TileConfig, v: Vec) -> list[WitnessPair]:
+    """Every (p, q, m) with u(p) - u(q) + m == v, m an admissible offset.
+
+    One O(n^2) scan over the loop of `difference_set`, so the list is
+    ordered by p row-major, then q row-major, then m lexicographically.
+    It is empty exactly when v is not in the difference set; summed over
+    the set's vectors the lists hold 9*n^2 triples.
+    """
+    _checked(config)
+    n = config.n
+    translates = config.translates
+    neighbours = _axis_neighbours(n)
+    vx, vy = v
+    pairs: list[WitnessPair] = []
+    for i in range(n):
+        for j in range(n):
+            ux, uy = translates[i * n + j]
+            for i2, mxs in neighbours[i]:
+                for j2, mys in neighbours[j]:
+                    wx, wy = translates[i2 * n + j2]
+                    # m must equal v - (u(p) - u(q)) on each axis.
+                    mx, my = vx - ux + wx, vy - uy + wy
+                    if mx in mxs and my in mys:
+                        pairs.append(((i, j), (i2, j2), (mx, my)))
+    return pairs
 
 
 def _integer_points_in_box(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction):
@@ -131,9 +153,7 @@ def geometric_oracle(config: TileConfig) -> DiffSet:
     [(i-i'-1)/n, (i-i'+1)/n] x [(j-j'-1)/n, (j-j'+1)/n] shifted by
     u(p) - u(q); its integer points are enumerated directly.
     """
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
+    _checked(config)
     n = config.n
     cells = list(config.cells())
     vectors: set[Vec] = set()
@@ -157,21 +177,18 @@ class AxesCheck:
 
     on_axes: bool
     witness: Optional[Vec] = None
-    witness_pairs: tuple[WitnessPair, ...] = ()
 
 
 def axes_subset(d: DiffSet) -> AxesCheck:
     """True iff every vector has x=0 or y=0.
 
     On failure the witness is the lexicographically smallest (x, then y)
-    off-axes vector, with its provenance pairs when the set retains them.
+    off-axes vector; `witness_pairs` gives the cell pairs behind it.
     """
     off = [v for v in d.vectors if not on_axes(v)]
     if not off:
         return AxesCheck(True)
-    witness = min(off)
-    pairs = tuple(d.provenance.get(witness, ())) if d.provenance else ()
-    return AxesCheck(False, witness, pairs)
+    return AxesCheck(False, min(off))
 
 
 @dataclass(frozen=True)
@@ -205,11 +222,11 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
-    """Canonical basis of the subgroup of Z^2 generated by the vectors."""
-    if isinstance(vectors, DiffSet):
-        vecs = vectors.sorted_vectors()
-    else:
-        vecs = sorted(set(vectors))
+    """Canonical basis of the subgroup of Z^2 generated by the vectors.
+
+    The Hermite form is unique, so the vectors are reduced in any order.
+    """
+    vecs = vectors.vectors if isinstance(vectors, DiffSet) else set(vectors)
     # Row-reduce into at most two echelon rows: (a, b) with a > 0, then (0, c).
     row1: Optional[Vec] = None  # pivot in x
     row2: Optional[Vec] = None  # pivot in y only

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import TileConfig, Vec, vadd, vneg, vsub
-from .diffset import axes_subset, difference_set, lattice_span
+from .diffset import DiffSet, axes_subset, difference_set, lattice_span, witness_pairs
 from .torus import (
     RED,
     WHITE,
@@ -401,24 +401,27 @@ class AuditReport:
     detail: str = ""
 
 
-def impossibility_audit(config: TileConfig) -> AuditReport:
+def impossibility_audit(config: TileConfig, ds: Optional[DiffSet] = None) -> AuditReport:
     """Run the chain difference set -> axes -> labeling -> coloring -> square
     rules -> components -> boundary whiteness -> boundary contractibility ->
     red non-contractible existence, reporting the first break.
 
-    Every configuration breaks at the axes check (the impossibility at
-    bounded scale); the later stages guard hypothetical inputs and document
-    where the argument would continue.
+    `ds` is the config's difference set when the caller has it already; the
+    set of any common shift of the translates is the same. Every
+    configuration breaks at the axes check (the impossibility at bounded
+    scale); the later stages guard hypothetical inputs and document where
+    the argument would continue.
     """
     passed: list[str] = []
-    ds = difference_set(config, with_provenance=True)
+    if ds is None:
+        ds = difference_set(config)
     check = axes_subset(ds)
     if not check.on_axes:
         return AuditReport(
             stage="axes",
             passed=tuple(passed),
             witness=check.witness,
-            witness_pairs=check.witness_pairs,
+            witness_pairs=tuple(witness_pairs(config, check.witness)),
             detail=f"off-axes vector {check.witness} in difference set",
         )
     passed.append("axes")

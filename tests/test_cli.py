@@ -121,6 +121,25 @@ def test_search_rejects_bad_spec_without_traceback(workdir, args, message):
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["discretize", "unit.boxes", "--n", "0"], "non-positive n"),
+        (["discretize", "unit.boxes", "--n", "-3"], "non-positive n"),
+        (["discretize", "unit.boxes", "--n", "0", "--reduce"], "non-positive n"),
+        (
+            ["render", "single.txt", "-o", "missing/x.svg"],
+            "cannot write missing/x.svg: No such file or directory",
+        ),
+        (["render", "single.txt", "-o", "."], "cannot write .: Is a directory"),
+    ],
+)
+def test_bad_resolution_or_output_path_exits_without_traceback(workdir, args, message):
+    result = run_cli(args, workdir)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_analyze_coloring_table(workdir):
     result = run_cli(["analyze", "band.coloring", "--mode", "corner", "--json"], workdir)
     assert result.returncode == 0
@@ -235,3 +254,21 @@ def parse_config_text(text):
     from tilediff import parse_config
 
     return parse_config(text)
+
+
+def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
+    import tilediff.cli as cli
+    import tilediff.topology as topology
+    from tilediff.diffset import difference_set
+
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return difference_set(config)
+
+    for module in (cli, topology):
+        monkeypatch.setattr(module, "difference_set", counted)
+    assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
+    assert calls == [TileConfig.uniform(2)]
+    assert json.loads(capsys.readouterr().out)["audit"]["stage"] == "axes"

@@ -1,6 +1,7 @@
 """Difference sets, the geometric oracle, axes predicate, lattice span."""
 
 import itertools
+import math
 import random
 
 from tilediff import (
@@ -9,8 +10,9 @@ from tilediff import (
     difference_set,
     geometric_oracle,
     lattice_span,
+    witness_pairs,
 )
-from tilediff.diffset import admissible_offsets
+from tilediff.diffset import DiffSet, admissible_offsets
 from tilediff.model import on_axes
 
 from conftest import random_config
@@ -30,10 +32,13 @@ def test_lifted_corner_cell_produces_diagonal_vector():
     config = TileConfig.from_map(
         2, {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (1, 0)}
     )
-    ds = difference_set(config, with_provenance=True)
+    ds = difference_set(config)
     assert (1, 1) in ds
-    assert ((1, 1), (0, 0), (0, 1)) in ds.provenance[(1, 1)]
+    assert ((1, 1), (0, 0), (0, 1)) in witness_pairs(config, (1, 1))
     assert ds.vectors == geometric_oracle(config).vectors
+    expected = pair_loop_provenance(config)
+    for v in ds.vectors:
+        assert witness_pairs(config, v) == expected[v], v
 
 
 def test_diffset_symmetric_and_contains_origin():
@@ -88,12 +93,15 @@ def test_provenance_matches_pair_loop_in_order():
     for n in range(1, 7):
         for _ in range(12):
             c = random_config(rng, n, 2)
-            ds = difference_set(c, with_provenance=True)
+            ds = difference_set(c)
             expected = pair_loop_provenance(c)
             assert ds.vectors == set(expected)
             # List equality: the order inside each list must match too.
-            assert ds.provenance == expected, c
-            if len(axes_subset(ds).witness_pairs) > 1:
+            for v in ds.vectors:
+                assert witness_pairs(c, v) == expected[v], (c, v)
+            # A vector outside the set has no witness pairs.
+            assert witness_pairs(c, (max(x for x, _ in ds.vectors) + 1, 0)) == []
+            if len(witness_pairs(c, axes_subset(ds).witness)) > 1:
                 multi_pair_witnesses += 1
     assert multi_pair_witnesses > 0
 
@@ -103,9 +111,12 @@ def test_provenance_at_n2_where_one_pair_takes_two_offsets():
     # across the wrap, so one cell pair admits two offsets per axis.
     offsets = {}
     for c in [TileConfig.uniform(2), TileConfig(2, ((0, 0), (-1, -1), (-2, 0), (2, 1)))]:
-        ds = difference_set(c, with_provenance=True)
-        assert ds.provenance == pair_loop_provenance(c)
-        for pairs in ds.provenance.values():
+        ds = difference_set(c)
+        expected = pair_loop_provenance(c)
+        assert ds.vectors == set(expected)
+        for v in ds.vectors:
+            pairs = witness_pairs(c, v)
+            assert pairs == expected[v], (c, v)
             for p, q, m in pairs:
                 offsets.setdefault((p, q), set()).add(m)
     assert offsets[((0, 0), (1, 1))] == {
@@ -116,13 +127,12 @@ def test_provenance_at_n2_where_one_pair_takes_two_offsets():
 def test_provenance_holds_nine_triples_per_cell():
     rng = random.Random(53)
     for n in range(1, 13):
-        ds = difference_set(random_config(rng, n, 3), with_provenance=True)
-        assert sum(len(pairs) for pairs in ds.provenance.values()) == 9 * n * n
+        c = random_config(rng, n, 3)
+        ds = difference_set(c)
+        assert sum(len(witness_pairs(c, v)) for v in ds.vectors) == 9 * n * n
 
 
 def _as_diffset(vectors):
-    from tilediff.diffset import DiffSet
-
     return DiffSet(frozenset(vectors))
 
 
@@ -202,6 +212,40 @@ def test_lattice_span_membership_oracle_random():
             assert x % a == 0
             s = x // a
             assert (y - b * s) % c == 0
+
+
+def test_lattice_span_ignores_input_order():
+    # Every order of a vector list, and its DiffSet, gives the sorted order's
+    # span. That span holds every generator, and its index is the gcd of the
+    # generators' 2x2 minors, so it is no larger than their span either.
+    rng = random.Random(23)
+    for _ in range(300):
+        gens = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(0, 7))]
+        span = lattice_span(sorted(set(gens)))
+        for _ in range(4):
+            rng.shuffle(gens)
+            assert lattice_span(gens) == span, gens
+        assert lattice_span(_as_diffset(gens)) == span
+        minors = 0
+        for (x1, y1), (x2, y2) in itertools.combinations(gens, 2):
+            minors = math.gcd(minors, x1 * y2 - x2 * y1)
+        if span.rank == 2:
+            (a, b), (_, c) = span.basis
+            assert span.index == minors
+            for (x, y) in gens:
+                assert x % a == 0 and (y - b * (x // a)) % c == 0
+        elif span.rank == 1:
+            assert minors == 0
+            # Each generator is k * basis, and the k have gcd 1.
+            ((bx, by),) = span.basis
+            ks = 0
+            for (x, y) in gens:
+                k = x // bx if bx else y // by
+                assert (x, y) == (k * bx, k * by)
+                ks = math.gcd(ks, k)
+            assert ks == 1
+        else:
+            assert all(v == (0, 0) for v in gens)
 
 
 def test_every_config_generates_full_lattice():

@@ -14,16 +14,19 @@ from tilediff import (
     components,
     components_of_classes,
     curve_gain,
+    difference_set,
     edge_labels,
     geometric_oracle,
     homotopy_class,
     interiors_decomposition,
+    normalize,
     pi1_image,
     pinch_graph_is_forest,
     row_loop,
     impossibility_audit,
     vertex_labels,
 )
+from tilediff.model import vadd
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, SquareClasses, square_colors
 from tilediff.topology import boundary_steps
 
@@ -402,6 +405,18 @@ def test_audit_every_config_fails_at_axes():
     for _ in range(60):
         config = random_config(rng, rng.randint(1, 4), 3)
         assert impossibility_audit(config).stage == "axes"
+
+
+def test_audit_with_a_given_difference_set_matches_its_own():
+    # `check` passes the set of the unshifted config to the audit of the
+    # normalized one; a common shift changes neither the set nor the pairs.
+    rng = random.Random(85)
+    for _ in range(80):
+        config = random_config(rng, rng.randint(1, 6), 3)
+        base = (rng.randint(-4, 4), rng.randint(-4, 4))
+        shifted = TileConfig(config.n, tuple(vadd(u, base) for u in config.translates))
+        report = impossibility_audit(normalize(shifted))
+        assert impossibility_audit(normalize(shifted), difference_set(shifted)) == report
 
 
 def test_boundary_curves_partition_boundary_steps():
