@@ -78,7 +78,6 @@ from .search import (
     SearchReport,
     SearchSpec,
     run_search,
-    swap_xy,
     verify_witnesses,
 )
 from .render import RenderSpec, render_svg

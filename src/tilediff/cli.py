@@ -3,6 +3,10 @@
 Human-readable text by default; ``--json`` switches every subcommand to a
 structured document with stable field names (sorted keys, no timing fields),
 which repeated runs reproduce byte-identically.
+
+One call builds only the argument parser of the subcommand it names. The
+full parser, with every subcommand, is built only to print the top-level
+help or a usage error, so those read exactly as they always have.
 """
 
 from __future__ import annotations
@@ -299,28 +303,22 @@ def cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tilediff",
-        description="Difference sets of grid-square tilings: exact checks, "
-        "discretization, torus analysis, and bounded exhaustive search.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="difference set, axes and generation verdicts")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="config file")
     p.add_argument("--vectors", action="store_true", help="list the difference set, one pair per line")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("discretize", help="gap, threshold resolution and covering")
+
+def _discretize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("boxes", help="box-union file")
     p.add_argument("--n", type=int, default=None, help="resolution (default: n0)")
     p.add_argument("--reduce", action="store_true", help="emit the transversal config")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_discretize)
 
-    p = sub.add_parser("search", help="bounded exhaustive search")
+
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--engine", choices=[PLAIN, PRUNED], default=PRUNED)
@@ -331,13 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("analyze", help="component table or config audit")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="coloring or config file")
     p.add_argument("--mode", choices=["corner", "edge"], default="corner")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("render", help="render an SVG diagram")
+
+def _render_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="coloring or config file")
     p.add_argument("-o", "--out", required=True, help="output SVG path")
     p.add_argument("--cell-px", type=int, default=24, dest="cell_px")
@@ -347,10 +347,42 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated layers from: {','.join(ALL_LAYERS)}",
     )
     p.set_defaults(func=cmd_render)
+
+
+# Subcommand name -> (help text, function adding its arguments). Both the
+# full parser and the one-subcommand parser of `main` read this table.
+COMMANDS = {
+    "check": ("difference set, axes and generation verdicts", _check_arguments),
+    "discretize": ("gap, threshold resolution and covering", _discretize_arguments),
+    "search": ("bounded exhaustive search", _search_arguments),
+    "analyze": ("component table or config audit", _analyze_arguments),
+    "render": ("render an SVG diagram", _render_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tilediff",
+        description="Difference sets of grid-square tilings: exact checks, "
+        "discretization, torus analysis, and bounded exhaustive search.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code. An argv that does not
+    start with a subcommand, or leaves arguments unrecognized, goes to the
+    full parser, which reports it under the top-level usage line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"tilediff {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args.func(args)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -224,7 +224,8 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
     """Canonical basis of the subgroup of Z^2 generated by the vectors.
 
-    The Hermite form is unique, so the vectors are reduced in any order.
+    The Hermite form is unique, so the vectors are reduced in any order,
+    and the reduction stops once both pivots are units: the span is Z^2.
     """
     vecs = vectors.vectors if isinstance(vectors, DiffSet) else set(vectors)
     # Row-reduce into at most two echelon rows: (a, b) with a > 0, then (0, c).
@@ -249,6 +250,9 @@ def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
             else:
                 g = math.gcd(row2[1], y)
                 row2 = (0, g)
+        if row2 is not None and row2[1] in (1, -1) and row1 is not None and row1[0] in (1, -1):
+            # Unit pivots: the span is already Z^2, whatever the rest adds.
+            return LatticeSpan(2, ((1, 0), (0, 1)), 1)
     if row1 is None and row2 is None:
         return LatticeSpan(0, (), None)
     if row1 is None:

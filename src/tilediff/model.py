@@ -143,6 +143,10 @@ def _content_lines(text: str):
 
 
 _INT = re.compile(r"^[+-]?\d+$")
+# A well-formed stripped cell line: exactly what ``str.split`` into "u" and
+# four `_INT` tokens accepts, since ``\s`` is ``str.isspace``. Lines it
+# rejects take the per-token route, which words the error.
+_CELL_LINE = re.compile(r"u\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)")
 
 
 def _parse_int(token: str, line_no: int) -> int:
@@ -180,10 +184,14 @@ def parse_config(text: str) -> TileConfig:
         raise FileFormatError(line_no, "non-positive n")
     seen: dict[tuple[int, int], Vec] = {}
     for line_no, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "u":
-            raise FileFormatError(line_no, f"expected 'u <i> <j> <ux> <uy>', got {line!r}")
-        i, j, ux, uy = (_parse_int(p, line_no) for p in parts[1:])
+        match = _CELL_LINE.fullmatch(line)
+        if match is not None:
+            i, j, ux, uy = map(int, match.groups())
+        else:
+            parts = line.split()
+            if len(parts) != 5 or parts[0] != "u":
+                raise FileFormatError(line_no, f"expected 'u <i> <j> <ux> <uy>', got {line!r}")
+            i, j, ux, uy = (_parse_int(p, line_no) for p in parts[1:])
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(line_no, f"cell ({i},{j}) out of range for n={n}")
         if (i, j) in seen:

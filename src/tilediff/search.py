@@ -481,16 +481,3 @@ def verify_witnesses(report: SearchReport, records=None) -> bool:
             raise ValueError(f"stale witness: {vec} not in difference set")
     return True
 
-
-def swap_xy(config: TileConfig) -> TileConfig:
-    """Mirror across the main diagonal: cell (i, j) -> (j, i), translate
-    components swapped."""
-    n = config.n
-    return TileConfig.from_map(
-        n,
-        {
-            (j, i): (config.u(i, j)[1], config.u(i, j)[0])
-            for i in range(n)
-            for j in range(n)
-        },
-    )

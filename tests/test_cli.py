@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
+import tilediff.cli as cli
 from tilediff import TileConfig, format_coloring, format_config
-from tilediff.cli import main
+from tilediff.cli import build_parser, main
 from tilediff.render import RenderSpec, render_svg
 from conftest import band_coloring, run_cli, uniform_coloring
 
@@ -272,3 +274,70 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
     assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
     assert calls == [TileConfig.uniform(2)]
     assert json.loads(capsys.readouterr().out)["audit"]["stage"] == "axes"
+
+
+def _outcome(run, argv, capsys):
+    """Exit code, stdout and stderr of ``run(argv)``."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _full_parser_dispatch(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+FRONT_END_ARGVS = [
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["--help"],
+    [],
+    ["bogus"],
+    ["check"],
+    ["search", "--n", "2"],
+    ["check", "x", "--bogus"],
+    ["search", "--n", "2", "--bound", "1", "--engine", "nope"],
+    ["check", "--", "single.txt"],
+    ["check", "single.txt", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", FRONT_END_ARGVS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_matches_the_full_parser(argv, workdir, capsys, monkeypatch):
+    # Help, usage errors and exit codes are those of the full parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(workdir)
+    expected = _outcome(_full_parser_dispatch, argv, capsys)
+    assert _outcome(main, argv, capsys) == expected
+
+
+def test_unrecognized_arguments_get_the_top_level_usage(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(main, ["check", "x", "--bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tilediff [-h]")
+    assert err.endswith("tilediff: error: unrecognized arguments: --bogus\n")
+
+
+def test_valid_calls_never_build_the_full_parser(workdir, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.chdir(workdir)
+    assert main(["check", "single.txt", "--json"]) == 0
+    assert main(["search", "--n", "2", "--bound", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[1])["valid_found"] == 0
+
+
+def test_main_reads_sys_argv_when_argv_is_none(workdir, capsys, monkeypatch):
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(sys, "argv", ["tilediff", "check", "single.txt", "--json"])
+    assert main() == 0
+    from_sys_argv = capsys.readouterr()
+    assert main(["check", "single.txt", "--json"]) == 0
+    assert capsys.readouterr() == from_sys_argv
+    assert json.loads(from_sys_argv.out)["difference_set_size"] == 9

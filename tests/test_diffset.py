@@ -12,7 +12,7 @@ from tilediff import (
     lattice_span,
     witness_pairs,
 )
-from tilediff.diffset import DiffSet, admissible_offsets
+from tilediff.diffset import DiffSet, LatticeSpan, _xgcd, admissible_offsets
 from tilediff.model import on_axes
 
 from conftest import random_config
@@ -246,6 +246,66 @@ def test_lattice_span_ignores_input_order():
             assert ks == 1
         else:
             assert all(v == (0, 0) for v in gens)
+
+
+def _lattice_span_without_exit(vectors) -> LatticeSpan:
+    """`lattice_span` as it was before its unit-pivot early exit: every
+    vector is reduced into the two echelon rows."""
+    row1 = row2 = None
+    for v in set(vectors):
+        x, y = v
+        if x != 0:
+            if row1 is None:
+                row1 = v
+                continue
+            s, t, g = _xgcd(row1[0], x)
+            merged = (g, s * row1[1] + t * y)
+            leftover_y = (row1[0] // g) * y - (x // g) * row1[1]
+            row1 = merged
+            x, y = 0, leftover_y
+        if y != 0:
+            row2 = (0, y) if row2 is None else (0, math.gcd(row2[1], y))
+    if row1 is None and row2 is None:
+        return LatticeSpan(0, (), None)
+    if row1 is None:
+        return LatticeSpan(1, ((0, abs(row2[1])),), None)
+    a, b = row1
+    if a < 0:
+        a, b = -a, -b
+    if row2 is None:
+        return LatticeSpan(1, ((a, b),), None)
+    c = abs(row2[1])
+    return LatticeSpan(2, ((a, b % c), (0, c)), a * c)
+
+
+def test_lattice_span_early_exit_matches_full_reduction():
+    # Full-rank lists (mostly spanning Z^2 early), rank-1 lists, lists of a
+    # sublattice of index > 1, and empty lists.
+    rng = random.Random(31)
+    kinds = {"full": 0, "rank1": 0, "index>1": 0, "empty": 0}
+    for k in range(400):
+        kind = list(kinds)[k % 4]
+        size = rng.randint(1, 30)
+        if kind == "full":
+            gens = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size)]
+        elif kind == "rank1":
+            base = (rng.randint(-3, 3), rng.randint(-3, 3))
+            gens = [(m * base[0], m * base[1]) for m in (rng.randint(-4, 4) for _ in range(size))]
+        elif kind == "index>1":
+            # The sublattice with basis (a, b), (0, c), a*c > 1, holds them all.
+            a, c = rng.choice([(1, 2), (2, 1), (2, 3), (3, 1), (1, 5)])
+            b = rng.randrange(c)
+            gens = [(s * a, s * b + t * c) for s, t in
+                    ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(size))]
+        else:
+            gens = []
+        expected = _lattice_span_without_exit(gens)
+        assert lattice_span(gens) == expected, gens
+        assert lattice_span(_as_diffset(gens)) == expected, gens
+        if kind == "index>1":
+            assert expected.index != 1
+        kinds[kind] += 1
+    assert all(count == 100 for count in kinds.values())
 
 
 def test_every_config_generates_full_lattice():

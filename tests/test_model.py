@@ -1,6 +1,8 @@
 """Core model: normalization, validation, text formats."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +97,26 @@ def test_config_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(FileFormatError) as err:
         parse_config(text)
     assert err.value.line_no == line
+
+
+# Config texts and what `parse_config` made of each when the corpus was
+# written: the error message and line, or the canonical config. It covers
+# bad tokens, wrong field counts, cells out of range, duplicate and missing
+# cells, bad headers, and Unicode digits and whitespace, accepted or not.
+PARSE_CORPUS = json.loads(
+    (Path(__file__).parent / "golden" / "parse_config.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
+def test_config_parse_corpus(name):
+    case = PARSE_CORPUS[name]
+    if "error" in case:
+        with pytest.raises(FileFormatError) as err:
+            parse_config(case["text"])
+        assert (str(err.value), err.value.line_no) == (case["error"], case["line"])
+    else:
+        assert format_config(parse_config(case["text"])) == case["config"]
 
 
 def test_boxes_roundtrip():

@@ -25,10 +25,23 @@ from tilediff.search import (
     _parallel_scan,
     _scan_chunk,
     _value_range,
-    swap_xy,
 )
 
 from conftest import random_config
+
+
+def swap_xy(config: TileConfig) -> TileConfig:
+    """Mirror across the main diagonal: cell (i, j) -> (j, i), translate
+    components swapped."""
+    n = config.n
+    return TileConfig.from_map(
+        n,
+        {
+            (j, i): (config.u(i, j)[1], config.u(i, j)[0])
+            for i in range(n)
+            for j in range(n)
+        },
+    )
 
 
 def reflect_x(config: TileConfig) -> TileConfig:
