@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
     ds = difference_set(config)
     check = axes_subset(ds)
     span = lattice_span(ds)
-    audit = impossibility_audit(normalize(config), ds)
+    audit = impossibility_audit(normalize(config), check)
     if args.json:
         _emit_json(
             {

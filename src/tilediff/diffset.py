@@ -3,14 +3,17 @@
 Two independent routes compute the same set. `difference_set` uses the
 integer offset rule: an integer vector lands in the difference of two
 translated grid squares exactly when the cells are within one step of each
-other on the n-torus, per coordinate. It visits each cell's at most 9 torus
-neighbours, so it costs O(n^2). `geometric_oracle` builds every pairwise
-difference box with exact rationals and lists its integer points; it stays
-O(n^4) on purpose, as the independent route. The routes are property-tested
-against each other and must never disagree.
+other on the n-torus, per coordinate. Lifting the translates to Z^2 by
+U(c + n*e) = u(c) - e, the set is {U(c) - U(c') : c, c' king-adjacent}.
+It is closed under negation, so the 4 forward king steps of each cell, one
+cached table of 4n^2 pairs per n, determine it in O(n^2).
+`geometric_oracle` builds every pairwise difference box with exact
+rationals and lists its integer points; it stays O(n^4) on purpose, as the
+independent route. The routes are property-tested against each other and
+must never disagree.
 
 Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
-behind one vector on demand, with one more O(n^2) scan of the same loop.
+behind one vector on demand, with one more O(n^2) scan of the same table.
 
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
 canonical triangular (Hermite-form) basis.
@@ -62,21 +65,28 @@ def admissible_offsets(d: Vec, n: int) -> list[Vec]:
     return [(mx, my) for mx in mxs for my in mys]
 
 
-@lru_cache(maxsize=64)
-def _axis_neighbours(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Per index a in range(n): each index b within one step of a on the
-    n-cycle (ascending), with the offsets m in {-1, 0, 1} (ascending) for
-    which |a - b - m*n| <= 1.
+# Forward king steps. With their negations and the zero step they reach all 9
+# cells within one step of a cell, per coordinate.
+_FORWARD_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
 
-    Per a the offsets number exactly 3 in total, one per a - b - m*n in
-    {-1, 0, 1}; at n <= 2 one b takes more than one of them.
+
+@lru_cache(maxsize=64)
+def _forward_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The 4n^2 forward king pairs of the lifted n-grid as (k, k2, mx, my).
+
+    For each cell p = (i, j) (row-major index k) and forward step delta, the
+    lifted neighbour q' = p + delta lies in cell k2 = q' mod n, row-major, of
+    the translate m = floor(q' / n) per axis. Lifting u to Z^2 by
+    U(c + n*e) = u(c) - e gives U(p) - U(q') = u(k) - u(k2) + m, and m is an
+    admissible offset of the cell pair (k, k2).
     """
+    # wrap[d][a] = (floor((a + d) / n), (a + d) mod n), one axis at a time.
+    wrap = {d: [divmod(a + d, n) for a in range(n)] for d in (-1, 0, 1)}
     table = []
-    for a in range(n):
-        bs = sorted({(a + t) % n for t in (-1, 0, 1)})
-        table.append(
-            tuple((b, tuple(m for m in (-1, 0, 1) if abs(a - b - m * n) <= 1)) for b in bs)
-        )
+    for di, dj in _FORWARD_STEPS:
+        for i, (mx, i2) in enumerate(wrap[di]):
+            for j, (my, j2) in enumerate(wrap[dj]):
+                table.append((i * n + j, i2 * n + j2, mx, my))
     return tuple(table)
 
 
@@ -89,54 +99,50 @@ def _checked(config: TileConfig) -> None:
 def difference_set(config: TileConfig) -> DiffSet:
     """Exact integer difference set via the offset rule, in O(n^2).
 
-    Only cell pairs adjacent on the torus (including wraps and corners)
-    admit offsets, so the result is the union over each cell p and its
-    torus neighbours q of u(p) - u(q) + m. Every cell yields exactly 9
-    (q, m) pairs.
+    On the lifted grid the set is {U(c) - U(c') : c, c' king-adjacent}, and
+    it is closed under negation. So it is the origin, the vectors V of the
+    4n^2 forward pairs of `_forward_pairs`, and -V.
     """
     _checked(config)
-    n = config.n
     translates = config.translates
-    neighbours = _axis_neighbours(n)
-    vectors: set[Vec] = set()
-    for i in range(n):
-        for j in range(n):
-            ux, uy = translates[i * n + j]
-            for i2, mxs in neighbours[i]:
-                for j2, mys in neighbours[j]:
-                    vx, vy = translates[i2 * n + j2]
-                    bx, by = ux - vx, uy - vy
-                    for mx in mxs:
-                        for my in mys:
-                            vectors.add((bx + mx, by + my))
+    forward: set[Vec] = set()
+    for k, k2, mx, my in _forward_pairs(config.n):
+        ux, uy = translates[k]
+        vx, vy = translates[k2]
+        forward.add((ux - vx + mx, uy - vy + my))
+    vectors = {(-x, -y) for x, y in forward}
+    vectors |= forward
+    vectors.add((0, 0))
     return DiffSet(frozenset(vectors))
 
 
 def witness_pairs(config: TileConfig, v: Vec) -> list[WitnessPair]:
     """Every (p, q, m) with u(p) - u(q) + m == v, m an admissible offset.
 
-    One O(n^2) scan over the loop of `difference_set`, so the list is
-    ordered by p row-major, then q row-major, then m lexicographically.
-    It is empty exactly when v is not in the difference set; summed over
-    the set's vectors the lists hold 9*n^2 triples.
+    One O(n^2) scan of the forward pairs of `difference_set`: a forward pair
+    (p, q, m) matching v is a witness, one matching -v gives the reversed
+    witness (q, p, -m), and v = (0, 0) adds the n^2 self-pairs (p, p, (0, 0)).
+    The list is ordered by p row-major, then q row-major, then m
+    lexicographically. It is empty exactly when v is not in the difference
+    set; summed over the set's vectors the lists hold 9*n^2 triples.
     """
     _checked(config)
     n = config.n
     translates = config.translates
-    neighbours = _axis_neighbours(n)
     vx, vy = v
-    pairs: list[WitnessPair] = []
-    for i in range(n):
-        for j in range(n):
-            ux, uy = translates[i * n + j]
-            for i2, mxs in neighbours[i]:
-                for j2, mys in neighbours[j]:
-                    wx, wy = translates[i2 * n + j2]
-                    # m must equal v - (u(p) - u(q)) on each axis.
-                    mx, my = vx - ux + wx, vy - uy + wy
-                    if mx in mxs and my in mys:
-                        pairs.append(((i, j), (i2, j2), (mx, my)))
-    return pairs
+    found: list[tuple[int, int, Vec]] = []
+    for k, k2, mx, my in _forward_pairs(n):
+        ux, uy = translates[k]
+        wx, wy = translates[k2]
+        bx, by = ux - wx + mx, uy - wy + my
+        if bx == vx and by == vy:
+            found.append((k, k2, (mx, my)))
+        if bx == -vx and by == -vy:
+            found.append((k2, k, (-mx, -my)))
+    if v == (0, 0):
+        found.extend((k, k, (0, 0)) for k in range(n * n))
+    found.sort()
+    return [(divmod(k, n), divmod(k2, n), m) for k, k2, m in found]
 
 
 def _integer_points_in_box(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction):

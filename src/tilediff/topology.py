@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .model import TileConfig, Vec, vadd, vneg, vsub
-from .diffset import DiffSet, axes_subset, difference_set, lattice_span, witness_pairs
+from .diffset import AxesCheck, axes_subset, difference_set, lattice_span, witness_pairs
 from .torus import (
     RED,
     WHITE,
@@ -401,21 +401,20 @@ class AuditReport:
     detail: str = ""
 
 
-def impossibility_audit(config: TileConfig, ds: Optional[DiffSet] = None) -> AuditReport:
+def impossibility_audit(config: TileConfig, check: Optional[AxesCheck] = None) -> AuditReport:
     """Run the chain difference set -> axes -> labeling -> coloring -> square
     rules -> components -> boundary whiteness -> boundary contractibility ->
     red non-contractible existence, reporting the first break.
 
-    `ds` is the config's difference set when the caller has it already; the
-    set of any common shift of the translates is the same. Every
-    configuration breaks at the axes check (the impossibility at bounded
-    scale); the later stages guard hypothetical inputs and document where
-    the argument would continue.
+    `check` is `axes_subset` of the config's difference set when the caller
+    has it already; the set of any common shift of the translates is the
+    same. Every configuration breaks at the axes check (the impossibility at
+    bounded scale); the later stages guard hypothetical inputs and document
+    where the argument would continue.
     """
     passed: list[str] = []
-    if ds is None:
-        ds = difference_set(config)
-    check = axes_subset(ds)
+    if check is None:
+        check = axes_subset(difference_set(config))
     if not check.on_axes:
         return AuditReport(
             stage="axes",

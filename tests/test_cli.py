@@ -276,6 +276,26 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["audit"]["stage"] == "axes"
 
 
+def test_check_scans_the_set_for_off_axes_vectors_once(workdir, capsys, monkeypatch):
+    import tilediff.cli as cli
+    import tilediff.topology as topology
+    from tilediff.diffset import axes_subset
+
+    calls = []
+
+    def counted(ds):
+        calls.append(ds)
+        return axes_subset(ds)
+
+    for module in (cli, topology):
+        monkeypatch.setattr(module, "axes_subset", counted)
+    assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
+    assert len(calls) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["audit"]["stage"] == "axes"
+    assert doc["audit"]["witness"] == doc["axes_witness"] == [-1, -1]
+
+
 def _outcome(run, argv, capsys):
     """Exit code, stdout and stderr of ``run(argv)``."""
     try:

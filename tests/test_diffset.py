@@ -1,8 +1,11 @@
 """Difference sets, the geometric oracle, axes predicate, lattice span."""
 
+import collections
 import itertools
 import math
 import random
+
+import pytest
 
 from tilediff import (
     TileConfig,
@@ -12,7 +15,7 @@ from tilediff import (
     lattice_span,
     witness_pairs,
 )
-from tilediff.diffset import DiffSet, LatticeSpan, _xgcd, admissible_offsets
+from tilediff.diffset import DiffSet, LatticeSpan, _forward_pairs, _xgcd, admissible_offsets
 from tilediff.model import on_axes
 
 from conftest import random_config
@@ -130,6 +133,60 @@ def test_provenance_holds_nine_triples_per_cell():
         c = random_config(rng, n, 3)
         ds = difference_set(c)
         assert sum(len(witness_pairs(c, v)) for v in ds.vectors) == 9 * n * n
+
+
+# Resolutions of the kernel comparisons: every n in 1..12, the small ones
+# many times, the O(n^4) references at large n once.
+KERNEL_SIZES = [n for n in range(1, 13) for _ in range(10 if n <= 4 else 2 if n <= 8 else 1)]
+
+
+@pytest.mark.parametrize("seed, bound", [(61, 0), (62, 1), (63, 3), (64, 10**12)])
+def test_difference_set_matches_both_references(seed, bound):
+    # Translates all 0, in [-1, 1], in [-3, 3] and in [-10^12, 10^12].
+    rng = random.Random(seed)
+    assert len(KERNEL_SIZES) == 52
+    for n in KERNEL_SIZES:
+        c = random_config(rng, n, bound)
+        ds = difference_set(c)
+        assert ds.vectors == geometric_oracle(c).vectors, c
+        assert ds.vectors == set(pair_loop_provenance(c)), c
+
+
+def test_forward_pairs_with_reversals_and_self_pairs_give_every_pair_triple():
+    for n in range(1, 13):
+        table = _forward_pairs(n)
+        assert len(table) == 4 * n * n
+        triples = collections.Counter()
+        for k, k2, mx, my in table:
+            triples[(k, k2, (mx, my))] += 1
+            triples[(k2, k, (-mx, -my))] += 1
+        for k in range(n * n):
+            triples[(k, k, (0, 0))] += 1
+        reference = collections.Counter(
+            (p[0] * n + p[1], q[0] * n + q[1], m)
+            for pairs in pair_loop_provenance(TileConfig.uniform(n)).values()
+            for p, q, m in pairs
+        )
+        assert sum(reference.values()) == 9 * n * n
+        assert triples == reference, n
+
+
+def test_results_unchanged_after_clearing_the_table_cache():
+    rng = random.Random(67)
+    configs = [random_config(rng, n, 3) for n in (1, 2, 3, 7, 12)]
+
+    def results():
+        out = []
+        for c in configs:
+            ds = difference_set(c)
+            out.append((ds, [witness_pairs(c, v) for v in sorted(ds.vectors)]))
+        return out
+
+    before = results()
+    _forward_pairs.cache_clear()
+    assert _forward_pairs.cache_info().currsize == 0
+    assert results() == before
+    assert _forward_pairs.cache_info().misses == 5
 
 
 def _as_diffset(vectors):
