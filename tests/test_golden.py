@@ -11,6 +11,15 @@ difference set. ``tests/golden/search/ENGINE-nN-bB[-symmetry].json`` is the
 stdout of ``tilediff search --engine ENGINE --n N --bound B [--symmetry]
 --json``; every leaf of the plain engine builds a difference set.
 
+``tests/golden/discretize/NAME.boxes`` holds a box union, ``NAME.json`` the
+stdout of ``tilediff discretize NAME.boxes --json`` and ``NAME.reduce.json``
+that of the same call with ``--reduce``. A name ending in ``-nN`` adds
+``--n N``. ``tests/golden/coloring/NAME.coloring`` holds an edge coloring and
+``NAME.MODE.json`` the stdout of ``tilediff analyze NAME.coloring --mode MODE
+--json``. ``tests/golden/render/NAME.svg`` is the file written by ``tilediff
+render SOURCE -o NAME.svg --show`` every layer, where SOURCE is
+``check/NAME.txt`` or ``coloring/NAME.coloring``.
+
 Regenerate a file only for an intended change of the output.
 """
 
@@ -19,11 +28,15 @@ from pathlib import Path
 import pytest
 
 from tilediff.cli import main
+from tilediff.render import ALL_LAYERS
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = sorted((GOLDEN / "check").glob("*.txt"))
 ANALYZE = sorted((GOLDEN / "analyze").glob("*.json"))
 SEARCHES = sorted((GOLDEN / "search").glob("*.json"))
+BOXES = sorted((GOLDEN / "discretize").glob("*.boxes"))
+COLORINGS = sorted((GOLDEN / "coloring").glob("*.coloring"))
+RENDERS = sorted((GOLDEN / "render").glob("*.svg"))
 
 
 def search_argv(name: str) -> list[str]:
@@ -31,6 +44,20 @@ def search_argv(name: str) -> list[str]:
     engine, n, bound, *symmetry = name.split("-")
     argv = ["search", "--engine", engine, "--n", n[1:], "--bound", bound[1:], "--json"]
     return argv + ["--symmetry"] * len(symmetry)
+
+
+def discretize_argv(boxes: Path) -> list[str]:
+    """The ``discretize`` arguments of a box golden: ``--n N`` for a name
+    ending in ``-nN``."""
+    head, _, tail = boxes.stem.rpartition("-n")
+    resolution = ["--n", tail] if head and tail.isdigit() else []
+    return ["discretize", str(boxes), *resolution, "--json"]
+
+
+def render_source(golden: Path) -> Path:
+    """The config or coloring a render golden draws."""
+    config = GOLDEN / "check" / f"{golden.stem}.txt"
+    return config if config.exists() else GOLDEN / "coloring" / f"{golden.stem}.coloring"
 
 
 def test_golden_check_corpus_is_present():
@@ -47,6 +74,19 @@ def test_golden_analyze_and_search_corpora_are_present():
         "pruned-n3-b2-symmetry",
         "pruned-n3-b2",
     ]
+
+
+def test_golden_discretize_coloring_and_render_corpora_are_present():
+    assert [p.stem for p in BOXES] == ["brick", "ell-n4", "thirds-l", "unit"]
+    assert [p.stem for p in COLORINGS] == ["band3", "blocks5", "columns4"]
+    assert [p.stem for p in RENDERS] == ["blocks5", "n3-two-pairs"]
+    for boxes in BOXES:
+        assert boxes.with_suffix(".json").exists()
+        assert boxes.with_suffix(".reduce.json").exists()
+    for coloring in COLORINGS:
+        for mode in ("corner", "edge"):
+            assert coloring.with_suffix(f".{mode}.json").exists()
+    assert all(render_source(svg).exists() for svg in RENDERS)
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
@@ -68,3 +108,28 @@ def test_search_json_matches_golden(golden, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(search_argv(golden.stem)) == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("boxes", BOXES, ids=lambda path: path.stem)
+@pytest.mark.parametrize("reduce", [False, True], ids=["plain", "reduce"])
+def test_discretize_json_matches_golden(boxes, reduce, capsys):
+    argv = discretize_argv(boxes) + ["--reduce"] * reduce
+    assert main(argv) == 0
+    golden = boxes.with_suffix(".reduce.json" if reduce else ".json")
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("coloring", COLORINGS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("mode", ["corner", "edge"])
+def test_analyze_coloring_json_matches_golden(coloring, mode, capsys):
+    assert main(["analyze", str(coloring), "--mode", mode, "--json"]) == 0
+    golden = coloring.with_suffix(f".{mode}.json")
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("golden", RENDERS, ids=lambda path: path.stem)
+def test_render_svg_matches_golden(golden, tmp_path, capsys):
+    out = tmp_path / golden.name
+    argv = ["render", str(render_source(golden)), "-o", str(out), "--show", ",".join(ALL_LAYERS)]
+    assert main(argv) == 0
+    assert out.read_bytes() == golden.read_bytes()
