@@ -30,7 +30,6 @@ from .diffset import (
     witness_pairs,
 )
 from .discretize import (
-    BoundaryIntegerPointError,
     CellCover,
     GapResult,
     cover_cells,

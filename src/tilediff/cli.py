@@ -71,36 +71,31 @@ def _audit_doc(report: AuditReport) -> dict:
     }
 
 
-def _read_text(path: str) -> str:
+def _parse_file(path: str, parse):
+    """Read the file at `path` and parse its text with `parse`. An unreadable
+    or malformed file exits with ``error: ...``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
-
-
-def _parse_config_file(path: str) -> TileConfig:
     try:
-        return parse_config(_read_text(path))
+        return parse(text)
     except FileFormatError as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
 
-def _read_source(path: str) -> TileConfig | EdgeColoring:
-    """Parse a config file (one with a ``u`` line) or else a coloring file."""
-    text = _read_text(path)
+def _parse_source(text: str) -> TileConfig | EdgeColoring:
+    """Parse a config (text with a ``u`` line) or else a coloring."""
     tags = set()
     for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             tags.add(stripped.split()[0])
-    try:
-        return parse_config(text) if "u" in tags else parse_coloring(text)
-    except FileFormatError as exc:
-        raise SystemExit(f"error: {path}: {exc}")
+    return parse_config(text) if "u" in tags else parse_coloring(text)
 
 
 def cmd_check(args) -> int:
-    config = _parse_config_file(args.config)
+    config = _parse_file(args.config, parse_config)
     problems = validate(config)
     ds = difference_set(config)
     check = axes_subset(ds)
@@ -141,10 +136,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    try:
-        boxes = parse_boxes(_read_text(args.boxes))
-    except FileFormatError as exc:
-        raise SystemExit(f"error: {args.boxes}: {exc}")
+    boxes = _parse_file(args.boxes, parse_boxes)
     gap = epsilon_gap(boxes)
     n = args.n if args.n is not None else gap.n0
     try:
@@ -231,7 +223,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    source = _read_source(args.file)
+    source = _parse_file(args.file, _parse_source)
     if isinstance(source, TileConfig):
         report = impossibility_audit(normalize(source))
         if args.json:
@@ -289,7 +281,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_render(args) -> int:
-    source = _read_source(args.file)
+    source = _parse_file(args.file, _parse_source)
     try:
         spec = RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
         svg = render_svg(source, spec)

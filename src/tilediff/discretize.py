@@ -19,16 +19,6 @@ from .model import Box, BoxUnion, TileConfig, Vec, normalize
 from .diffset import _integer_points_in_box
 
 
-class BoundaryIntegerPointError(ValueError):
-    """Raised when an integer point sits at distance zero from K-K without
-    being inside it, which would make the gap vanish.
-
-    Unreachable with exact closed-box arithmetic (membership is exact, and a
-    point outside a closed set has positive distance to it); kept as a guard
-    for the strict-gap precondition.
-    """
-
-
 @dataclass(frozen=True)
 class GapResult:
     """Squared minimum distance from outside integer points to K-K, and the
@@ -94,13 +84,13 @@ def epsilon_gap(k: BoxUnion) -> GapResult:
                 continue
             d2 = _dist_sq_to_union(zx, zy, diff)
             if d2 == 0:
-                raise BoundaryIntegerPointError(
-                    f"boundary integer point ({zx},{zy}) on K-K"
-                )
+                # A point outside every closed box is at positive distance.
+                raise AssertionError(f"integer point ({zx},{zy}) outside K-K at distance 0")
             if best is None or d2 < best:
                 best = d2
     if best is None:
-        raise BoundaryIntegerPointError("no integer point outside K-K in window")
+        # The window reaches floor(x1) + 2 > x1, past every box of K-K.
+        raise AssertionError("no integer point outside K-K in window")
     n0 = _smallest_n_with_square_above(32 / best)
     return GapResult(best, n0)
 

@@ -21,18 +21,15 @@ closed-form mask above into the domain of every later cell it touches, and a
 domain that empties cuts the subtree. A leaf the pruned engine reaches is
 therefore a valid configuration, and the engines agree exactly.
 
-Parallel runs split the tree over the values of the first free cell (for
-`pruned`, those that survive the base cell's constraints); partial reports
-merge in value order, so the final report is independent of worker count
-and scheduling. The workers share one node budget.
+Both engines run in one process and stop on the first node past the
+budget. `jobs` is accepted and validated, but the report does not depend on
+it.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .model import TileConfig, Vec, on_axes
@@ -99,14 +96,6 @@ class _Partial:
     witness_records: list = field(default_factory=list)
     valid_configs: list = field(default_factory=list)
 
-    def merge(self, other: "_Partial"):
-        self.configs_enumerated += other.configs_enumerated
-        self.nodes_visited += other.nodes_visited
-        self.valid_found += other.valid_found
-        for vec, count in other.witness_counts.items():
-            self.witness_counts[vec] = self.witness_counts.get(vec, 0) + count
-        self.witness_records.extend(other.witness_records)
-        self.valid_configs.extend(other.valid_configs)
 
 
 def _value_range(bound: int) -> list[Vec]:
@@ -150,68 +139,12 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
         part.witness_records.append((config, vec))
 
 
-# Nodes a worker of a parallel run counts before it adds them to the total
-# shared by all workers.
-_FLUSH = 4096
-
-# The node counter shared by the workers of a parallel run; set in each
-# worker process by the pool initializer, and None in a sequential run.
-_shared_nodes = None
-
-
-def _share_budget(counter) -> None:
-    global _shared_nodes
-    _shared_nodes = counter
-
-
-class _NodeBudget:
-    """Stops a scan on the first node past the budget.
-
-    A sequential scan compares its own count with the budget. A worker of a
-    parallel run adds its count to the shared counter every _FLUSH nodes and
-    at the end of its chunk, and stops once the shared total is past the
-    budget, so the workers together run at most budget + jobs * _FLUSH
-    nodes before the error.
-    """
-
-    def __init__(self, budget: int, shared):
-        self.budget = budget
-        self.shared = shared
-        self.flushed = 0
-
-    def charge(self, nodes: int) -> int:
-        """Account for the scan's first `nodes` nodes; return the node count
-        at which to call again."""
-        if self.shared is None:
-            total, next_check = nodes, self.budget + 1
-        else:
-            with self.shared.get_lock():
-                self.shared.value += nodes - self.flushed
-                total = self.shared.value
-            self.flushed = nodes
-            next_check = nodes + _FLUSH
-        if total > self.budget:
-            raise ValueError("budget exceeded")
-        return next_check
-
-
-def _plain_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
+def _plain_scan(spec: SearchSpec) -> _Partial:
     n = spec.n
     total_cells = n * n
-    free = total_cells - 1
-    values = _value_range(spec.bound)
-    first_values = values if chunk is None else chunk
     part = _Partial()
-    if free == 0:
-        rest_iter = [()] if first_values else []
-    else:
-        rest_iter = (
-            (first,) + rest
-            for first in first_values
-            for rest in itertools.product(values, repeat=free - 1)
-        )
-    for assignment in rest_iter:
-        translates = ((0, 0),) + tuple(assignment)
+    for assignment in itertools.product(_value_range(spec.bound), repeat=total_cells - 1):
+        translates = ((0, 0),) + assignment
         orbit = 1
         if spec.symmetry:
             swapped = tuple(
@@ -322,19 +255,17 @@ def _narrow(domains: list[int], links, i: int) -> int:
     return -1
 
 
-def _pruned_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
+def _pruned_scan(spec: SearchSpec) -> _Partial:
     n = spec.n
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
-        return _plain_scan(spec, chunk)
+        return _plain_scan(spec)
     part = _Partial()
     fwd = _Forward(n, spec.bound)
     values = fwd.values
     later = fwd.later
     last = n * n - 1
     assigned: list[Vec] = [(0, 0)] * (last + 1)
-    meter = _NodeBudget(spec.budget, _shared_nodes)
-    checkpoint = meter.charge(0)
     nodes = 0
 
     def cut(depth: int, f: int):
@@ -346,7 +277,7 @@ def _pruned_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
     def place(depth: int, domains: list[int], settled: bool):
-        nonlocal nodes, checkpoint
+        nonlocal nodes
         links = later[depth]
         domain = domains[depth]
         while domain:
@@ -354,8 +285,8 @@ def _pruned_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
             domain ^= low
             i = low.bit_length() - 1
             nodes += 1
-            if nodes >= checkpoint:
-                checkpoint = meter.charge(nodes)
+            if nodes > spec.budget:
+                raise ValueError("budget exceeded")
             assigned[depth] = values[i]
             child = domains[:]
             wiped = _narrow(child, links, i)
@@ -386,54 +317,11 @@ def _pruned_scan(spec: SearchSpec, chunk: list[Vec] | None) -> _Partial:
 
     domains, wiped = fwd.root()
     if wiped >= 0:
-        # The whole tree is cut. A wiped root leaves no first values to
-        # split, so run_search scans it in one process, once.
-        cut(0, wiped)
+        cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
-    if chunk is not None:
-        domains[1] &= sum(1 << values.index(v) for v in chunk)
     place(1, domains, False)
     part.nodes_visited = nodes
-    meter.charge(nodes)
     return part
-
-
-def _first_values(spec: SearchSpec) -> list[Vec]:
-    """The values of the first free cell that the engine tries, in order:
-    the full range for plain, those the base cell allows for pruned."""
-    values = _value_range(spec.bound)
-    if spec.engine == PLAIN:
-        return values
-    domains, wiped = _Forward(spec.n, spec.bound).root()
-    if wiped >= 0:
-        return []
-    return [v for i, v in enumerate(values) if domains[1] >> i & 1]
-
-
-def _scan_chunk(args) -> _Partial:
-    """Scan the subtree under the first free cell's values in the chunk,
-    or the whole tree when the chunk is None."""
-    spec, chunk = args
-    if spec.engine == PLAIN:
-        return _plain_scan(spec, chunk)
-    return _pruned_scan(spec, chunk)
-
-
-def _chunks(values: list[Vec], parts: int) -> list[list[Vec]]:
-    size = (len(values) + parts - 1) // parts
-    return [values[k : k + size] for k in range(0, len(values), size)]
-
-
-def _parallel_scan(spec: SearchSpec, chunks: list[list[Vec]], counter) -> _Partial:
-    """Scan the chunks on spec.jobs workers that share the node counter,
-    and merge their reports in chunk order."""
-    merged = _Partial()
-    with ProcessPoolExecutor(
-        max_workers=spec.jobs, initializer=_share_budget, initargs=(counter,)
-    ) as pool:
-        for result in pool.map(_scan_chunk, [(spec, c) for c in chunks]):
-            merged.merge(result)
-    return merged
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
@@ -445,12 +333,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
         leaves = (2 * spec.bound + 1) ** (2 * free)
         if leaves > spec.budget:
             raise ValueError("budget exceeded")
-    first = _first_values(spec) if free and spec.jobs > 1 else []
-    if not first:
-        part = _scan_chunk((spec, None))
-    else:
-        counter = multiprocessing.Value("q", 0)
-        part = _parallel_scan(spec, _chunks(first, spec.jobs), counter)
+    part = _plain_scan(spec) if spec.engine == PLAIN else _pruned_scan(spec)
     elapsed = time.perf_counter() - start
     return SearchReport(
         spec=spec,

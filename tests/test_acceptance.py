@@ -308,7 +308,7 @@ def test_criterion_7_byte_identical_reports(tmp_path):
     seq = run(["search", "--n", "2", "--bound", "2", "--jobs", "1", "--json"])
     par = run(["search", "--n", "2", "--bound", "2", "--jobs", "3", "--json"])
     if seq.stdout != par.stdout:
-        failures.append("multi-worker search")
+        failures.append("search with --jobs 3")
     for args in (
         ["render", "single.txt", "-o", "a.svg", "--show", "edges,colors,labels"],
         ["render", "band.coloring", "-o", "b.svg", "--show", "edges,colors,components"],
@@ -325,7 +325,7 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         7,
         "deterministic structured reports",
         not failures,
-        "all subcommands byte-identical across runs and worker counts"
+        "all subcommands byte-identical across runs and --jobs values"
         if not failures
         else "; ".join(failures),
     )

@@ -59,6 +59,24 @@ def test_check_parse_error_reports_line(workdir):
     assert "line 2" in result.stderr
 
 
+def test_discretize_malformed_boxes_names_file_and_line(workdir):
+    (workdir / "bad.boxes").write_text("box 0 0 1 1\nbox 0 0 1\n")
+    result = run_cli(["discretize", "bad.boxes", "--json"], workdir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: bad.boxes: line 2: expected 'box <x0> <y0> <x1> <y1>', got 'box 0 0 1'\n"
+    )
+
+
+def test_analyze_malformed_coloring_names_file_and_line(workdir):
+    (workdir / "bad.coloring").write_text("n 2\nh 0 0 green\n")
+    result = run_cli(["analyze", "bad.coloring", "--json"], workdir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: bad.coloring: line 2: unknown color 'green'\n"
+
+
 def test_discretize_unit_square(workdir):
     result = run_cli(["discretize", "unit.boxes", "--json"], workdir)
     doc = json.loads(result.stdout)

@@ -1,9 +1,12 @@
 """Search engines: counts, equivalence, pruning, symmetry, witnesses,
-forward-checking domains and the shared node budget."""
+forward-checking domains, the node budget, and reports that do not depend
+on the job count."""
 
 import itertools
-import multiprocessing
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,18 +19,9 @@ from tilediff import (
 )
 from tilediff.diffset import admissible_offsets
 from tilediff.model import TileConfig, normalize, on_axes
-from tilediff.search import (
-    _FLUSH,
-    _Forward,
-    _chunks,
-    _first_values,
-    _narrow,
-    _parallel_scan,
-    _scan_chunk,
-    _value_range,
-)
+from tilediff.search import _Forward, _narrow, _value_range
 
-from conftest import random_config
+from conftest import PACKAGE_ROOT, random_config
 
 
 def swap_xy(config: TileConfig) -> TileConfig:
@@ -210,12 +204,18 @@ def test_reports_are_deterministic():
 
 
 def test_parallel_matches_sequential():
-    base = SearchSpec(n=2, bound=2, engine="pruned", witnesses=True)
-    seq = run_search(base)
-    par = run_search(SearchSpec(n=2, bound=2, engine="pruned", witnesses=True, jobs=3))
-    for field in ("configs_enumerated", "nodes_visited", "valid_found",
-                  "witness_counts", "witness_records", "valid_configs"):
-        assert getattr(seq, field) == getattr(par, field)
+    # At (3,2) the base cell allows only axis values in cell 1.
+    domains, wiped = _Forward(3, 2).root()
+    assert wiped < 0
+    allowed = [v for i, v in enumerate(_value_range(2)) if domains[1] >> i & 1]
+    assert allowed == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
+    for n, bound, symmetry in ((2, 2, False), (3, 2, True)):
+        seq = run_search(SearchSpec(n=n, bound=bound, witnesses=True, symmetry=symmetry))
+        par = run_search(SearchSpec(n=n, bound=bound, witnesses=True, symmetry=symmetry,
+                                    jobs=3))
+        for field in ("configs_enumerated", "nodes_visited", "valid_found",
+                      "witness_counts", "witness_records", "valid_configs"):
+            assert getattr(seq, field) == getattr(par, field), (n, bound, field)
 
 
 def test_symmetry_maps_preserve_axes_verdict():
@@ -344,10 +344,11 @@ def test_pruned_three_grid_bound_three_node_count():
 
 def test_budget_stops_on_first_node_past_it():
     nodes = run_search(SearchSpec(n=3, bound=1, engine="pruned")).nodes_visited
-    exact = run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes))
-    assert exact.nodes_visited == nodes
-    with pytest.raises(ValueError, match="^budget exceeded$"):
-        run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes - 1))
+    for jobs in (1, 3):
+        exact = run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes, jobs=jobs))
+        assert exact.nodes_visited == nodes
+        with pytest.raises(ValueError, match="^budget exceeded$"):
+            run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes - 1, jobs=jobs))
 
 
 @pytest.mark.parametrize("n, bound", [(2, 2), (3, 1)])
@@ -360,38 +361,15 @@ def test_witness_replay_forward_checking(n, bound):
     assert unrecorded.witness_counts == report.witness_counts
 
 
-def test_parallel_split_over_surviving_first_values():
-    # The chunks cover the first free cell's values that the base cell
-    # allows, so none is empty, and the merged report equals the sequential one.
-    spec = SearchSpec(n=3, bound=2, engine="pruned", witnesses=True, symmetry=True)
-    first = _first_values(spec)
-    assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
-    assert all(_chunks(first, 3))
-    seq = run_search(spec)
-    par = run_search(SearchSpec(n=3, bound=2, engine="pruned", witnesses=True,
-                                symmetry=True, jobs=3))
-    for field in ("configs_enumerated", "nodes_visited", "valid_found",
-                  "witness_counts", "witness_records", "valid_configs"):
-        assert getattr(seq, field) == getattr(par, field)
-
-
-def test_worker_stops_when_shared_budget_is_spent(monkeypatch):
-    # This worker's own count stays far below the budget, but the other
-    # workers have already spent it.
-    spec = SearchSpec(n=3, bound=1, engine="pruned", budget=1_000_000)
-    counter = multiprocessing.Value("q", spec.budget - 10)
-    monkeypatch.setattr("tilediff.search._shared_nodes", counter)
-    with pytest.raises(ValueError, match="^budget exceeded$"):
-        _scan_chunk((spec, _first_values(spec)))
-    assert counter.value > spec.budget
-
-
-def test_workers_share_one_budget():
-    # More workers than cores. The three chunks take 17,028, 34,543 and
-    # 2,083 nodes, each below the budget on its own; the shared total stops
-    # them all within one flush each of the budget.
-    spec = SearchSpec(n=4, bound=1, engine="pruned", budget=35_000, jobs=4)
-    counter = multiprocessing.Value("q", 0)
-    with pytest.raises(ValueError, match="^budget exceeded$"):
-        _parallel_scan(spec, _chunks(_first_values(spec), spec.jobs), counter)
-    assert spec.budget < counter.value <= spec.budget + spec.jobs * _FLUSH
+def test_cli_import_starts_no_process_machinery():
+    # The search runs in one process, so the CLI loads no process pool.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
+    code = (
+        "import sys, tilediff.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
