@@ -204,18 +204,28 @@ def test_reports_are_deterministic():
 
 
 def test_parallel_matches_sequential():
-    # At (3,2) the base cell allows only axis values in cell 1.
+    base = SearchSpec(n=2, bound=2, engine="pruned", witnesses=True)
+    seq = run_search(base)
+    par = run_search(SearchSpec(n=2, bound=2, engine="pruned", witnesses=True, jobs=3))
+    for field in ("configs_enumerated", "nodes_visited", "valid_found",
+                  "witness_counts", "witness_records", "valid_configs"):
+        assert getattr(seq, field) == getattr(par, field)
+
+
+def test_parallel_split_over_surviving_first_values():
+    # The first free cell keeps only the values that the base cell allows
+    # (axis values at (3,2)), and a jobs=3 report equals the sequential one.
     domains, wiped = _Forward(3, 2).root()
     assert wiped < 0
-    allowed = [v for i, v in enumerate(_value_range(2)) if domains[1] >> i & 1]
-    assert allowed == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
-    for n, bound, symmetry in ((2, 2, False), (3, 2, True)):
-        seq = run_search(SearchSpec(n=n, bound=bound, witnesses=True, symmetry=symmetry))
-        par = run_search(SearchSpec(n=n, bound=bound, witnesses=True, symmetry=symmetry,
-                                    jobs=3))
-        for field in ("configs_enumerated", "nodes_visited", "valid_found",
-                      "witness_counts", "witness_records", "valid_configs"):
-            assert getattr(seq, field) == getattr(par, field), (n, bound, field)
+    first = [v for i, v in enumerate(_value_range(2)) if domains[1] >> i & 1]
+    assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
+    spec = SearchSpec(n=3, bound=2, engine="pruned", witnesses=True, symmetry=True)
+    seq = run_search(spec)
+    par = run_search(SearchSpec(n=3, bound=2, engine="pruned", witnesses=True,
+                                symmetry=True, jobs=3))
+    for field in ("configs_enumerated", "nodes_visited", "valid_found",
+                  "witness_counts", "witness_records", "valid_configs"):
+        assert getattr(seq, field) == getattr(par, field)
 
 
 def test_symmetry_maps_preserve_axes_verdict():
