@@ -12,11 +12,18 @@ rationals and lists its integer points; it stays O(n^4) on purpose, as the
 independent route. The routes are property-tested against each other and
 must never disagree.
 
+A `DiffSet` holds generators G and stands for {(0, 0)} | G | -G; for
+`difference_set`, G is the distinct vectors of the forward pairs.
+Membership, the axes verdict and the lattice span read G directly. The
+symmetric closure is built, once per set, only when a caller asks for all
+of its vectors, its size or its sorted list.
+
 Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
 behind one vector on demand, with one more O(n^2) scan of the same table.
 
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
-canonical triangular (Hermite-form) basis.
+canonical triangular (Hermite-form) basis; for a `DiffSet` it reduces the
+generators, which span the same subgroup as the closure.
 """
 
 from __future__ import annotations
@@ -24,28 +31,45 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
-from .model import TileConfig, Vec, on_axes, validate
+from .model import TileConfig, Vec, validate
 
 # Witness for the membership of one vector: cells p, q and integer offset m
 # with vector == u(p) - u(q) + m.
 WitnessPair = tuple[tuple[int, int], tuple[int, int], Vec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffSet:
     """Integer points of the difference set of a configuration's plane set.
 
-    Always symmetric and containing the origin. Only the vectors are kept;
+    The set is symmetric and contains the origin, so it is held by
+    generators G and stands for {(0, 0)} | G | -G. Any G with that closure
+    gives an equal, equally hashed `DiffSet`; `geometric_oracle` passes the
+    full set, which is its own closure. Only vectors are kept;
     `witness_pairs` names the cell pairs behind any one of them.
     """
 
-    vectors: frozenset[Vec]
+    generators: frozenset[Vec]
+
+    @cached_property
+    def vectors(self) -> frozenset[Vec]:
+        """The symmetric closure with the origin, built on first read."""
+        gens = self.generators
+        return gens.union([(0, 0)], [(-x, -y) for x, y in gens])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DiffSet):
+            return NotImplemented
+        return self.vectors == other.vectors
+
+    def __hash__(self) -> int:
+        return hash(self.vectors)
 
     def __contains__(self, v: Vec) -> bool:
-        return v in self.vectors
+        return v == (0, 0) or v in self.generators or (-v[0], -v[1]) in self.generators
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -101,19 +125,16 @@ def difference_set(config: TileConfig) -> DiffSet:
 
     On the lifted grid the set is {U(c) - U(c') : c, c' king-adjacent}, and
     it is closed under negation. So it is the origin, the vectors V of the
-    4n^2 forward pairs of `_forward_pairs`, and -V.
+    4n^2 forward pairs of `_forward_pairs`, and -V; the `DiffSet` holds the
+    distinct vectors of V as its generators.
     """
     _checked(config)
     translates = config.translates
-    forward: set[Vec] = set()
-    for k, k2, mx, my in _forward_pairs(config.n):
-        ux, uy = translates[k]
-        vx, vy = translates[k2]
-        forward.add((ux - vx + mx, uy - vy + my))
-    vectors = {(-x, -y) for x, y in forward}
-    vectors |= forward
-    vectors.add((0, 0))
-    return DiffSet(frozenset(vectors))
+    forward = {
+        (translates[k][0] - translates[k2][0] + mx, translates[k][1] - translates[k2][1] + my)
+        for k, k2, mx, my in _forward_pairs(config.n)
+    }
+    return DiffSet(frozenset(forward))
 
 
 def witness_pairs(config: TileConfig, v: Vec) -> list[WitnessPair]:
@@ -189,12 +210,21 @@ def axes_subset(d: DiffSet) -> AxesCheck:
     """True iff every vector has x=0 or y=0.
 
     On failure the witness is the lexicographically smallest (x, then y)
-    off-axes vector; `witness_pairs` gives the cell pairs behind it.
+    off-axes vector; `witness_pairs` gives the cell pairs behind it. Only
+    the generators are scanned: the closure's off-axes vectors come in pairs
+    g, -g, and the one with x < 0 is the smaller, so the witness is the
+    least of those.
     """
-    off = [v for v in d.vectors if not on_axes(v)]
-    if not off:
+    witness: Optional[Vec] = None
+    for x, y in d.generators:
+        if x and y:
+            if x > 0:
+                x, y = -x, -y
+            if witness is None or (x, y) < witness:
+                witness = (x, y)
+    if witness is None:
         return AxesCheck(True)
-    return AxesCheck(False, min(off))
+    return AxesCheck(False, witness)
 
 
 @dataclass(frozen=True)
@@ -232,8 +262,10 @@ def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
 
     The Hermite form is unique, so the vectors are reduced in any order,
     and the reduction stops once both pivots are units: the span is Z^2.
+    A `DiffSet` gives its generators: negations and the origin add nothing
+    to a span, so its closure is never built.
     """
-    vecs = vectors.vectors if isinstance(vectors, DiffSet) else set(vectors)
+    vecs = vectors.generators if isinstance(vectors, DiffSet) else set(vectors)
     # Row-reduce into at most two echelon rows: (a, b) with a > 0, then (0, c).
     row1: Optional[Vec] = None  # pivot in x
     row2: Optional[Vec] = None  # pivot in y only

@@ -6,8 +6,7 @@ closed squares of side 1/n inside the unit square by its cell's translate.
 Everything downstream (difference sets, discretization, the torus complex)
 consumes these values.
 
-All types are immutable after construction and safe to share between
-concurrent workers.
+All types are immutable after construction.
 """
 
 from __future__ import annotations

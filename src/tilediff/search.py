@@ -360,7 +360,7 @@ def verify_witnesses(report: SearchReport, records=None) -> bool:
     for config, vec in records:
         if on_axes(vec):
             raise ValueError(f"stale witness: {vec} lies on the axes")
-        if vec not in geometric_oracle(config).vectors:
+        if vec not in geometric_oracle(config):
             raise ValueError(f"stale witness: {vec} not in difference set")
     return True
 

@@ -199,15 +199,73 @@ def test_axes_subset_true_case():
 
 
 def test_axes_subset_single_off_vector():
-    check = axes_subset(_as_diffset({(1, 1)}))
+    check = axes_subset(_as_diffset({(0, 0), (1, 1), (-1, -1)}))
     assert not check.on_axes
-    assert check.witness == (1, 1)
+    assert check.witness == (-1, -1)
 
 
 def test_axes_subset_picks_lexicographically_smallest_witness():
     check = axes_subset(_as_diffset(NINE))
     assert not check.on_axes
     assert check.witness == (-1, -1)
+
+
+def _brute_axes(vectors) -> tuple[bool, object]:
+    off = [v for v in vectors if not on_axes(v)]
+    return (not off, min(off) if off else None)
+
+
+def test_diffset_contract_matches_geometric_oracle():
+    # The forward generators stand for the oracle's full set: equal, equally
+    # hashed, the same size, members and sorted list, and the same axes
+    # verdict and witness as a brute-force minimum over the oracle's vectors.
+    rng = random.Random(41)
+    for n in range(1, 9):
+        for bound in (0, 1, 3):
+            c = random_config(rng, n, bound)
+            ds, oracle = difference_set(c), geometric_oracle(c)
+            assert ds == oracle and hash(ds) == hash(oracle), c
+            assert ds.generators <= oracle.vectors
+            assert len(ds) == len(oracle.vectors)
+            assert ds.sorted_vectors() == sorted(oracle.vectors)
+            for v in oracle.vectors:
+                assert v in ds
+            outside = (max(x for x, _ in oracle.vectors) + 1, 0)
+            assert outside not in ds and (-outside[0], 0) not in ds
+            assert (1, 1 + max(y for _, y in oracle.vectors)) not in ds
+            check = axes_subset(ds)
+            assert (check.on_axes, check.witness) == _brute_axes(oracle.vectors), c
+
+
+def test_diffset_is_its_generators_closure():
+    closed = DiffSet(frozenset({(0, 0), (1, 1), (-1, -1)}))
+    assert DiffSet(frozenset({(1, 1)})) == closed
+    assert DiffSet(frozenset({(-1, -1)})) == closed
+    assert hash(DiffSet(frozenset({(1, 1)}))) == hash(closed)
+    assert DiffSet(frozenset({(1, 1)})) != DiffSet(frozenset({(1, 1), (0, 1)}))
+    assert DiffSet(frozenset()).vectors == {(0, 0)}
+    # On any generator set, not just a configuration's, axes_subset agrees
+    # with a brute-force minimum over the closure, on and off the axes.
+    rng = random.Random(43)
+    for _ in range(300):
+        gens = frozenset(
+            (rng.randint(-3, 3), rng.randint(-3, 3) if rng.random() < 0.5 else 0)
+            for _ in range(rng.randint(0, 6))
+        )
+        ds = DiffSet(gens)
+        closure = gens | {(0, 0)} | {(-x, -y) for x, y in gens}
+        assert ds.vectors == closure
+        check = axes_subset(ds)
+        assert (check.on_axes, check.witness) == _brute_axes(closure), gens
+
+
+def test_lattice_span_of_diffset_reads_generators():
+    # A set and its symmetric closure with the origin span the same group.
+    rng = random.Random(47)
+    for k in range(300):
+        bound = 3 if k % 2 else 10**12
+        ds = difference_set(random_config(rng, 1 + k % 10, bound))
+        assert lattice_span(ds) == lattice_span(sorted(ds.vectors))
 
 
 def test_lattice_span_of_axes_generators():

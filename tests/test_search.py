@@ -14,6 +14,7 @@ from tilediff import (
     SearchSpec,
     axes_subset,
     difference_set,
+    geometric_oracle,
     run_search,
     verify_witnesses,
 )
@@ -122,6 +123,21 @@ def test_plain_two_grid_bound_one():
     report = run_search(SearchSpec(n=2, bound=1, engine="plain"))
     assert report.configs_enumerated == 3 ** 6  # == 9 ** 3 == 729
     assert report.valid_found == 0
+
+
+@pytest.mark.parametrize("n, bound", [(2, 1), (1, 0), (1, 1), (1, 2), (1, 3)])
+def test_plain_witnesses_match_geometric_oracle(n, bound):
+    # Each leaf's witness is the lexicographically smallest off-axes vector
+    # of its geometric-oracle set, tallied over every assignment.
+    values = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+    tally = {}
+    for assignment in itertools.product(values, repeat=n * n - 1):
+        oracle = geometric_oracle(TileConfig(n, ((0, 0),) + assignment))
+        witness = min(v for v in oracle.vectors if not on_axes(v))
+        tally[witness] = tally.get(witness, 0) + 1
+    report = run_search(SearchSpec(n=n, bound=bound, engine="plain"))
+    assert report.valid_found == 0
+    assert report.witness_counts == tuple(sorted(tally.items()))
 
 
 def test_plain_two_grid_bound_zero():
