@@ -78,17 +78,6 @@ class DiffSet:
         return sorted(self.vectors)
 
 
-def admissible_offsets(d: Vec, n: int) -> list[Vec]:
-    """Integer offsets m with |d - m*n| <= 1 per coordinate, m in {-1,0,1}^2.
-
-    d is the (i, j) index difference of two cells. Non-empty exactly when the
-    cells touch on the n-torus (8-neighbourhood including self).
-    """
-    mxs = [m for m in (-1, 0, 1) if abs(d[0] - m * n) <= 1]
-    mys = [m for m in (-1, 0, 1) if abs(d[1] - m * n) <= 1]
-    return [(mx, my) for mx in mxs for my in mys]
-
-
 # Forward king steps. With their negations and the zero step they reach all 9
 # cells within one step of a cell, per coordinate.
 _FORWARD_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
@@ -102,7 +91,8 @@ def _forward_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
     lifted neighbour q' = p + delta lies in cell k2 = q' mod n, row-major, of
     the translate m = floor(q' / n) per axis. Lifting u to Z^2 by
     U(c + n*e) = u(c) - e gives U(p) - U(q') = u(k) - u(k2) + m, and m is an
-    admissible offset of the cell pair (k, k2).
+    admissible offset of the cell pair (k, k2): |p_k - p_k2 - m*n| <= 1 per
+    axis.
     """
     # wrap[d][a] = (floor((a + d) / n), (a + d) mod n), one axis at a time.
     wrap = {d: [divmod(a + d, n) for a in range(n)] for d in (-1, 0, 1)}

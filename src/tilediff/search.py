@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from .model import TileConfig, Vec, on_axes
-from .diffset import admissible_offsets, axes_subset, difference_set, geometric_oracle
+from .diffset import _forward_pairs, axes_subset, difference_set, geometric_oracle
 
 PLAIN = "plain"
 PRUNED = "pruned"
@@ -169,41 +169,60 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
 def _constraint_table(n: int):
     """For each row-major cell position k, the later cells f that touch it
     on the torus, as (f, offsets, mx, my): offsets are the admissible
-    offsets of p_f - p_k, and mx (my) is their single x (y) offset, or None
-    when there are several."""
+    offsets m of p_f - p_k (|p_f - p_k - m*n| <= 1 per axis), sorted with mx
+    outermost, and mx (my) is their single x (y) offset, or None when there
+    are several.
+
+    Read in O(n^2) from the forward king pairs (k, k2, m) of
+    `_forward_pairs`: m is an offset of p_k - p_k2, so a pair with k2 < k
+    gives the link k2 -> k with offset m, one with k < k2 gives the link
+    k -> k2 with offset -m, and each offset of each linked pair comes from
+    exactly one forward pair. Self-pairs (n = 1) link nothing.
+    """
+    grouped: list[dict[int, list[Vec]]] = [{} for _ in range(n * n)]
+    for k, k2, mx, my in _forward_pairs(n):
+        if k2 < k:
+            grouped[k2].setdefault(k, []).append((mx, my))
+        elif k < k2:
+            grouped[k].setdefault(k2, []).append((-mx, -my))
     table = []
-    for k in range(n * n):
-        links = []
-        for f in range(k + 1, n * n):
-            offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
-            if offsets:
-                # offsets is Mx x My with mx outermost, so its first and
-                # last entries hold the smallest and largest mx and my.
-                (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
-                mx = mx if mx == mx_last else None
-                my = my if my == my_last else None
-                links.append((f, tuple(offsets), mx, my))
-        table.append(tuple(links))
+    for links in grouped:
+        row = []
+        for f in sorted(links):
+            offsets = tuple(sorted(links[f]))
+            # offsets is Mx x My with mx outermost, so its first and last
+            # entries hold the smallest and largest mx and my.
+            (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
+            row.append((f, offsets, mx if mx == mx_last else None, my if my == my_last else None))
+        table.append(tuple(row))
     return table
 
 
 class _Forward:
     """Forward-checking tables for one (n, bound), built once per scan.
 
-    Value index i stands for _value_range(bound)[i], and a domain is an int
-    whose bit i is set when value i is still allowed. later[k] lists
+    Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
+    _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
+    int whose bit i is set when value i is still allowed. later[k] lists
     (f, masks) for each later cell f touching k, where masks[i] is the
     domain of f allowed by cell k holding value i; earlier[f] lists
     (k, offsets) for each earlier cell k touching f, in row-major order.
+
+    The masks are built per axis. Against k at (qx, qy), the column
+    x = qx - mx is one block of W bits and the row y = qy - my is a comb of
+    every W-th bit, each empty when it leaves the range. So a class with a
+    single mx and a single my takes x | y over the W x W (ix, iy) grid, and
+    the other classes repeat one axis list: the column-only class each
+    column W times, the row-only class the whole row list W times, and the
+    class with no single offset is all zeros. The value list itself is not
+    built here.
     """
 
     def __init__(self, n: int, bound: int):
-        self.values = values = _value_range(bound)
-        column: dict[int, int] = {}
-        row: dict[int, int] = {}
-        for i, (ux, uy) in enumerate(values):
-            column[ux] = column.get(ux, 0) | 1 << i
-            row[uy] = row.get(uy, 0) | 1 << i
+        self.bound = bound
+        self.width = width = 2 * bound + 1
+        block = (1 << width) - 1
+        comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
         classes: dict[tuple, list[int]] = {}
         self.later = []
         self.earlier = [[] for _ in range(n * n)]
@@ -212,10 +231,21 @@ class _Forward:
             for f, offsets, mx, my in links:
                 masks = classes.get((mx, my))
                 if masks is None:
-                    masks = classes[mx, my] = []
-                    for qx, qy in values:
-                        allowed = 0 if mx is None else column.get(qx - mx, 0)
-                        masks.append(allowed | (0 if my is None else row.get(qy - my, 0)))
+                    if mx is not None:
+                        xs = [block << (ix - mx) * width if 0 <= ix - mx < width else 0
+                              for ix in range(width)]
+                    if my is not None:
+                        ys = [comb << iy - my if 0 <= iy - my < width else 0
+                              for iy in range(width)]
+                    if mx is None and my is None:
+                        masks = [0] * (width * width)
+                    elif my is None:
+                        masks = [x for x in xs for _ in range(width)]
+                    elif mx is None:
+                        masks = ys * width
+                    else:
+                        masks = [x | y for x in xs for y in ys]
+                    classes[mx, my] = masks
                 mine.append((f, masks))
                 self.earlier[f].append((k, offsets))
             self.later.append(mine)
@@ -223,15 +253,16 @@ class _Forward:
     def root(self) -> tuple[list[int], int]:
         """The domains with the base cell placed at (0, 0), and the first
         cell whose domain this placement wipes out, or -1."""
-        zero = len(self.values) // 2  # the middle value, (0, 0)
-        domains = [(1 << len(self.values)) - 1] * len(self.later)
+        size = self.width * self.width
+        zero = size // 2  # the middle value, (0, 0)
+        domains = [(1 << size) - 1] * len(self.later)
         domains[0] = 1 << zero
         return domains, _narrow(domains, self.later[0], zero)
 
     def witness(self, assigned: list[Vec], depth: int, f: int) -> Vec:
-        """The off-axes vector that excludes the lowest value from the domain
-        of f, given cells 0..depth placed as in `assigned`."""
-        vx, vy = self.values[0]
+        """The off-axes vector that excludes the lowest value (-bound, -bound)
+        from the domain of f, given cells 0..depth placed as in `assigned`."""
+        vx = vy = -self.bound
         for k, offsets in self.earlier[f]:
             if k > depth:
                 break
@@ -262,7 +293,6 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         return _plain_scan(spec)
     part = _Partial()
     fwd = _Forward(n, spec.bound)
-    values = fwd.values
     later = fwd.later
     last = n * n - 1
     assigned: list[Vec] = [(0, 0)] * (last + 1)
@@ -272,7 +302,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         config = None
         if spec.witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
-            translates[f] = values[0]
+            translates[f] = (-spec.bound, -spec.bound)
             config = TileConfig(n, tuple(translates))
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
@@ -319,6 +349,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
+    values = _value_range(spec.bound)
     place(1, domains, False)
     part.nodes_visited = nodes
     return part

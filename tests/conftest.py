@@ -1,5 +1,6 @@
 """Shared generators for randomized property tests (seeded, deterministic),
-and the subprocess runner for the command-line tests."""
+the brute-force offset rule, and the subprocess runner for the command-line
+tests."""
 
 from __future__ import annotations
 
@@ -37,6 +38,18 @@ def run_cli(args, cwd):
         cwd=cwd,
         env=env,
     )
+
+
+def admissible_offsets(d, n: int) -> list:
+    """Brute-force oracle: integer offsets m with |d - m*n| <= 1 per
+    coordinate, m in {-1,0,1}^2, in lexicographic order.
+
+    d is the (i, j) index difference of two cells. Non-empty exactly when the
+    cells touch on the n-torus (8-neighbourhood including self).
+    """
+    mxs = [m for m in (-1, 0, 1) if abs(d[0] - m * n) <= 1]
+    mys = [m for m in (-1, 0, 1) if abs(d[1] - m * n) <= 1]
+    return [(mx, my) for mx in mxs for my in mys]
 
 
 def random_config(rng: random.Random, n: int, bound: int) -> TileConfig:

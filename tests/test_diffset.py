@@ -15,10 +15,10 @@ from tilediff import (
     lattice_span,
     witness_pairs,
 )
-from tilediff.diffset import DiffSet, LatticeSpan, _forward_pairs, _xgcd, admissible_offsets
+from tilediff.diffset import DiffSet, LatticeSpan, _forward_pairs, _xgcd
 from tilediff.model import on_axes
 
-from conftest import random_config
+from conftest import admissible_offsets, random_config
 
 NINE = {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
 

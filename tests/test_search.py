@@ -2,6 +2,7 @@
 forward-checking domains, the node budget, and reports that do not depend
 on the job count."""
 
+import functools
 import itertools
 import os
 import random
@@ -18,11 +19,10 @@ from tilediff import (
     run_search,
     verify_witnesses,
 )
-from tilediff.diffset import admissible_offsets
 from tilediff.model import TileConfig, normalize, on_axes
-from tilediff.search import _Forward, _narrow, _value_range
+from tilediff.search import _Forward, _constraint_table, _narrow, _value_range
 
-from conftest import PACKAGE_ROOT, random_config
+from conftest import PACKAGE_ROOT, admissible_offsets, random_config
 
 
 def swap_xy(config: TileConfig) -> TileConfig:
@@ -296,38 +296,87 @@ def test_pruned_leaves_match_plain_validity_semantics():
     assert pruned.configs_enumerated == len(pruned.valid_configs) == 0
 
 
-def _allowed(values, n, placed, f):
+@functools.lru_cache(maxsize=None)
+def _passing(n, k, f, bound):
+    """Brute force: the differences w = v - q of two translates in
+    [-bound, bound]^2 for which v - q + m lies on the axes for every
+    admissible offset m of the cell pair (f, k), found by trying each w."""
+    offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
+    span = range(-2 * bound, 2 * bound + 1)
+    return tuple((wx, wy) for wx in span for wy in span
+                 if all(on_axes((wx + mx, wy + my)) for mx, my in offsets))
+
+
+@functools.lru_cache(maxsize=None)
+def _value_index(bound):
+    return {v: i for i, v in enumerate(_value_range(bound))}
+
+
+def _allowed(bound, n, placed, f):
     """Brute force: the mask of values of cell f that keep every difference
     vector against the placed cells {k: translate} on the axes."""
-    pf = divmod(f, n)
-    mask = 0
-    for i, (vx, vy) in enumerate(values):
-        ok = True
-        for k, (qx, qy) in placed.items():
-            pk = divmod(k, n)
-            for mx, my in admissible_offsets((pf[0] - pk[0], pf[1] - pk[1]), n):
-                ok = ok and on_axes((vx - qx + mx, vy - qy + my))
-        if ok:
-            mask |= 1 << i
+    index = _value_index(bound)
+    mask = (1 << len(index)) - 1
+    for k, (qx, qy) in placed.items():
+        passing = 0
+        for wx, wy in _passing(n, k, f, bound):
+            i = index.get((qx + wx, qy + wy))
+            if i is not None:
+                passing |= 1 << i
+        mask &= passing
     return mask
 
 
+def _admissible_links(n):
+    """Brute force: the constraint table from the offset rule on every pair
+    of cells k < f, in row-major order."""
+    table = []
+    for k in range(n * n):
+        links = []
+        for f in range(k + 1, n * n):
+            offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
+            if offsets:
+                mxs = {mx for mx, _ in offsets}
+                mys = {my for _, my in offsets}
+                links.append((f, tuple(offsets),
+                              min(mxs) if len(mxs) == 1 else None,
+                              min(mys) if len(mys) == 1 else None))
+        table.append(tuple(links))
+    return table
+
+
+def test_links_from_forward_pairs_match_offset_rule():
+    # The O(n^2) table read from the forward pairs equals the n^4 pair loop
+    # entry for entry, order included.
+    for n in range(1, 8):
+        table = _constraint_table(n)
+        assert table == _admissible_links(n), n
+        for links in table:
+            fs = [f for f, _, _, _ in links]
+            assert fs == sorted(set(fs)), n
+
+
 def test_closed_form_masks_match_brute_force():
-    # Every torus-adjacent pair (so every offset class) at n <= 5, b <= 3:
-    # the row, column or cross mask equals the per-pair rule.
-    for n in range(1, 6):
-        for bound in range(4):
-            fwd = _Forward(n, bound)
-            for k in range(n * n):
-                links = dict(fwd.later[k])
-                for f in range(k + 1, n * n):
-                    d = (f // n - k // n, f % n - k % n)
-                    assert (f in links) == bool(admissible_offsets(d, n)), (n, k, f)
-                    if f not in links:
-                        continue
-                    for i, value in enumerate(fwd.values):
-                        expected = _allowed(fwd.values, n, {k: value}, f)
-                        assert links[f][i] == expected, (n, bound, k, f, value)
+    # Every torus-adjacent pair (so every offset class) at n <= 5, b <= 3,
+    # and at n = 2 every bound the benchmark times (widths 1 to 25), where
+    # the classes are row-only, column-only and empty: the mask equals the
+    # per-pair rule for every value of the earlier cell.
+    cases = [(n, bound) for n in range(1, 6) for bound in range(4)]
+    cases += [(2, bound) for bound in range(4, 13)]
+    for n, bound in cases:
+        fwd = _Forward(n, bound)
+        values = _value_range(bound)
+        for k in range(n * n):
+            links = dict(fwd.later[k])
+            for f in range(k + 1, n * n):
+                d = (f // n - k // n, f % n - k % n)
+                assert (f in links) == bool(admissible_offsets(d, n)), (n, k, f)
+                if f not in links:
+                    continue
+                assert len(links[f]) == len(values), (n, bound, k, f)
+                for i, value in enumerate(values):
+                    expected = _allowed(bound, n, {k: value}, f)
+                    assert links[f][i] == expected, (n, bound, k, f, value)
 
 
 def test_forward_domains_match_brute_force_on_random_prefixes():
@@ -335,31 +384,45 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
     for n in (2, 3, 4, 5):
         for bound in range(4):
             fwd = _Forward(n, bound)
+            values = _value_range(bound)
             for _ in range(12):
                 domains, wiped = fwd.root()
                 placed = {0: (0, 0)}
                 depth = 0
                 while wiped < 0 and depth < n * n - 1:
                     depth += 1
-                    choices = [i for i in range(len(fwd.values)) if domains[depth] >> i & 1]
+                    choices = [i for i in range(len(values)) if domains[depth] >> i & 1]
                     i = rng.choice(choices)
-                    placed[depth] = fwd.values[i]
+                    placed[depth] = values[i]
                     wiped = _narrow(domains, fwd.later[depth], i)
                     if rng.random() < 0.2:
                         break
                 if wiped >= 0:
-                    assert _allowed(fwd.values, n, placed, wiped) == 0
-                    assert all(_allowed(fwd.values, n, placed, f)
+                    assert _allowed(bound, n, placed, wiped) == 0
+                    assert all(_allowed(bound, n, placed, f)
                                for f in range(depth + 1, wiped)), (n, bound, placed)
                     continue
                 for f in range(depth + 1, n * n):
-                    assert domains[f] == _allowed(fwd.values, n, placed, f), (n, bound, placed, f)
+                    assert domains[f] == _allowed(bound, n, placed, f), (n, bound, placed, f)
 
 
 def test_pruned_four_grid_bound_one_finishes_in_default_budget():
     report = run_search(SearchSpec(n=4, bound=1, engine="pruned"))
     assert report.valid_found == 0
     assert report.nodes_visited <= SearchSpec(n=4, bound=1).budget
+
+
+def test_two_grid_ends_at_the_root_at_a_large_bound():
+    # The diagonal cell pair empties a domain before any value is tried, so
+    # the set-up is the whole search. It builds per-axis masks and no value
+    # list, so bound 250 (251,001 values) takes tens of milliseconds.
+    report = run_search(SearchSpec(n=2, bound=250))
+    assert report.nodes_visited == 0
+    assert report.witness_counts == (((-250, -250), 1),)
+    report = run_search(SearchSpec(n=2, bound=250, witnesses=True))
+    [(config, _)] = report.witness_records
+    assert config.translates == ((0, 0), (0, 0), (0, 0), (-250, -250))
+    assert verify_witnesses(report)
 
 
 def test_pruned_three_grid_bound_three_node_count():
