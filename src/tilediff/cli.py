@@ -4,14 +4,16 @@ Human-readable text by default; ``--json`` switches every subcommand to a
 structured document with stable field names (sorted keys, no timing fields),
 which repeated runs reproduce byte-identically.
 
-One call builds only the argument parser of the subcommand it names. The
-full parser, with every subcommand, is built only to print the top-level
+A call parses with the argument parser of the subcommand it names alone,
+built on the first call in the process and reused after that. The full
+parser, with every subcommand, is built afresh only to print the top-level
 help or a usage error, so those read exactly as they always have.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,7 +40,7 @@ from .topology import (
     pi1_image,
     impossibility_audit,
 )
-from .search import PLAIN, PRUNED, SearchSpec, run_search
+from .search import PLAIN, PRUNED, BudgetExceeded, SearchSpec, run_search
 from .render import ALL_LAYERS, RenderSpec, render_svg
 
 
@@ -180,6 +182,13 @@ def cmd_search(args) -> int:
             witnesses=args.witnesses,
         )
         report = run_search(spec)
+    except BudgetExceeded as stop:
+        print(
+            f"search stopped after {stop.nodes} nodes, placing cell {stop.cell}; "
+            f"cell 1 fully explored {stop.explored} of {stop.domain} values",
+            file=sys.stderr,
+        )
+        raise SystemExit(f"error: {stop}")
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     dumped = []
@@ -364,15 +373,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone. Parsing gives each call a
+    fresh namespace and leaves the parser as it was, so one per process
+    serves every call; help is formatted when printed, reading COLUMNS."""
+    parser = argparse.ArgumentParser(prog=f"tilediff {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code. An argv that does not
     start with a subcommand, or leaves arguments unrecognized, goes to the
     full parser, which reports it under the top-level usage line."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"tilediff {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extras:
             return args.func(args)
     args = build_parser().parse_args(argv)

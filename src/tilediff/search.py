@@ -28,6 +28,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -37,6 +38,27 @@ from .diffset import _forward_pairs, axes_subset, difference_set, geometric_orac
 
 PLAIN = "plain"
 PRUNED = "pruned"
+
+# Largest size of the cross-class masks of `_Forward`, in bytes. Past it a
+# pruned search fails before building them: they grow as (2b+1)^4 bits.
+MASK_BYTES_LIMIT = 256 << 20
+
+
+class BudgetExceeded(ValueError):
+    """The pruned engine stopped on the first node past its budget.
+
+    The message is "budget exceeded", as for any search over budget. The
+    search tried `nodes` nodes (the budget) and was placing row-major cell
+    `cell` when it stopped; of the `domain` values cell 1, the first free
+    cell, had after the base cell was placed, `explored` were fully searched.
+    """
+
+    def __init__(self, nodes: int, cell: int):
+        super().__init__("budget exceeded")
+        self.nodes = nodes
+        self.cell = cell
+        self.explored = 0
+        self.domain = 0
 
 
 @dataclass(frozen=True)
@@ -166,12 +188,16 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
     return part
 
 
+@functools.lru_cache(maxsize=64)
 def _constraint_table(n: int):
     """For each row-major cell position k, the later cells f that touch it
     on the torus, as (f, offsets, mx, my): offsets are the admissible
     offsets m of p_f - p_k (|p_f - p_k - m*n| <= 1 per axis), sorted with mx
     outermost, and mx (my) is their single x (y) offset, or None when there
     are several.
+
+    The table depends on n alone, so it is built once per n and shared, as
+    `_forward_pairs` is; it is all tuples, so no caller can change it.
 
     Read in O(n^2) from the forward king pairs (k, k2, m) of
     `_forward_pairs`: m is an offset of p_k - p_k2, so a pair with k2 < k
@@ -195,7 +221,7 @@ def _constraint_table(n: int):
             (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
             row.append((f, offsets, mx if mx == mx_last else None, my if my == my_last else None))
         table.append(tuple(row))
-    return table
+    return tuple(table)
 
 
 class _Forward:
@@ -216,17 +242,30 @@ class _Forward:
     column W times, the row-only class the whole row list W times, and the
     class with no single offset is all zeros. The value list itself is not
     built here.
+
+    Each cross class holds W^2 masks of W^2 bits, so before building any
+    mask the constructor raises ValueError when the cross classes would
+    take more than MASK_BYTES_LIMIT bytes.
     """
 
     def __init__(self, n: int, bound: int):
         self.bound = bound
         self.width = width = 2 * bound + 1
+        table = _constraint_table(n)
+        crosses = {(mx, my) for links in table for _, _, mx, my in links
+                   if mx is not None and my is not None}
+        size = len(crosses) * width ** 4 // 8
+        if size > MASK_BYTES_LIMIT:
+            raise ValueError(
+                f"n={n} bound={bound}: the pruning tables would take "
+                f"{size >> 20} MiB, over the {MASK_BYTES_LIMIT >> 20} MiB limit"
+            )
         block = (1 << width) - 1
         comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
         classes: dict[tuple, list[int]] = {}
         self.later = []
         self.earlier = [[] for _ in range(n * n)]
-        for k, links in enumerate(_constraint_table(n)):
+        for k, links in enumerate(table):
             mine = []
             for f, offsets, mx, my in links:
                 masks = classes.get((mx, my))
@@ -315,9 +354,9 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             domain ^= low
             i = low.bit_length() - 1
             nodes += 1
-            if nodes > spec.budget:
-                raise ValueError("budget exceeded")
             assigned[depth] = values[i]
+            if nodes > spec.budget:
+                raise BudgetExceeded(spec.budget, depth)
             child = domains[:]
             wiped = _narrow(child, links, i)
             if wiped >= 0:
@@ -350,7 +389,16 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
     values = _value_range(spec.bound)
-    place(1, domains, False)
+    try:
+        place(1, domains, False)
+    except BudgetExceeded as stop:
+        # Cell 1 tries its values in index order, and assigned[1] holds the
+        # one under way when the budget ran out.
+        qx, qy = assigned[1]
+        under_way = (qx + spec.bound) * fwd.width + qy + spec.bound
+        stop.explored = (domains[1] & (1 << under_way) - 1).bit_count()
+        stop.domain = domains[1].bit_count()
+        raise
     part.nodes_visited = nodes
     return part
 

@@ -352,6 +352,54 @@ def test_main_matches_the_full_parser(argv, workdir, capsys, monkeypatch):
     assert _outcome(main, argv, capsys) == expected
 
 
+def test_each_subcommand_parser_is_built_once():
+    for name in cli.COMMANDS:
+        assert cli._command_parser(name) is cli._command_parser(name)
+
+
+# Calls that reuse one cached parser: a plain search with a small budget,
+# then one that must get the default engine and budget back ((4,1) tries
+# 53,654 nodes, past 5000), and a missing required argument between valid
+# calls.
+CACHED_PARSER_ARGVS = [
+    ["search", "--n", "2", "--bound", "1", "--engine", "plain", "--budget", "5000", "--json"],
+    ["search", "--n", "4", "--bound", "1", "--json"],
+    ["search", "--n", "2"],
+    ["search", "--n", "2", "--bound", "1", "--json"],
+    ["check", "single.txt", "--vectors"],
+    ["check", "single.txt"],
+]
+
+
+def test_cached_parsers_match_the_full_parser_call_after_call(workdir, capsys, monkeypatch):
+    # One process, one parser per subcommand: no call sees what an earlier
+    # call parsed, defaulted or failed on.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(workdir)
+    for argv in [*FRONT_END_ARGVS, *CACHED_PARSER_ARGVS, *FRONT_END_ARGVS]:
+        expected = _outcome(_full_parser_dispatch, argv, capsys)
+        assert _outcome(main, argv, capsys) == expected, argv
+
+
+def test_search_over_budget_says_how_far_it_got(workdir):
+    result = run_cli(["search", "--n", "3", "--bound", "1", "--budget", "10"], workdir)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "search stopped after 10 nodes, placing cell 5; "
+        "cell 1 fully explored 1 of 5 values\n"
+        "error: budget exceeded\n"
+    )
+
+
+def test_search_with_oversize_tables_fails_fast(workdir):
+    result = run_cli(["search", "--n", "3", "--bound", "120"], workdir)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "error: n=3 bound=120: the pruning tables would take 2412 MiB, "
+        "over the 256 MiB limit\n"
+    )
+
+
 def test_unrecognized_arguments_get_the_top_level_usage(workdir, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = _outcome(main, ["check", "x", "--bogus"], capsys)

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,14 @@ from tilediff import (
     verify_witnesses,
 )
 from tilediff.model import TileConfig, normalize, on_axes
-from tilediff.search import _Forward, _constraint_table, _narrow, _value_range
+from tilediff.search import (
+    MASK_BYTES_LIMIT,
+    BudgetExceeded,
+    _Forward,
+    _constraint_table,
+    _narrow,
+    _value_range,
+)
 
 from conftest import PACKAGE_ROOT, admissible_offsets, random_config
 
@@ -350,10 +358,57 @@ def test_links_from_forward_pairs_match_offset_rule():
     # entry for entry, order included.
     for n in range(1, 8):
         table = _constraint_table(n)
-        assert table == _admissible_links(n), n
+        assert table == tuple(_admissible_links(n)), n
         for links in table:
             fs = [f for f, _, _, _ in links]
             assert fs == sorted(set(fs)), n
+
+
+def test_constraint_table_is_cached_and_read_only():
+    for n in range(1, 8):
+        table = _constraint_table(n)
+        assert table is _constraint_table(n)
+        assert table == _constraint_table.__wrapped__(n), n
+        assert type(table) is tuple
+        for links in table:
+            assert type(links) is tuple
+            assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
+
+
+def test_oversize_tables_fail_before_any_mask_is_built():
+    # (3,120) would need about 2.4 GB of cross-class masks.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^n=3 bound=120: .* 2412 MiB, over the 256 MiB limit$"):
+            run_search(SearchSpec(n=3, bound=120))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MASK_BYTES_LIMIT // 1000
+
+
+def test_no_benchmark_or_golden_search_reaches_the_table_limit():
+    # The largest pruned searches timed, traced or frozen: the (2,b) rungs
+    # and the frontier ladder up to (5,1).
+    for n, bound in [(2, 12), (3, 3), (4, 2), (5, 1)]:
+        _Forward(n, bound)
+
+
+def test_budget_stop_counts_cell_one_values_as_the_budget_grows():
+    # Cell 1's domain is what the base cell at (0, 0) allows; a larger
+    # budget never finishes fewer of its values, and the last node leaves
+    # only the last value unfinished.
+    domain = _allowed(1, 3, {0: (0, 0)}, 1).bit_count()
+    total = run_search(SearchSpec(n=3, bound=1)).nodes_visited
+    explored = []
+    for budget in range(1, total):
+        with pytest.raises(BudgetExceeded, match="^budget exceeded$") as stop:
+            run_search(SearchSpec(n=3, bound=1, budget=budget))
+        assert stop.value.nodes == budget
+        assert stop.value.domain == domain
+        explored.append(stop.value.explored)
+    assert explored == sorted(explored)
+    assert (explored[0], explored[-1]) == (0, domain - 1)
 
 
 def test_closed_form_masks_match_brute_force():
