@@ -18,6 +18,7 @@ from .torus import (
     WHITE,
     EdgeColoring,
     EdgeLabeling,
+    classify_value,
     color_edges,
     edge_labels,
     square_colors,
@@ -53,14 +54,7 @@ def _edge_color(coloring, values, kind, i, j) -> Optional[str]:
         grid = coloring.h if kind == "h" else coloring.v
         return grid[i][j]
     # Off-axes values have no color in the three-way scheme.
-    value = values.h[i][j] if kind == "h" else values.v[i][j]
-    if value == (0, 0):
-        return WHITE
-    if value[1] == 0:
-        return RED
-    if value[0] == 0:
-        return BLUE
-    return None
+    return classify_value(values.h[i][j] if kind == "h" else values.v[i][j])
 
 
 def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str:

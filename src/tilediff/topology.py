@@ -13,6 +13,12 @@ locally on the left; this splits the pinch into per-corner passes and every
 resulting curve is simple. The alternative pairing ("cross", maximal right
 turn) yields the boundary cycles of a regular neighbourhood of the component
 instead; curves may then revisit pinch vertices.
+
+`impossibility_audit` reports where a configuration breaks the argument.
+Every configuration breaks it at the first stage, the axes check of its
+difference set, so the audit returns that stage's witness. The red/blue
+component argument that would follow is exercised on colorings by the
+functions above, not on configurations.
 """
 
 from __future__ import annotations
@@ -22,18 +28,7 @@ from typing import NamedTuple, Optional
 
 from .model import TileConfig, Vec, vadd, vneg, vsub
 from .diffset import AxesCheck, axes_subset, difference_set, lattice_span, witness_pairs
-from .torus import (
-    RED,
-    WHITE,
-    EdgeColoring,
-    EdgeLabeling,
-    OffAxesEdges,
-    SquareClasses,
-    color_edges,
-    edge_labels,
-    square_colors,
-    vertex_labels,
-)
+from .torus import EdgeColoring, EdgeLabeling, SquareClasses, square_colors
 
 
 class Step(NamedTuple):
@@ -386,110 +381,31 @@ def pinch_graph_is_forest(component: Component) -> bool:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Outcome of the full proof-chain audit: the first failed link with a
-    witness. Stable fields: stage, witness, component_id, curve, gain,
-    winding ("class" in emitted documents)."""
+    """Where a configuration breaks the argument: the axes stage, with the
+    off-axes witness, the cell pairs that carry it and a detail line."""
 
     stage: str
-    passed: tuple[str, ...]
-    witness: Optional[Vec] = None
-    witness_pairs: tuple = ()
-    component_id: Optional[int] = None
-    curve: Optional[tuple[Step, ...]] = None
-    gain: Optional[Vec] = None
-    winding: Optional[Vec] = None
-    detail: str = ""
+    witness: Vec
+    witness_pairs: tuple
+    detail: str
 
 
 def impossibility_audit(config: TileConfig, check: Optional[AxesCheck] = None) -> AuditReport:
-    """Run the chain difference set -> axes -> labeling -> coloring -> square
-    rules -> components -> boundary whiteness -> boundary contractibility ->
-    red non-contractible existence, reporting the first break.
+    """Report the off-axes witness that breaks the axes stage of the argument.
 
     `check` is `axes_subset` of the config's difference set when the caller
     has it already; the set of any common shift of the translates is the
-    same. Every configuration breaks at the axes check (the impossibility at
-    bounded scale); the later stages guard hypothetical inputs and document
-    where the argument would continue.
+    same. Every configuration has an off-axes difference vector (the
+    impossibility at bounded scale), so an on-axes verdict would be a
+    counterexample to the theorem and raises AssertionError.
     """
-    passed: list[str] = []
     if check is None:
         check = axes_subset(difference_set(config))
-    if not check.on_axes:
-        return AuditReport(
-            stage="axes",
-            passed=tuple(passed),
-            witness=check.witness,
-            witness_pairs=tuple(witness_pairs(config, check.witness)),
-            detail=f"off-axes vector {check.witness} in difference set",
-        )
-    passed.append("axes")
-    el = edge_labels(vertex_labels(config))
-    colored = color_edges(el)
-    if isinstance(colored, OffAxesEdges):
-        kind, i, j, value = colored.edges[0]
-        return AuditReport(
-            stage="edge_values",
-            passed=tuple(passed),
-            witness=value,
-            detail=f"edge {kind}({i},{j}) carries off-axes value {value}",
-        )
-    passed.append("edge_values")
-    sq = square_colors(colored)
-    if isinstance(sq, list):
-        v = sq[0]
-        return AuditReport(
-            stage="square_rules",
-            passed=tuple(passed),
-            detail=f"square {v.square}: {v.reason}",
-        )
-    passed.append("square_rules")
-    comps = components_of_classes(sq, "corner")
-    for idx, comp in enumerate(comps):
-        if comp.color == WHITE:
-            continue
-        for step in boundary_steps(comp):
-            color = colored.h[step.i][step.j] if step.kind == "h" else colored.v[step.i][step.j]
-            if color != WHITE:
-                return AuditReport(
-                    stage="boundary_white",
-                    passed=tuple(passed),
-                    component_id=idx,
-                    curve=(step,),
-                    detail=f"non-white boundary edge {step} on component {idx}",
-                )
-    passed.append("boundary_white")
-    for idx, comp in enumerate(comps):
-        for curve in boundary_curves(comp):
-            winding = homotopy_class(curve)
-            if winding != (0, 0):
-                return AuditReport(
-                    stage="boundary_contractible",
-                    passed=tuple(passed),
-                    component_id=idx,
-                    curve=curve.steps,
-                    gain=curve_gain(curve, el),
-                    winding=winding,
-                    detail=f"boundary curve of component {idx} winds {winding}",
-                )
-    passed.append("boundary_contractible")
-    red_noncontractible = [
-        idx
-        for idx, comp in enumerate(comps)
-        if comp.color == RED and pi1_image(comp).rank >= 1
-    ]
-    if not red_noncontractible:
-        return AuditReport(
-            stage="red_noncontractible",
-            passed=tuple(passed),
-            detail="no non-contractible red component exists",
-        )
-    passed.append("red_noncontractible")
-    # All links held: the argument's final contradiction is materialized,
-    # which no real configuration can reach.
+    if check.on_axes:
+        raise AssertionError("difference set on the axes: a counterexample to the impossibility")
     return AuditReport(
-        stage="contradiction",
-        passed=tuple(passed),
-        component_id=red_noncontractible[0],
-        detail="full chain held; axes-confined configuration would contradict the impossibility result",
+        stage="axes",
+        witness=check.witness,
+        witness_pairs=tuple(witness_pairs(config, check.witness)),
+        detail=f"off-axes vector {check.witness} in difference set",
     )

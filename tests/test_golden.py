@@ -7,9 +7,12 @@ whose base cell is not at the origin.
 
 ``tests/golden/analyze/NAME.json`` is the stdout of ``tilediff analyze
 NAME.txt --json`` for the same configs: the audit that builds its own
-difference set. ``tests/golden/search/ENGINE-nN-bB[-symmetry].json`` is the
-stdout of ``tilediff search --engine ENGINE --n N --bound B [--symmetry]
---json``; every leaf of the plain engine builds a difference set.
+difference set. The text outputs are frozen too: ``check/NAME.out`` is the
+stdout of ``tilediff check NAME.txt --vectors`` and ``analyze/NAME.out``
+that of ``tilediff analyze NAME.txt``.
+``tests/golden/search/ENGINE-nN-bB[-symmetry].json`` is the stdout of
+``tilediff search --engine ENGINE --n N --bound B [--symmetry] --json``;
+every leaf of the plain engine builds a difference set.
 
 ``tests/golden/discretize/NAME.boxes`` holds a box union, ``NAME.json`` the
 stdout of ``tilediff discretize NAME.boxes --json`` and ``NAME.reduce.json``
@@ -33,6 +36,8 @@ from tilediff.render import ALL_LAYERS
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = sorted((GOLDEN / "check").glob("*.txt"))
 ANALYZE = sorted((GOLDEN / "analyze").glob("*.json"))
+CHECK_TEXT = sorted((GOLDEN / "check").glob("*.out"))
+ANALYZE_TEXT = sorted((GOLDEN / "analyze").glob("*.out"))
 SEARCHES = sorted((GOLDEN / "search").glob("*.json"))
 BOXES = sorted((GOLDEN / "discretize").glob("*.boxes"))
 COLORINGS = sorted((GOLDEN / "coloring").glob("*.coloring"))
@@ -76,6 +81,12 @@ def test_golden_analyze_and_search_corpora_are_present():
     ]
 
 
+def test_golden_text_corpora_are_present():
+    assert len(CHECK_TEXT) == len(ANALYZE_TEXT) == 8
+    assert [p.stem for p in CHECK_TEXT] == [p.stem for p in CONFIGS]
+    assert [p.stem for p in ANALYZE_TEXT] == [p.stem for p in CONFIGS]
+
+
 def test_golden_discretize_coloring_and_render_corpora_are_present():
     assert [p.stem for p in BOXES] == ["brick", "ell-n4", "thirds-l", "unit"]
     assert [p.stem for p in COLORINGS] == ["band3", "blocks5", "columns4"]
@@ -99,6 +110,19 @@ def test_check_json_matches_golden(config, capsys):
 def test_analyze_json_matches_golden(config, capsys):
     assert main(["analyze", str(config), "--json"]) == 0
     golden = GOLDEN / "analyze" / f"{config.stem}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_check_text_matches_golden(config, capsys):
+    assert main(["check", str(config), "--vectors"]) == 0
+    assert capsys.readouterr().out.encode() == config.with_suffix(".out").read_bytes()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_analyze_text_matches_golden(config, capsys):
+    assert main(["analyze", str(config)]) == 0
+    golden = GOLDEN / "analyze" / f"{config.stem}.out"
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 

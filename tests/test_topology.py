@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tilediff import (
+    AxesCheck,
     Component,
     Curve,
     Step,
@@ -409,9 +410,9 @@ def test_audit_every_config_fails_at_axes():
 
 
 def test_audit_with_a_given_axes_check_matches_its_own():
-    # `check` passes the axes check of the unshifted config's set to the
-    # audit of the normalized one; a common shift changes neither the set
-    # nor the pairs.
+    # `check` passes the axes check of a config's set to the audit of the
+    # same, unnormalized config; the audit of the normalized config agrees,
+    # since a common shift changes neither the set nor the pairs.
     rng = random.Random(85)
     for _ in range(80):
         config = random_config(rng, rng.randint(1, 6), 3)
@@ -420,6 +421,14 @@ def test_audit_with_a_given_axes_check_matches_its_own():
         report = impossibility_audit(normalize(shifted))
         check = axes_subset(difference_set(shifted))
         assert impossibility_audit(normalize(shifted), check) == report
+        assert impossibility_audit(shifted) == report
+
+
+def test_audit_of_an_on_axes_verdict_is_a_counterexample():
+    # No configuration has an on-axes difference set, so the audit refuses
+    # such a verdict instead of reporting on it.
+    with pytest.raises(AssertionError, match="counterexample"):
+        impossibility_audit(TileConfig.uniform(2), AxesCheck(True))
 
 
 def test_boundary_curves_partition_boundary_steps():
