@@ -5,80 +5,79 @@ sets of compact fundamental domains: tiling configurations, their integer
 difference sets, discretization of box-union compacta, the torus square
 complex with its edge cocycle and coloring, component topology, and a
 bounded exhaustive search.
+
+Importing the package runs no submodule. Each one is registered in
+``sys.modules`` with a lazy loader and runs on its first attribute access,
+so a caller pays only for the layers it uses. The names re-exported here
+resolve through the module-level ``__getattr__`` (PEP 562).
 """
 
-from .model import (
-    BoxUnion,
-    FileFormatError,
-    TileConfig,
-    Vec,
-    format_boxes,
-    format_config,
-    normalize,
-    parse_boxes,
-    parse_config,
-    validate,
-)
-from .diffset import (
-    AxesCheck,
-    DiffSet,
-    LatticeSpan,
-    axes_subset,
-    difference_set,
-    geometric_oracle,
-    lattice_span,
-    witness_pairs,
-)
-from .discretize import (
-    CellCover,
-    GapResult,
-    cover_cells,
-    epsilon_gap,
-    minkowski_diff,
-    reduce_to_transversal,
-    discretization_exact,
-)
-from .torus import (
-    BLUE,
-    RED,
-    WHITE,
-    EdgeColoring,
-    EdgeLabeling,
-    OffAxesEdges,
-    SquareClasses,
-    SquareViolation,
-    VertexLabeling,
-    color_edges,
-    edge_labels,
-    format_coloring,
-    parse_coloring,
-    square_colors,
-    vertex_labels,
-)
-from .topology import (
-    AuditReport,
-    Component,
-    Curve,
-    Pi1Image,
-    Step,
-    boundary_curves,
-    column_loop,
-    components,
-    components_of_classes,
-    curve_gain,
-    homotopy_class,
-    interiors_decomposition,
-    pi1_image,
-    pinch_graph_is_forest,
-    row_loop,
-    impossibility_audit,
-)
-from .search import (
-    SearchReport,
-    SearchSpec,
-    run_search,
-    verify_witnesses,
-)
-from .render import RenderSpec, render_svg
+import importlib.util as _util
+import sys as _sys
+
+# Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
+            "format_config", "normalize", "parse_boxes", "parse_config", "validate",
+        ),
+        "model",
+    ),
+    **dict.fromkeys(
+        (
+            "AxesCheck", "DiffSet", "LatticeSpan", "axes_subset", "difference_set",
+            "geometric_oracle", "lattice_span", "witness_pairs",
+        ),
+        "diffset",
+    ),
+    **dict.fromkeys(
+        (
+            "CellCover", "GapResult", "cover_cells", "epsilon_gap", "minkowski_diff",
+            "reduce_to_transversal", "discretization_exact",
+        ),
+        "discretize",
+    ),
+    **dict.fromkeys(
+        (
+            "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "OffAxesEdges",
+            "SquareClasses", "SquareViolation", "VertexLabeling", "color_edges",
+            "edge_labels", "format_coloring", "parse_coloring", "square_colors",
+            "vertex_labels",
+        ),
+        "torus",
+    ),
+    **dict.fromkeys(
+        (
+            "AuditReport", "Component", "Curve", "Pi1Image", "Step", "boundary_curves",
+            "column_loop", "components", "components_of_classes", "curve_gain",
+            "homotopy_class", "interiors_decomposition", "pi1_image",
+            "pinch_graph_is_forest", "row_loop", "impossibility_audit",
+        ),
+        "topology",
+    ),
+    **dict.fromkeys(("SearchReport", "SearchSpec", "run_search", "verify_witnesses"), "search"),
+    **dict.fromkeys(("RenderSpec", "render_svg"), "render"),
+}
+
+__all__ = list(_EXPORTS)
+
+for _name in dict.fromkeys(_EXPORTS.values()):
+    _spec = _util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = _util.LazyLoader(_spec.loader)
+    globals()[_name] = _sys.modules[_spec.name] = _util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])
+del _name, _spec
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_EXPORTS[name]], name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
+
 
 __version__ = "0.1.0"

@@ -8,6 +8,9 @@ A call parses with the argument parser of the subcommand it names alone,
 built on the first call in the process and reused after that. The full
 parser, with every subcommand, is built afresh only to print the top-level
 help or a usage error, so those read exactly as they always have.
+
+The library is reached through its submodules' attributes at call time,
+so a call runs only the submodules its subcommand uses.
 """
 
 from __future__ import annotations
@@ -19,51 +22,24 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .model import (
-    FileFormatError,
-    TileConfig,
-    format_config,
-    parse_boxes,
-    parse_config,
-    validate,
-)
-from .diffset import axes_subset, difference_set, lattice_span
-from .discretize import cover_cells, epsilon_gap, reduce_to_transversal, discretization_exact
-from .torus import EdgeColoring, parse_coloring
-from .topology import (
-    AuditReport,
-    boundary_curves,
-    components,
-    homotopy_class,
-    interiors_decomposition,
-    pi1_image,
-    impossibility_audit,
-)
-from .search import PLAIN, PRUNED, BudgetExceeded, SearchSpec, run_search
-from .render import ALL_LAYERS, RenderSpec, render_svg
+from . import diffset, discretize, model, render, search, topology, torus
 
 
 def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _vec(v):
-    return None if v is None else [v[0], v[1]]
-
-
 def _frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _audit_doc(report: AuditReport) -> dict:
+def _audit_doc(report: topology.AuditReport) -> dict:
     # Every audit stops at the axes stage; the fields a later stage would
     # fill stay in the document as nulls.
     return {
         "stage": report.stage,
-        "witness": _vec(report.witness),
-        "witness_pairs": [
-            [list(p), list(q), list(m)] for (p, q, m) in report.witness_pairs
-        ],
+        "witness": report.witness,
+        "witness_pairs": report.witness_pairs,
         "component_id": None,
         "curve": None,
         "gain": None,
@@ -81,27 +57,27 @@ def _parse_file(path: str, parse):
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
     try:
         return parse(text)
-    except FileFormatError as exc:
+    except model.FileFormatError as exc:
         raise SystemExit(f"error: {path}: {exc}")
 
 
-def _parse_source(text: str) -> TileConfig | EdgeColoring:
+def _parse_source(text: str) -> model.TileConfig | torus.EdgeColoring:
     """Parse a config (text with a ``u`` line) or else a coloring."""
     tags = set()
     for line in text.splitlines():
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             tags.add(stripped.split()[0])
-    return parse_config(text) if "u" in tags else parse_coloring(text)
+    return model.parse_config(text) if "u" in tags else torus.parse_coloring(text)
 
 
 def cmd_check(args) -> int:
-    config = _parse_file(args.config, parse_config)
-    problems = validate(config)
-    ds = difference_set(config)
-    check = axes_subset(ds)
-    span = lattice_span(ds)
-    audit = impossibility_audit(config, check)
+    config = _parse_file(args.config, model.parse_config)
+    problems = model.validate(config)
+    ds = diffset.difference_set(config)
+    check = diffset.axes_subset(ds)
+    span = diffset.lattice_span(ds)
+    audit = topology.impossibility_audit(config, check)
     if args.json:
         _emit_json(
             {
@@ -109,12 +85,12 @@ def cmd_check(args) -> int:
                 "n": config.n,
                 "violations": problems,
                 "difference_set_size": len(ds),
-                "difference_set": [_vec(v) for v in ds.sorted_vectors()],
+                "difference_set": ds.sorted_vectors(),
                 "axes_subset": check.on_axes,
-                "axes_witness": _vec(check.witness),
+                "axes_witness": check.witness,
                 "span_rank": span.rank,
                 "span_index": span.index,
-                "span_basis": [_vec(b) for b in span.basis],
+                "span_basis": span.basis,
                 "generates_lattice": span.generates_full_lattice,
                 "audit": _audit_doc(audit),
             }
@@ -137,13 +113,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    boxes = _parse_file(args.boxes, parse_boxes)
-    gap = epsilon_gap(boxes)
+    boxes = _parse_file(args.boxes, model.parse_boxes)
+    gap = discretize.epsilon_gap(boxes)
     n = args.n if args.n is not None else gap.n0
     try:
-        cover = cover_cells(boxes, n)
-        equal = discretization_exact(boxes, n)
-        transversal = reduce_to_transversal(cover) if args.reduce else None
+        cover = discretize.cover_cells(boxes, n)
+        equal = discretize.discretization_exact(boxes, n)
+        transversal = discretize.reduce_to_transversal(cover) if args.reduce else None
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     if args.json:
@@ -155,7 +131,7 @@ def cmd_discretize(args) -> int:
                 "n": n,
                 "cell_count": len(cover.cells),
                 "diff_sets_equal": equal,
-                "transversal": None if transversal is None else format_config(transversal),
+                "transversal": None if transversal is None else model.format_config(transversal),
             }
         )
         return 0
@@ -165,13 +141,13 @@ def cmd_discretize(args) -> int:
     print(f"cells: {len(cover.cells)}")
     print(f"difference sets equal: {'true' if equal else 'false'}")
     if transversal is not None:
-        sys.stdout.write(format_config(transversal))
+        sys.stdout.write(model.format_config(transversal))
     return 0
 
 
 def cmd_search(args) -> int:
     try:
-        spec = SearchSpec(
+        spec = search.SearchSpec(
             n=args.n,
             bound=args.bound,
             engine=args.engine,
@@ -180,8 +156,8 @@ def cmd_search(args) -> int:
             jobs=args.jobs,
             witnesses=args.witnesses,
         )
-        report = run_search(spec)
-    except BudgetExceeded as stop:
+        report = search.run_search(spec)
+    except search.BudgetExceeded as stop:
         print(
             f"search stopped after {stop.nodes} nodes, placing cell {stop.cell}; "
             f"cell 1 fully explored {stop.explored} of {stop.domain} values",
@@ -193,7 +169,7 @@ def cmd_search(args) -> int:
     dumped = []
     for k, config in enumerate(report.valid_configs):
         path = Path(f"valid-config-{k:03d}.txt")
-        path.write_text(format_config(config), encoding="utf-8")
+        path.write_text(model.format_config(config), encoding="utf-8")
         dumped.append(str(path))
     if args.json:
         _emit_json(
@@ -206,9 +182,7 @@ def cmd_search(args) -> int:
                 "configs_enumerated": report.configs_enumerated,
                 "nodes_visited": report.nodes_visited,
                 "valid_found": report.valid_found,
-                "witness_counts": [
-                    [_vec(v), c] for v, c in report.witness_counts
-                ],
+                "witness_counts": report.witness_counts,
                 "valid_config_files": dumped,
             }
         )
@@ -232,8 +206,8 @@ def cmd_search(args) -> int:
 
 def cmd_analyze(args) -> int:
     source = _parse_file(args.file, _parse_source)
-    if isinstance(source, TileConfig):
-        report = impossibility_audit(source)
+    if isinstance(source, model.TileConfig):
+        report = topology.impossibility_audit(source)
         if args.json:
             _emit_json({"command": "analyze", "kind": "config", "audit": _audit_doc(report)})
         else:
@@ -243,25 +217,25 @@ def cmd_analyze(args) -> int:
             print(f"detail: {report.detail}")
         return 0
     try:
-        comps = components(source, args.mode)
+        comps = topology.components(source, args.mode)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     rows = []
     for idx, comp in enumerate(comps):
-        curves = boundary_curves(comp)
-        image = pi1_image(comp)
+        curves = topology.boundary_curves(comp)
+        image = topology.pi1_image(comp)
         rows.append(
             {
                 "id": idx,
                 "color": comp.color,
                 "size": len(comp.squares),
-                "squares": [list(s) for s in sorted(comp.squares)],
+                "squares": sorted(comp.squares),
                 "boundary_curves": len(curves),
-                "boundary_classes": [_vec(homotopy_class(c)) for c in curves],
+                "boundary_classes": [topology.homotopy_class(c) for c in curves],
                 "pi1_rank": image.rank,
-                "pi1_basis": [_vec(b) for b in image.basis],
+                "pi1_basis": image.basis,
                 "pi1_index": image.index,
-                "pieces": len(interiors_decomposition(comp)),
+                "pieces": len(topology.interiors_decomposition(comp)),
             }
         )
     if args.json:
@@ -277,7 +251,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"n={source.n} mode={args.mode} components={len(rows)}")
         for row in rows:
-            classes = " ".join(str(tuple(c)) for c in row["boundary_classes"]) or "-"
+            classes = " ".join(str(c) for c in row["boundary_classes"]) or "-"
             print(
                 f"  [{row['id']}] {row['color']:5s} size={row['size']:3d} "
                 f"pieces={row['pieces']} pi1_rank={row['pi1_rank']} "
@@ -289,8 +263,8 @@ def cmd_analyze(args) -> int:
 def cmd_render(args) -> int:
     source = _parse_file(args.file, _parse_source)
     try:
-        spec = RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
-        svg = render_svg(source, spec)
+        spec = render.RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
+        svg = render.render_svg(source, spec)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
     try:
@@ -319,7 +293,7 @@ def _discretize_arguments(p: argparse.ArgumentParser) -> None:
 def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--engine", choices=[PLAIN, PRUNED], default=PRUNED)
+    p.add_argument("--engine", choices=[search.PLAIN, search.PRUNED], default=search.PRUNED)
     p.add_argument("--budget", type=int, default=2_000_000, help="node budget")
     p.add_argument("--witnesses", action="store_true", help="retain witness records")
     p.add_argument("--jobs", type=int, default=1)
@@ -342,7 +316,7 @@ def _render_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--show",
         default="edges,colors",
-        help=f"comma-separated layers from: {','.join(ALL_LAYERS)}",
+        help=f"comma-separated layers from: {','.join(render.ALL_LAYERS)}",
     )
     p.set_defaults(func=cmd_render)
 

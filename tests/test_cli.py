@@ -248,7 +248,7 @@ def test_search_exit_two_dumps_config_when_a_valid_one_appears(
 ):
     # No valid configuration exists, so fabricate a report to pin the
     # contract: exit status 2 and the surviving config dumped to a file.
-    import tilediff.cli as cli
+    import tilediff.search as search
     from tilediff.search import SearchReport, SearchSpec
 
     fake = SearchReport(
@@ -261,7 +261,7 @@ def test_search_exit_two_dumps_config_when_a_valid_one_appears(
         valid_configs=(TileConfig.uniform(1),),
         wall_time=0.0,
     )
-    monkeypatch.setattr(cli, "run_search", lambda spec: fake)
+    monkeypatch.setattr(search, "run_search", lambda spec: fake)
     monkeypatch.chdir(workdir)
     code = main(["search", "--n", "1", "--bound", "0"])
     assert code == 2
@@ -277,7 +277,7 @@ def parse_config_text(text):
 
 
 def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
-    import tilediff.cli as cli
+    import tilediff.diffset as diffset
     import tilediff.topology as topology
     from tilediff.diffset import difference_set
 
@@ -287,7 +287,7 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
         calls.append(config)
         return difference_set(config)
 
-    for module in (cli, topology):
+    for module in (diffset, topology):
         monkeypatch.setattr(module, "difference_set", counted)
     assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
     assert calls == [TileConfig.uniform(2)]
@@ -295,7 +295,7 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
 
 
 def test_check_scans_the_set_for_off_axes_vectors_once(workdir, capsys, monkeypatch):
-    import tilediff.cli as cli
+    import tilediff.diffset as diffset
     import tilediff.topology as topology
     from tilediff.diffset import axes_subset
 
@@ -305,7 +305,7 @@ def test_check_scans_the_set_for_off_axes_vectors_once(workdir, capsys, monkeypa
         calls.append(ds)
         return axes_subset(ds)
 
-    for module in (cli, topology):
+    for module in (diffset, topology):
         monkeypatch.setattr(module, "axes_subset", counted)
     assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
     assert len(calls) == 1
