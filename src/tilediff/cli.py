@@ -158,11 +158,7 @@ def cmd_search(args) -> int:
         )
         report = search.run_search(spec)
     except search.BudgetExceeded as stop:
-        print(
-            f"search stopped after {stop.nodes} nodes, placing cell {stop.cell}; "
-            f"cell 1 fully explored {stop.explored} of {stop.domain} values",
-            file=sys.stderr,
-        )
+        print(stop.progress, file=sys.stderr)
         raise SystemExit(f"error: {stop}")
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")

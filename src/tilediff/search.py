@@ -13,8 +13,10 @@ a value on
   - the row y = qy - my, when only |My| = 1;
 and no value at all when both offset sets have several members.
 
-Two engines: `plain` enumerates full assignments and evaluates each
-difference set from scratch, and serves as the oracle; `pruned` does forward
+Two engines: `plain` enumerates every full assignment depth first and
+serves as the oracle. It evaluates each forward pair once per prefix, at the
+later of its two cells, and checks each valid leaf and the first leaf of
+each witness vector against `difference_set`. `pruned` does forward
 checking (Haralick & Elliott 1980) in static row-major order. Each free cell
 keeps a bitmask domain over the value range. Placing a cell ANDs the
 closed-form mask above into the domain of every later cell it touches, and a
@@ -29,7 +31,6 @@ it.
 from __future__ import annotations
 
 import functools
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -45,20 +46,30 @@ MASK_BYTES_LIMIT = 256 << 20
 
 
 class BudgetExceeded(ValueError):
-    """The pruned engine stopped on the first node past its budget.
+    """A search stopped at its budget of `nodes` nodes.
 
-    The message is "budget exceeded", as for any search over budget. The
-    search tried `nodes` nodes (the budget) and was placing row-major cell
-    `cell` when it stopped; of the `domain` values cell 1, the first free
-    cell, had after the base cell was placed, `explored` were fully searched.
+    The message is "budget exceeded", and `progress` says in one line how
+    far the search got. The plain engine stops before its first leaf when
+    its `leaves` pass the budget. The pruned engine stops on the first node
+    past it, while placing row-major cell `cell`; of the `domain` values
+    cell 1, the first free cell, had after the base cell was placed,
+    `explored` were fully searched.
     """
 
-    def __init__(self, nodes: int, cell: int):
+    def __init__(self, nodes: int, cell: int = 0, leaves: int = 0):
         super().__init__("budget exceeded")
         self.nodes = nodes
         self.cell = cell
+        self.leaves = leaves
         self.explored = 0
         self.domain = 0
+
+    @property
+    def progress(self) -> str:
+        if self.leaves:
+            return f"plain search would visit {self.leaves} leaves, over the budget of {self.nodes}"
+        return (f"search stopped after {self.nodes} nodes, placing cell {self.cell}; "
+                f"cell 1 fully explored {self.explored} of {self.domain} values")
 
 
 @dataclass(frozen=True)
@@ -162,29 +173,69 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
 
 
 def _plain_scan(spec: SearchSpec) -> _Partial:
+    """Enumerate every assignment depth first, in `itertools.product` order:
+    cell 1 outermost, values in `_value_range` order.
+
+    Each forward pair is evaluated once per prefix, at the later of its two
+    cells, and folded into the witness carried down from the parent: the
+    lexicographically smallest off-axes pair vector, signed so that x < 0,
+    which is `axes_subset`'s rule. A leaf thus costs the pairs that touch
+    the last cell. Every valid leaf, and the first leaf of each distinct
+    witness, is cross-checked against `difference_set` from scratch. The
+    walk keeps its own stack: at bound 0 a search of any n fits the budget,
+    and its depth n^2 would pass Python's recursion limit.
+    """
     n = spec.n
-    total_cells = n * n
+    last = n * n - 1
+    backward = _value_range(spec.bound)[::-1]  # stacked, so popped in order
+    symmetry = spec.symmetry
+    # The vector of a pair is +-(u(d) - u(other) + o) for its later cell d,
+    # and the witness rule does not see the sign.
+    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(last + 1)]
+    for k, k2, mx, my in _forward_pairs(n):
+        if k >= k2:
+            groups[k].append((k2, mx, my))
+        else:
+            groups[k2].append((k, -mx, -my))
+    assigned: list[Vec] = [(0, 0)] * (last + 1)
     part = _Partial()
-    for assignment in itertools.product(_value_range(spec.bound), repeat=total_cells - 1):
-        translates = ((0, 0),) + assignment
-        orbit = 1
-        if spec.symmetry:
-            swapped = tuple(
-                (translates[_swap_position(k, n)][1], translates[_swap_position(k, n)][0])
-                for k in range(total_cells)
-            )
-            if translates > swapped:
+    # Nodes still to visit, as (depth, value, parent's witness, settled). A
+    # node is popped after its parent and before its parent's next sibling,
+    # so assigned[:depth] holds its ancestors' values.
+    stack: list[tuple[int, Vec, Vec | None, bool]] = [(0, (0, 0), None, False)]
+    while stack:
+        depth, value, witness, settled = stack.pop()
+        assigned[depth] = ux, uy = value
+        for other, ox, oy in groups[depth]:
+            qx, qy = assigned[other]
+            x, y = ux - qx + ox, uy - qy + oy
+            if x and y:
+                if x > 0:
+                    x, y = -x, -y
+                if witness is None or (x, y) < witness:
+                    witness = (x, y)
+        orbit = 2 if symmetry else 1
+        if symmetry and not settled:
+            state = _lex_state(assigned, depth, n)
+            if state == _PRUNE:
                 continue
-            orbit = 1 if translates == swapped else 2
+            settled = state == _CANONICAL
+            if state == _FIXED:
+                orbit = 1
+        if depth < last:
+            stack.extend((depth + 1, v, witness, settled) for v in backward)
+            continue
         part.configs_enumerated += 1
-        part.nodes_visited += 1
-        config = TileConfig(n, translates)
-        check = axes_subset(difference_set(config))
-        if check.on_axes:
+        first = witness is None or witness not in part.witness_counts
+        config = TileConfig(n, tuple(assigned)) if first or spec.witnesses else None
+        if first and axes_subset(difference_set(config)).witness != witness:
+            raise AssertionError("plain engine disagrees with difference_set")
+        if witness is None:
             part.valid_found += orbit
             part.valid_configs.append(config)
         else:
-            _record_witness(part, check.witness, config if spec.witnesses else None)
+            _record_witness(part, witness, config if spec.witnesses else None)
+    part.nodes_visited = part.configs_enumerated
     return part
 
 
@@ -411,7 +462,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     if spec.engine == PLAIN:
         leaves = (2 * spec.bound + 1) ** (2 * free)
         if leaves > spec.budget:
-            raise ValueError("budget exceeded")
+            raise BudgetExceeded(spec.budget, leaves=leaves)
     part = _plain_scan(spec) if spec.engine == PLAIN else _pruned_scan(spec)
     elapsed = time.perf_counter() - start
     return SearchReport(

@@ -1,9 +1,10 @@
 """Shared generators for randomized property tests (seeded, deterministic),
-the brute-force offset rule, and the subprocess runner for the command-line
-tests."""
+the brute-force offset rule, the from-scratch plain search, and the
+subprocess runner for the command-line tests."""
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,7 +12,15 @@ import sys
 from pathlib import Path
 
 import tilediff
-from tilediff import Component, SquareClasses, TileConfig, components_of_classes
+from tilediff import (
+    Component,
+    SquareClasses,
+    TileConfig,
+    axes_subset,
+    components_of_classes,
+    difference_set,
+)
+from tilediff.search import _Partial, _record_witness, _swap_position, _value_range
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, EdgeLabeling
 from tilediff.topology import Curve, Step
 
@@ -50,6 +59,38 @@ def admissible_offsets(d, n: int) -> list:
     mxs = [m for m in (-1, 0, 1) if abs(d[0] - m * n) <= 1]
     mys = [m for m in (-1, 0, 1) if abs(d[1] - m * n) <= 1]
     return [(mx, my) for mx in mxs for my in mys]
+
+
+def plain_scan_oracle(spec, difference_set=difference_set):
+    """From-scratch oracle of the plain search engine: every assignment in
+    `itertools.product` order, each one a `TileConfig` whose axes verdict
+    comes from `axes_subset(difference_set(config))`. Under `symmetry` it
+    keeps the assignments no greater than their x<->y swap, counting a
+    valid one twice unless it is its own swap."""
+    n = spec.n
+    total_cells = n * n
+    part = _Partial()
+    for assignment in itertools.product(_value_range(spec.bound), repeat=total_cells - 1):
+        translates = ((0, 0),) + assignment
+        orbit = 1
+        if spec.symmetry:
+            swapped = tuple(
+                (translates[_swap_position(k, n)][1], translates[_swap_position(k, n)][0])
+                for k in range(total_cells)
+            )
+            if translates > swapped:
+                continue
+            orbit = 1 if translates == swapped else 2
+        part.configs_enumerated += 1
+        part.nodes_visited += 1
+        config = TileConfig(n, translates)
+        check = axes_subset(difference_set(config))
+        if check.on_axes:
+            part.valid_found += orbit
+            part.valid_configs.append(config)
+        else:
+            _record_witness(part, check.witness, config if spec.witnesses else None)
+    return part
 
 
 def random_config(rng: random.Random, n: int, bound: int) -> TileConfig:

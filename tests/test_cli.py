@@ -391,6 +391,15 @@ def test_search_over_budget_says_how_far_it_got(workdir):
     )
 
 
+def test_plain_search_over_budget_says_how_many_leaves(workdir):
+    result = run_cli(["search", "--n", "3", "--bound", "1", "--engine", "plain"], workdir)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "plain search would visit 43046721 leaves, over the budget of 2000000\n"
+        "error: budget exceeded\n"
+    )
+
+
 def test_search_with_oversize_tables_fails_fast(workdir):
     result = run_cli(["search", "--n", "3", "--bound", "120"], workdir)
     assert (result.returncode, result.stdout) == (1, "")

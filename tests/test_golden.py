@@ -12,7 +12,7 @@ stdout of ``tilediff check NAME.txt --vectors`` and ``analyze/NAME.out``
 that of ``tilediff analyze NAME.txt``.
 ``tests/golden/search/ENGINE-nN-bB[-symmetry].json`` is the stdout of
 ``tilediff search --engine ENGINE --n N --bound B [--symmetry] --json``;
-every leaf of the plain engine builds a difference set.
+the plain engine tallies one witness per leaf it enumerates.
 
 ``tests/golden/discretize/NAME.boxes`` holds a box union, ``NAME.json`` the
 stdout of ``tilediff discretize NAME.boxes --json`` and ``NAME.reduce.json``
@@ -75,6 +75,8 @@ def test_golden_analyze_and_search_corpora_are_present():
         "plain-n1-b3",
         "plain-n2-b1-symmetry",
         "plain-n2-b1",
+        "plain-n2-b2-symmetry",
+        "plain-n2-b2",
         "pruned-n2-b3",
         "pruned-n3-b2-symmetry",
         "pruned-n3-b2",

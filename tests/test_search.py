@@ -18,8 +18,10 @@ from tilediff import (
     difference_set,
     geometric_oracle,
     run_search,
+    search,
     verify_witnesses,
 )
+from tilediff.diffset import DiffSet, _forward_pairs
 from tilediff.model import TileConfig, normalize, on_axes
 from tilediff.search import (
     MASK_BYTES_LIMIT,
@@ -27,10 +29,11 @@ from tilediff.search import (
     _Forward,
     _constraint_table,
     _narrow,
+    _plain_scan,
     _value_range,
 )
 
-from conftest import PACKAGE_ROOT, admissible_offsets, random_config
+from conftest import PACKAGE_ROOT, admissible_offsets, plain_scan_oracle, random_config
 
 
 def swap_xy(config: TileConfig) -> TileConfig:
@@ -148,6 +151,93 @@ def test_plain_witnesses_match_geometric_oracle(n, bound):
     assert report.witness_counts == tuple(sorted(tally.items()))
 
 
+@pytest.mark.parametrize("witnesses", [False, True], ids=["counts", "records"])
+@pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
+@pytest.mark.parametrize(
+    "n, bound", [(1, 0), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2), (40, 0)]
+)
+def test_plain_scan_matches_from_scratch_oracle(n, bound, symmetry, witnesses):
+    # Field for field: counts, witness tallies, records in order, valid
+    # configs. (40, 0) is one leaf 1,600 cells deep.
+    spec = SearchSpec(n=n, bound=bound, engine="plain", symmetry=symmetry, witnesses=witnesses)
+    assert _plain_scan(spec) == plain_scan_oracle(spec)
+
+
+def test_plain_scan_builds_one_difference_set_per_distinct_witness(monkeypatch):
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return difference_set(config)
+
+    monkeypatch.setattr(search, "difference_set", counting)
+    report = run_search(SearchSpec(n=2, bound=1, engine="plain"))
+    assert report.configs_enumerated == 729
+    assert len(calls) == len(report.witness_counts) == 13
+
+
+def twisted_lift(a):
+    """Test-side copies of the forward-pair table and of `difference_set`
+    for the lift U(c + n*e) = u(c) - A*e: a pair's vector becomes
+    u(k) - u(k2) + A*m. The paper's lift is A = I."""
+    (a11, a12), (a21, a22) = a
+
+    @functools.cache
+    def pairs(n):
+        return tuple((k, k2, a11 * mx + a12 * my, a21 * mx + a22 * my)
+                     for k, k2, mx, my in _forward_pairs(n))
+
+    def twisted_difference_set(config):
+        t = config.translates
+        return DiffSet(frozenset((t[k][0] - t[k2][0] + ax, t[k][1] - t[k2][1] + ay)
+                                 for k, k2, ax, ay in pairs(config.n)))
+
+    return pairs, twisted_difference_set
+
+
+# Singular twists with valid configurations, and their counts at (2, 1) and
+# (2, 2), found by brute force over every configuration.
+TWISTS = {
+    "zero": (((0, 0), (0, 0)), (53, 249)),
+    "diag10": (((1, 0), (0, 0)), (27, 125)),
+    "rank1": (((2, 0), (1, 0)), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("a, counts", TWISTS.values(), ids=TWISTS)
+def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, monkeypatch):
+    pairs, twisted = twisted_lift(a)
+    monkeypatch.setattr(search, "_forward_pairs", pairs)
+    monkeypatch.setattr(search, "difference_set", twisted)
+    for bound, count in zip((1, 2), counts):
+        spec = SearchSpec(n=2, bound=bound, engine="plain")
+        part = _plain_scan(spec)
+        assert part.valid_found == len(part.valid_configs) == count
+        assert part == plain_scan_oracle(spec, twisted)
+
+
+def test_plain_scan_raises_when_difference_set_disagrees(monkeypatch):
+    # The engine folds the A = 0 table, and the cross-check builds the
+    # paper's set: the first leaf, all zeros, is valid only for the former.
+    monkeypatch.setattr(search, "_forward_pairs", twisted_lift(TWISTS["zero"][0])[0])
+    with pytest.raises(AssertionError, match="disagrees with difference_set"):
+        _plain_scan(SearchSpec(n=2, bound=1, engine="plain"))
+
+
+def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
+    # Under A = 0 the x<->y swap is still a symmetry, and some valid
+    # configurations are their own swap, so both orbit weights are used.
+    pairs, twisted = twisted_lift(TWISTS["zero"][0])
+    monkeypatch.setattr(search, "_forward_pairs", pairs)
+    monkeypatch.setattr(search, "difference_set", twisted)
+    spec = SearchSpec(n=2, bound=1, engine="plain", symmetry=True)
+    part = _plain_scan(spec)
+    assert part.valid_found == 53
+    fixed = [c for c in part.valid_configs if swap_xy(c) == c]
+    assert 0 < len(fixed) < len(part.valid_configs)
+    assert part == plain_scan_oracle(spec, twisted)
+
+
 def test_plain_two_grid_bound_zero():
     report = run_search(SearchSpec(n=2, bound=0, engine="plain"))
     assert report.configs_enumerated == 1
@@ -181,8 +271,9 @@ def test_pruned_three_grid_bound_two():
 
 
 def test_budget_guard_plain():
-    with pytest.raises(ValueError, match="budget exceeded"):
+    with pytest.raises(BudgetExceeded, match="^budget exceeded$") as stop:
         run_search(SearchSpec(n=3, bound=1, engine="plain"))
+    assert (stop.value.leaves, stop.value.nodes) == (9 ** 8, 2_000_000)
 
 
 def test_budget_guard_pruned():
