@@ -14,6 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
+from typing import NoReturn
 
 Vec = tuple[int, int]
 
@@ -142,10 +145,7 @@ def _content_lines(text: str):
 
 
 _INT = re.compile(r"^[+-]?\d+$")
-# A well-formed stripped cell line: exactly what ``str.split`` into "u" and
-# four `_INT` tokens accepts, since ``\s`` is ``str.isspace``. Lines it
-# rejects take the per-token route, which words the error.
-_CELL_LINE = re.compile(r"u\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)")
+_COMMENT = re.compile("#.*")
 
 
 def _parse_int(token: str, line_no: int) -> int:
@@ -170,7 +170,36 @@ def parse_config(text: str) -> TileConfig:
 
     Line 1 is ``n <N>``; then exactly N^2 lines ``u <i> <j> <ux> <uy>``,
     one per cell, any order, no duplicates. '#' comments are ignored.
+
+    A well-formed text is read in a fixed number of passes over its text,
+    then one placement step per cell. Without underscores, ``int`` accepts
+    exactly the ``_INT`` tokens. A rejected text is worded by `_reject_config`.
     """
+    body = _COMMENT.sub("", "\n".join(text.splitlines()))
+    rows = list(filter(None, map(str.split, body.split("\n"))))
+    try:
+        if "_" not in body and rows and len(rows[0]) == 2 and rows[0][0] == "n":
+            n = int(rows[0][1])
+            cells = rows[1:]
+            well_formed = set(map(len, cells)) == {5} and set(map(itemgetter(0), cells)) == {"u"}
+            if n >= 1 and len(cells) == n * n and well_formed:
+                values = list(map(int, chain.from_iterable(map(itemgetter(1, 2, 3, 4), cells))))
+                translates = [None] * (n * n)
+                for i, j, ux, uy in zip(*[iter(values)] * 4):
+                    if not (0 <= i < n and 0 <= j < n) or translates[i * n + j] is not None:
+                        break
+                    translates[i * n + j] = (ux, uy)
+                else:
+                    return TileConfig(n, tuple(translates))
+    except ValueError:  # a bad token, or one past int's digit limit
+        pass
+    _reject_config(text)
+
+
+def _reject_config(text: str) -> NoReturn:
+    """Raise the error of a config text that `parse_config` rejected: the
+    first bad line in file order, else the cell count. A token past
+    ``int``'s digit limit raises its ``ValueError`` at its line."""
     lines = list(_content_lines(text))
     if not lines:
         raise FileFormatError(1, "empty config file")
@@ -181,24 +210,19 @@ def parse_config(text: str) -> TileConfig:
     n = _parse_int(parts[1], line_no)
     if n < 1:
         raise FileFormatError(line_no, "non-positive n")
-    seen: dict[tuple[int, int], Vec] = {}
+    seen = set()
     for line_no, line in lines[1:]:
-        match = _CELL_LINE.fullmatch(line)
-        if match is not None:
-            i, j, ux, uy = map(int, match.groups())
-        else:
-            parts = line.split()
-            if len(parts) != 5 or parts[0] != "u":
-                raise FileFormatError(line_no, f"expected 'u <i> <j> <ux> <uy>', got {line!r}")
-            i, j, ux, uy = (_parse_int(p, line_no) for p in parts[1:])
+        parts = line.split()
+        if len(parts) != 5 or parts[0] != "u":
+            raise FileFormatError(line_no, f"expected 'u <i> <j> <ux> <uy>', got {line!r}")
+        i, j, _, _ = (_parse_int(p, line_no) for p in parts[1:])
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(line_no, f"cell ({i},{j}) out of range for n={n}")
         if (i, j) in seen:
             raise FileFormatError(line_no, f"duplicate cell ({i},{j})")
-        seen[(i, j)] = (ux, uy)
-    if len(seen) != n * n:
-        raise FileFormatError(lines[-1][0], f"expected {n * n} cells, got {len(seen)}")
-    return TileConfig.from_map(n, seen)
+        seen.add((i, j))
+    assert len(seen) != n * n, "parse_config rejected a well-formed config"
+    raise FileFormatError(lines[-1][0], f"expected {n * n} cells, got {len(seen)}")
 
 
 def format_config(config: TileConfig) -> str:

@@ -377,6 +377,9 @@ def _narrow(domains: list[int], links, i: int) -> int:
 
 
 def _pruned_scan(spec: SearchSpec) -> _Partial:
+    """Forward-checking search in row-major order, each cell trying its
+    values in `_value_range` order. The walk keeps its own per-depth state,
+    so a search deeper than Python's recursion limit stops at its budget."""
     n = spec.n
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
@@ -386,7 +389,6 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     later = fwd.later
     last = n * n - 1
     assigned: list[Vec] = [(0, 0)] * (last + 1)
-    nodes = 0
 
     def cut(depth: int, f: int):
         config = None
@@ -396,26 +398,39 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             config = TileConfig(n, tuple(translates))
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
-    def place(depth: int, domains: list[int], settled: bool):
-        nonlocal nodes
-        links = later[depth]
-        domain = domains[depth]
-        while domain:
+    domains, wiped = fwd.root()
+    if wiped >= 0:
+        cut(0, wiped)  # the base cell alone cuts the whole tree
+        return part
+    values = _value_range(spec.bound)
+    # Per depth d: the domains with cells 0..d-1 placed, the values cell d
+    # has still to try, and whether the swap order was settled above d.
+    level: list[list[int]] = [domains] * (last + 1)
+    remaining = [0] * (last + 1)
+    settled = [False] * (last + 1)
+    remaining[1] = domains[1]
+    depth, nodes = 1, 0
+    try:
+        while depth:
+            domain = remaining[depth]
+            if not domain:
+                depth -= 1
+                continue
             low = domain & -domain
-            domain ^= low
+            remaining[depth] = domain ^ low
             i = low.bit_length() - 1
             nodes += 1
             assigned[depth] = values[i]
             if nodes > spec.budget:
                 raise BudgetExceeded(spec.budget, depth)
-            child = domains[:]
-            wiped = _narrow(child, links, i)
+            child = level[depth][:]
+            wiped = _narrow(child, later[depth], i)
             if wiped >= 0:
                 cut(depth, wiped)
                 continue
             orbit = 2 if spec.symmetry else 1
-            sub_settled = settled
-            if spec.symmetry and not settled:
+            sub_settled = settled[depth]
+            if spec.symmetry and not sub_settled:
                 state = _lex_state(assigned, depth, n)
                 if state == _PRUNE:
                     continue
@@ -433,15 +448,8 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 part.valid_found += orbit
                 part.valid_configs.append(config)
             else:
-                place(depth + 1, child, sub_settled)
-
-    domains, wiped = fwd.root()
-    if wiped >= 0:
-        cut(0, wiped)  # the base cell alone cuts the whole tree
-        return part
-    values = _value_range(spec.bound)
-    try:
-        place(1, domains, False)
+                depth += 1
+                level[depth], remaining[depth], settled[depth] = child, child[depth], sub_settled
     except BudgetExceeded as stop:
         # Cell 1 tries its values in index order, and assigned[1] holds the
         # one under way when the budget ran out.

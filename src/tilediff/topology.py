@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 from .model import TileConfig, Vec, vadd, vneg, vsub
 from .diffset import AxesCheck, axes_subset, difference_set, lattice_span, witness_pairs
-from .torus import EdgeColoring, EdgeLabeling, SquareClasses, square_colors
+from . import torus
 
 
 class Step(NamedTuple):
@@ -119,7 +119,7 @@ def _neighbors(square: Vec, n: int, mode: str):
         yield ((i + dx) % n, (j + dy) % n)
 
 
-def components_of_classes(sc: SquareClasses, mode: str = "corner") -> list[Component]:
+def components_of_classes(sc: torus.SquareClasses, mode: str = "corner") -> list[Component]:
     """Partition all squares into maximal same-class connected sets."""
     n = sc.n
     seen: set[Vec] = set()
@@ -142,9 +142,9 @@ def components_of_classes(sc: SquareClasses, mode: str = "corner") -> list[Compo
     return out
 
 
-def components(ec: EdgeColoring, mode: str = "corner") -> list[Component]:
+def components(ec: torus.EdgeColoring, mode: str = "corner") -> list[Component]:
     """Components of an edge coloring; requires the square rules to hold."""
-    sq = square_colors(ec)
+    sq = torus.square_colors(ec)
     if isinstance(sq, list):
         detail = "; ".join(f"{v.square}: {v.reason}" for v in sq[:4])
         raise ValueError(f"coloring invalid: {detail}")
@@ -222,7 +222,7 @@ def boundary_curves(component: Component, pairing: str = "split") -> list[Curve]
     return curves
 
 
-def curve_gain(curve: Curve, el: EdgeLabeling) -> Vec:
+def curve_gain(curve: Curve, el: torus.EdgeLabeling) -> Vec:
     """Sum of cocycle values along the curve; backward steps count negated."""
     if curve.n != el.n:
         raise ValueError("curve and labeling live on different tori")

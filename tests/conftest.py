@@ -1,12 +1,13 @@
 """Shared generators for randomized property tests (seeded, deterministic),
-the brute-force offset rule, the from-scratch plain search, and the
-subprocess runner for the command-line tests."""
+the brute-force offset rule, the from-scratch plain search, the line-by-line
+config parser, and the subprocess runner for the command-line tests."""
 
 from __future__ import annotations
 
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ from pathlib import Path
 import tilediff
 from tilediff import (
     Component,
+    FileFormatError,
     SquareClasses,
     TileConfig,
+    Vec,
     axes_subset,
     components_of_classes,
     difference_set,
@@ -91,6 +94,57 @@ def plain_scan_oracle(spec, difference_set=difference_set):
         else:
             _record_witness(part, check.witness, config if spec.witnesses else None)
     return part
+
+
+def _content_lines(text: str):
+    """Yield (line_no, stripped_line) skipping blanks and '#' comments."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
+
+
+_INT = re.compile(r"^[+-]?\d+$")
+_CELL_LINE = re.compile(r"u\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)\s+([+-]?\d+)")
+
+
+def _parse_int(token: str, line_no: int) -> int:
+    if not _INT.match(token):
+        raise FileFormatError(line_no, f"expected integer, got {token!r}")
+    return int(token)
+
+
+def parse_config_oracle(text: str) -> TileConfig:
+    """Line-by-line oracle of `parse_config`: one generator step, split,
+    strip and regex match per line, checking each cell as it comes."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FileFormatError(1, "empty config file")
+    line_no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise FileFormatError(line_no, f"expected 'n <N>', got {header!r}")
+    n = _parse_int(parts[1], line_no)
+    if n < 1:
+        raise FileFormatError(line_no, "non-positive n")
+    seen: dict[tuple[int, int], Vec] = {}
+    for line_no, line in lines[1:]:
+        match = _CELL_LINE.fullmatch(line)
+        if match is not None:
+            i, j, ux, uy = map(int, match.groups())
+        else:
+            parts = line.split()
+            if len(parts) != 5 or parts[0] != "u":
+                raise FileFormatError(line_no, f"expected 'u <i> <j> <ux> <uy>', got {line!r}")
+            i, j, ux, uy = (_parse_int(p, line_no) for p in parts[1:])
+        if not (0 <= i < n and 0 <= j < n):
+            raise FileFormatError(line_no, f"cell ({i},{j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise FileFormatError(line_no, f"duplicate cell ({i},{j})")
+        seen[(i, j)] = (ux, uy)
+    if len(seen) != n * n:
+        raise FileFormatError(lines[-1][0], f"expected {n * n} cells, got {len(seen)}")
+    return TileConfig.from_map(n, seen)
 
 
 def random_config(rng: random.Random, n: int, bound: int) -> TileConfig:

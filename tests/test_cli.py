@@ -391,6 +391,17 @@ def test_search_over_budget_says_how_far_it_got(workdir):
     )
 
 
+def test_search_deeper_than_the_recursion_limit_stops_at_its_budget(workdir):
+    # 1,599 free cells: the pruned walk would need a frame per depth.
+    result = run_cli(["search", "--n", "40", "--bound", "1", "--budget", "2000"], workdir)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "search stopped after 2000 nodes, placing cell 1518; "
+        "cell 1 fully explored 0 of 5 values\n"
+        "error: budget exceeded\n"
+    )
+
+
 def test_plain_search_over_budget_says_how_many_leaves(workdir):
     result = run_cli(["search", "--n", "3", "--bound", "1", "--engine", "plain"], workdir)
     assert (result.returncode, result.stdout) == (1, "")

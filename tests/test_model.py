@@ -18,7 +18,7 @@ from tilediff import (
 )
 from tilediff.model import BoxUnion, FileFormatError
 
-from conftest import random_config
+from conftest import parse_config_oracle, random_config
 
 
 def test_normalize_single_cell():
@@ -117,6 +117,115 @@ def test_config_parse_corpus(name):
         assert (str(err.value), err.value.line_no) == (case["error"], case["line"])
     else:
         assert format_config(parse_config(case["text"])) == case["config"]
+
+
+# Pieces of the fuzzed config texts: every str.splitlines break, Unicode
+# whitespace inside a line, and three families of Unicode decimal digits.
+LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
+SPACES = (" ", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f", " \t")
+DIGIT_ZEROS = ("0", "\u0660", "\u0966", "\uff10")
+
+
+def _fuzz_int(rng: random.Random, value: int) -> str:
+    digits = str(abs(value))
+    if rng.random() < 0.1:
+        digits = "0" + digits
+    if rng.random() < 0.2:
+        zero = ord(rng.choice(DIGIT_ZEROS))
+        digits = "".join(chr(zero + int(d)) for d in digits)
+    sign = "-" if value < 0 else rng.choice(("", "", "", "+"))
+    return sign + digits
+
+
+def _fuzz_line(rng: random.Random, tokens) -> str:
+    line = rng.choice(("", "", "", " ", "\t")) + rng.choice(SPACES).join(tokens)
+    line += rng.choice(("", "", "", " ", "\xa0"))
+    if rng.random() < 0.15:
+        line += rng.choice(SPACES + ("",)) + "#" + rng.choice(("", " note", "u 0 0 0 0", " 1_0", "#"))
+    return line
+
+
+MUTATIONS = (
+    "drop", "duplicate", "repeat", "out-of-range", "three-fields", "six-fields",
+    "bad-tag", "underscore", "decimal-point", "bad-header", "zero-n",
+)
+
+
+def fuzz_config_text(rng: random.Random) -> str:
+    """A config text, well-formed or with one mutation, as token lists per
+    line, then dressed with comments, blank lines and mixed line breaks."""
+    n = rng.randint(1, 4)
+    cells = [
+        ["u", i, j, rng.randint(-12, 12), rng.randint(-12, 12)] for i in range(n) for j in range(n)
+    ]
+    rng.shuffle(cells)
+    header = ["n", n]
+    mutation = rng.choice(MUTATIONS) if rng.random() < 0.6 else None
+    k = rng.randrange(len(cells))
+    if mutation == "drop":
+        del cells[k]
+    elif mutation == "duplicate":
+        cells.insert(rng.randrange(len(cells) + 1), [*cells[k][:3], 7, -7])
+    elif mutation == "repeat":  # a duplicate in place of another cell
+        cells[k][1:3] = rng.choice(cells)[1:3]
+    elif mutation == "out-of-range":
+        cells[k][rng.choice((1, 2))] = rng.choice((-1, n, n + 3))
+    elif mutation == "three-fields":
+        cells[k] = cells[k][:4]
+    elif mutation == "six-fields":
+        cells[k] = cells[k] + [0]
+    elif mutation == "bad-tag":
+        cells[k][0] = rng.choice(("v", "U", "n", "uu"))
+    elif mutation == "underscore":
+        cells[k][rng.randint(1, 4)] = "1_0"
+    elif mutation == "decimal-point":
+        cells[k][rng.randint(1, 4)] = "1.0"
+    elif mutation == "bad-header":
+        header = rng.choice((["N", n], ["n"], ["n", n, n], ["n", "two"], ["u", n], ["n", "1_0"]))
+    elif mutation == "zero-n":
+        header = ["n", rng.choice((0, -1))]
+    lines = [_fuzz_line(rng, [t if isinstance(t, str) else _fuzz_int(rng, t) for t in row])
+             for row in [header, *cells]]
+    for _ in range(rng.choice((0, 0, 1, 3))):
+        blank = rng.choice(("", " ", "\t\xa0", "# comment", "  # u 9 9 9 9", "#"))
+        lines.insert(rng.randrange(len(lines) + 1), blank)
+    text = "".join(line + rng.choice(LINE_BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FileFormatError as err:
+        return (str(err), err.line_no)
+    except ValueError as err:  # an integer past int's digit limit
+        return (type(err), str(err))
+
+
+def test_config_parse_matches_line_by_line_oracle():
+    rng = random.Random(15)
+    accepted = 0
+    for _ in range(4000):
+        text = fuzz_config_text(rng)
+        expected = _outcome(parse_config_oracle, text)
+        assert _outcome(parse_config, text) == expected, repr(text)
+        accepted += isinstance(expected, TileConfig)
+    # Both sides of the grammar are exercised.
+    assert 1000 < accepted < 3000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 1\nu 0 0 " + "7" * 5000 + " 0\n",
+        # The earlier bad line is the error, as when each line was checked in turn.
+        "n 2\nu 0 5 0 0\nu 0 1 " + "7" * 5000 + " 0\nu 1 0 0 0\nu 1 1 0 0\n",
+        "n 2\nu 0 0 0 0\nu 0 0 0 0\nu 1 0 " + "7" * 5000 + " 0\nu 1 1 0 0\n",
+    ],
+    ids=["alone", "after-out-of-range", "after-duplicate"],
+)
+def test_config_parse_long_integer_matches_oracle(text):
+    assert _outcome(parse_config, text) == _outcome(parse_config_oracle, text)
 
 
 def test_boxes_roundtrip():

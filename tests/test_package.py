@@ -105,4 +105,4 @@ def test_search_runs_only_the_modules_it_uses(tmp_path):
 def test_check_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["check", "zero2.txt", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset", "topology", "torus"}
+    assert ran == {"__init__", "cli", "model", "diffset", "topology"}
