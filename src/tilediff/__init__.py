@@ -26,8 +26,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "AxesCheck", "DiffSet", "LatticeSpan", "axes_subset", "difference_set",
-            "geometric_oracle", "lattice_span", "witness_pairs",
+            "AuditReport", "AxesCheck", "DiffSet", "LatticeSpan", "axes_subset",
+            "difference_set", "geometric_oracle", "impossibility_audit", "lattice_span",
+            "witness_pairs",
         ),
         "diffset",
     ),
@@ -49,10 +50,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "AuditReport", "Component", "Curve", "Pi1Image", "Step", "boundary_curves",
-            "column_loop", "components", "components_of_classes", "curve_gain",
-            "homotopy_class", "interiors_decomposition", "pi1_image",
-            "pinch_graph_is_forest", "row_loop", "impossibility_audit",
+            "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "column_loop",
+            "components", "components_of_classes", "curve_gain", "homotopy_class",
+            "interiors_decomposition", "pi1_image", "pinch_graph_is_forest", "row_loop",
         ),
         "topology",
     ),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +34,7 @@ def _frac(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _audit_doc(report: topology.AuditReport) -> dict:
+def _audit_doc(report: diffset.AuditReport) -> dict:
     # Every audit stops at the axes stage; the fields a later stage would
     # fill stay in the document as nulls.
     return {
@@ -50,25 +51,30 @@ def _audit_doc(report: topology.AuditReport) -> dict:
 
 def _parse_file(path: str, parse):
     """Read the file at `path` and parse its text with `parse`. An unreadable
-    or malformed file exits with ``error: ...``."""
+    or malformed file exits with ``error: ...``; so does a number past
+    `int`'s digit limit, which the parsers raise as a plain ValueError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
     try:
         return parse(text)
-    except model.FileFormatError as exc:
+    except ValueError as exc:
         raise SystemExit(f"error: {path}: {exc}")
+
+
+# A line whose first token before any '#' is ``u``, over the text's lines
+# rejoined with "\n" so that every `str.splitlines` break ends a line.
+# Compiled on the first call by `re`'s cache, so `check` and `search` never
+# pay for it.
+_CONFIG_LINE = r"^[^\S\n]*u(?![^\s#])"
 
 
 def _parse_source(text: str) -> model.TileConfig | torus.EdgeColoring:
     """Parse a config (text with a ``u`` line) or else a coloring."""
-    tags = set()
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            tags.add(stripped.split()[0])
-    return model.parse_config(text) if "u" in tags else torus.parse_coloring(text)
+    if re.search(_CONFIG_LINE, "\n".join(text.splitlines()), re.M):
+        return model.parse_config(text)
+    return torus.parse_coloring(text)
 
 
 def cmd_check(args) -> int:
@@ -77,7 +83,7 @@ def cmd_check(args) -> int:
     ds = diffset.difference_set(config)
     check = diffset.axes_subset(ds)
     span = diffset.lattice_span(ds)
-    audit = topology.impossibility_audit(config, check)
+    audit = diffset.impossibility_audit(config, check)
     if args.json:
         _emit_json(
             {
@@ -203,7 +209,7 @@ def cmd_search(args) -> int:
 def cmd_analyze(args) -> int:
     source = _parse_file(args.file, _parse_source)
     if isinstance(source, model.TileConfig):
-        report = topology.impossibility_audit(source)
+        report = diffset.impossibility_audit(source)
         if args.json:
             _emit_json({"command": "analyze", "kind": "config", "audit": _audit_doc(report)})
         else:

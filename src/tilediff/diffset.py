@@ -24,6 +24,12 @@ behind one vector on demand, with one more O(n^2) scan of the same table.
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
 canonical triangular (Hermite-form) basis; for a `DiffSet` it reduces the
 generators, which span the same subgroup as the closure.
+
+`impossibility_audit` reports where a configuration breaks the paper's
+argument. Every configuration breaks it at the first stage, an off-axes
+vector of its difference set, so the audit reads only that set and needs
+nothing from the torus or topology layers. The verdicts `AxesCheck`,
+`LatticeSpan` and `AuditReport` are named tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .model import TileConfig, Vec, validate
 
@@ -188,8 +194,7 @@ def geometric_oracle(config: TileConfig) -> DiffSet:
     return DiffSet(frozenset(vectors))
 
 
-@dataclass(frozen=True)
-class AxesCheck:
+class AxesCheck(NamedTuple):
     """Verdict of the axes-confinement test with a deterministic witness."""
 
     on_axes: bool
@@ -217,8 +222,7 @@ def axes_subset(d: DiffSet) -> AxesCheck:
     return AxesCheck(False, witness)
 
 
-@dataclass(frozen=True)
-class LatticeSpan:
+class LatticeSpan(NamedTuple):
     """Subgroup of Z^2 generated by a vector set, in canonical Hermite form.
 
     rank 2 basis is ((d1, e), (0, d2)) with d1,d2 > 0 and 0 <= e < d2;
@@ -297,3 +301,34 @@ def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
     c = abs(row2[1])
     b %= c  # non-negative off-diagonal reduction
     return LatticeSpan(2, ((a, b), (0, c)), a * c)
+
+
+class AuditReport(NamedTuple):
+    """Where a configuration breaks the argument: the axes stage, with the
+    off-axes witness, the cell pairs that carry it and a detail line."""
+
+    stage: str
+    witness: Vec
+    witness_pairs: tuple
+    detail: str
+
+
+def impossibility_audit(config: TileConfig, check: Optional[AxesCheck] = None) -> AuditReport:
+    """Report the off-axes witness that breaks the axes stage of the argument.
+
+    `check` is `axes_subset` of the config's difference set when the caller
+    has it already; the set of any common shift of the translates is the
+    same. Every configuration has an off-axes difference vector (the
+    impossibility at bounded scale), so an on-axes verdict would be a
+    counterexample to the theorem and raises AssertionError.
+    """
+    if check is None:
+        check = axes_subset(difference_set(config))
+    if check.on_axes:
+        raise AssertionError("difference set on the axes: a counterexample to the impossibility")
+    return AuditReport(
+        stage="axes",
+        witness=check.witness,
+        witness_pairs=tuple(witness_pairs(config, check.witness)),
+        detail=f"off-axes vector {check.witness} in difference set",
+    )

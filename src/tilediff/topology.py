@@ -14,11 +14,11 @@ resulting curve is simple. The alternative pairing ("cross", maximal right
 turn) yields the boundary cycles of a regular neighbourhood of the component
 instead; curves may then revisit pinch vertices.
 
-`impossibility_audit` reports where a configuration breaks the argument.
-Every configuration breaks it at the first stage, the axes check of its
-difference set, so the audit returns that stage's witness. The red/blue
-component argument that would follow is exercised on colorings by the
-functions above, not on configurations.
+Every configuration breaks the argument at its first stage, the axes check
+of its difference set, so `diffset.impossibility_audit` reports that
+stage's witness without this module. The red/blue component argument that
+would follow is exercised on colorings by the functions above, not on
+configurations.
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .model import TileConfig, Vec, vadd, vneg, vsub
-from .diffset import AxesCheck, axes_subset, difference_set, lattice_span, witness_pairs
+from .model import Vec, vadd, vneg, vsub
+from .diffset import lattice_span
+
+# The audit lives in `diffset`, so a program that only checks configurations
+# never runs this module. The name stays bound here because the benchmark's
+# tracer looks the function up as `tilediff.topology.impossibility_audit`.
+from .diffset import impossibility_audit
 from . import torus
 
 
@@ -377,35 +382,3 @@ def pinch_graph_is_forest(component: Component) -> bool:
     # The piece multigraph of a connected component is connected, so it is a
     # forest exactly when it is a tree.
     return edges == len(pieces) - 1
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Where a configuration breaks the argument: the axes stage, with the
-    off-axes witness, the cell pairs that carry it and a detail line."""
-
-    stage: str
-    witness: Vec
-    witness_pairs: tuple
-    detail: str
-
-
-def impossibility_audit(config: TileConfig, check: Optional[AxesCheck] = None) -> AuditReport:
-    """Report the off-axes witness that breaks the axes stage of the argument.
-
-    `check` is `axes_subset` of the config's difference set when the caller
-    has it already; the set of any common shift of the translates is the
-    same. Every configuration has an off-axes difference vector (the
-    impossibility at bounded scale), so an on-axes verdict would be a
-    counterexample to the theorem and raises AssertionError.
-    """
-    if check is None:
-        check = axes_subset(difference_set(config))
-    if check.on_axes:
-        raise AssertionError("difference set on the axes: a counterexample to the impossibility")
-    return AuditReport(
-        stage="axes",
-        witness=check.witness,
-        witness_pairs=tuple(witness_pairs(config, check.witness)),
-        detail=f"off-axes vector {check.witness} in difference set",
-    )

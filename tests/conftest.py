@@ -147,6 +147,51 @@ def parse_config_oracle(text: str) -> TileConfig:
     return TileConfig.from_map(n, seen)
 
 
+def is_config_source_oracle(text: str) -> bool:
+    """Per-line oracle of the config-or-coloring choice in `cli._parse_source`:
+    a text is a config when the first token of some line, before any '#',
+    is ``u``."""
+    tags = set()
+    for line in text.splitlines():
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            tags.add(stripped.split()[0])
+    return "u" in tags
+
+
+# Every line break of `str.splitlines`, and whitespace that is not one
+# (`str.split` and `str.strip` drop it). The tags are near misses of ``u``;
+# the zero-width space in one of them is not whitespace.
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SPACES = (" ", "\t", "\x1f", "\xa0", "\u1680", "\u2003", "\u200a", "\u202f", "\u205f", "\u3000")
+_TAGS = ("u", "u", "u", "n", "h", "v", "uu", "U", "xu", "u0", "\u200bu", "\u00fc", "1", "-")
+
+
+def random_source_text(rng: random.Random) -> str:
+    """A text of up to 6 lines for the config-or-coloring choice: tags such as
+    ``u``, ``uu`` and ``u#x``, leading and trailing Unicode whitespace,
+    comments that may hold a ``u`` tag, blank lines and every line break."""
+    lines = []
+    for _ in range(rng.randrange(7)):
+        pad = "".join(rng.choice(SPACES) for _ in range(rng.choice((0, 0, 1, 2))))
+        shape = rng.randrange(6)
+        if shape == 0:
+            line = pad
+        elif shape == 1:
+            line = pad + "#" + rng.choice(("", " u", "u 0 0 1 1", "x"))
+        else:
+            line = pad + rng.choice(_TAGS)
+            if rng.random() < 0.5:
+                line += rng.choice(SPACES) + rng.choice(("0 0 1 1", "u", "red", "#"))
+            if rng.random() < 0.3:
+                line += rng.choice(("#", " #", "#u", "# u 0 0 1 1"))
+        lines.append(line)
+    breaks = [rng.choice(LINE_BREAKS) for _ in lines]
+    if lines and rng.random() < 0.3:
+        breaks[-1] = ""
+    return "".join(map(str.__add__, lines, breaks))
+
+
 def random_config(rng: random.Random, n: int, bound: int) -> TileConfig:
     translates = [(0, 0)] + [
         (rng.randint(-bound, bound), rng.randint(-bound, bound))

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import random
 import sys
 
 import pytest
@@ -9,7 +10,13 @@ import tilediff.cli as cli
 from tilediff import TileConfig, format_coloring, format_config
 from tilediff.cli import build_parser, main
 from tilediff.render import RenderSpec, render_svg
-from conftest import band_coloring, run_cli, uniform_coloring
+from conftest import (
+    band_coloring,
+    is_config_source_oracle,
+    random_source_text,
+    run_cli,
+    uniform_coloring,
+)
 
 
 @pytest.fixture
@@ -75,6 +82,40 @@ def test_analyze_malformed_coloring_names_file_and_line(workdir):
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == "error: bad.coloring: line 2: unknown color 'green'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "long.txt"], ["analyze", "long.txt"], ["render", "long.txt", "-o", "long.svg"],
+     ["discretize", "long.boxes"]],
+    ids=lambda args: args[0],
+)
+def test_integer_past_the_digit_limit_exits_without_traceback(workdir, args):
+    # 5,000 digits is past CPython's default limit of 4,300 for int(str).
+    digits = "9" * 5000
+    (workdir / "long.txt").write_text(f"n 1\nu 0 0 {digits} 0\n")
+    (workdir / "long.boxes").write_text(f"box 0 0 {digits} 1\n")
+    result = run_cli(args, workdir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: {args[1]}: ")
+
+
+def test_source_kind_matches_line_by_line_oracle(monkeypatch):
+    """`_parse_source` picks the config parser exactly when the old per-line
+    tag scan finds a ``u`` tag, on 4,000 seeded texts."""
+    monkeypatch.setattr(cli.model, "parse_config", lambda text: "config")
+    monkeypatch.setattr(cli.torus, "parse_coloring", lambda text: "coloring")
+    rng = random.Random(16)
+    seen = {"config": 0, "coloring": 0}
+    for _ in range(4000):
+        text = random_source_text(rng)
+        kind = cli._parse_source(text)
+        assert kind == ("config" if is_config_source_oracle(text) else "coloring"), repr(text)
+        seen[kind] += 1
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_discretize_unit_square(workdir):
@@ -278,7 +319,6 @@ def parse_config_text(text):
 
 def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
     import tilediff.diffset as diffset
-    import tilediff.topology as topology
     from tilediff.diffset import difference_set
 
     calls = []
@@ -287,8 +327,7 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
         calls.append(config)
         return difference_set(config)
 
-    for module in (diffset, topology):
-        monkeypatch.setattr(module, "difference_set", counted)
+    monkeypatch.setattr(diffset, "difference_set", counted)
     assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
     assert calls == [TileConfig.uniform(2)]
     assert json.loads(capsys.readouterr().out)["audit"]["stage"] == "axes"
@@ -296,7 +335,6 @@ def test_check_builds_the_difference_set_once(workdir, capsys, monkeypatch):
 
 def test_check_scans_the_set_for_off_axes_vectors_once(workdir, capsys, monkeypatch):
     import tilediff.diffset as diffset
-    import tilediff.topology as topology
     from tilediff.diffset import axes_subset
 
     calls = []
@@ -305,8 +343,7 @@ def test_check_scans_the_set_for_off_axes_vectors_once(workdir, capsys, monkeypa
         calls.append(ds)
         return axes_subset(ds)
 
-    for module in (diffset, topology):
-        monkeypatch.setattr(module, "axes_subset", counted)
+    monkeypatch.setattr(diffset, "axes_subset", counted)
     assert main(["check", str(workdir / "zero2.txt"), "--json"]) == 0
     assert len(calls) == 1
     doc = json.loads(capsys.readouterr().out)
