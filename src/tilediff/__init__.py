@@ -50,9 +50,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "column_loop",
-            "components", "components_of_classes", "curve_gain", "homotopy_class",
-            "interiors_decomposition", "pi1_image", "pinch_graph_is_forest", "row_loop",
+            "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "components",
+            "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
+            "pi1_image",
         ),
         "topology",
     ),

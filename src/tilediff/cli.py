@@ -20,7 +20,6 @@ import functools
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import diffset, discretize, model, render, search, topology, torus
@@ -28,10 +27,6 @@ from . import diffset, discretize, model, render, search, topology, torus
 
 def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _audit_doc(report: diffset.AuditReport) -> dict:
@@ -132,7 +127,7 @@ def cmd_discretize(args) -> int:
         _emit_json(
             {
                 "command": "discretize",
-                "gap_squared": _frac(gap.gap_squared),
+                "gap_squared": model._format_rational(gap.gap_squared),
                 "n0": gap.n0,
                 "n": n,
                 "cell_count": len(cover.cells),
@@ -141,7 +136,7 @@ def cmd_discretize(args) -> int:
             }
         )
         return 0
-    print(f"gap_squared: {_frac(gap.gap_squared)}")
+    print(f"gap_squared: {model._format_rational(gap.gap_squared)}")
     print(f"n0: {gap.n0}")
     print(f"n: {n}")
     print(f"cells: {len(cover.cells)}")

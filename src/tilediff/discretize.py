@@ -5,6 +5,11 @@ integer points outside K-K to K-K, the threshold resolution derived from it,
 the covering cell family at a given resolution, and the reduction of a cover
 to one cell per residue class, yielding a tiling configuration.
 
+Each box of K meets one rectangle of 1/n-cells, so the n-cover K_n is itself
+a union of |K| closed boxes. The integer points of K-K and of K_n-K_n come
+from one route, `integer_points_of_union(minkowski_diff(.))`, whatever the
+extent of K.
+
 The guarantee being exercised: at any resolution at or above the threshold,
 the covering's integer difference set equals that of K exactly.
 """
@@ -95,21 +100,41 @@ def epsilon_gap(k: BoxUnion) -> GapResult:
     return GapResult(best, n0)
 
 
+def _cell_ranges(k: BoxUnion, n: int):
+    """Per box of K, the cell ranges (jx_lo, jx_hi, jy_lo, jy_hi), bounds
+    included, of the closed 1/n-squares that meet it."""
+    for (x0, y0, x1, y1) in k.boxes:
+        # Cell j1 meets [x0, x1] iff j1 <= n*x1 and j1 >= n*x0 - 1.
+        yield (
+            math.ceil(n * x0 - 1),
+            math.floor(n * x1),
+            math.ceil(n * y0 - 1),
+            math.floor(n * y1),
+        )
+
+
 def cover_cells(k: BoxUnion, n: int) -> CellCover:
     """Cells whose closed 1/n-square intersects K (closed-box test, exact)."""
     if n < 1:
         raise ValueError("non-positive n")
-    cells: set[Vec] = set()
-    for (x0, y0, x1, y1) in k.boxes:
-        # Cell j1 meets [x0, x1] iff j1 <= n*x1 and j1 >= n*x0 - 1.
-        jx_lo = math.ceil(n * x0 - 1)
-        jx_hi = math.floor(n * x1)
-        jy_lo = math.ceil(n * y0 - 1)
-        jy_hi = math.floor(n * y1)
-        for j1 in range(jx_lo, jx_hi + 1):
-            for j2 in range(jy_lo, jy_hi + 1):
-                cells.add((j1, j2))
+    cells = {
+        (j1, j2)
+        for (jx_lo, jx_hi, jy_lo, jy_hi) in _cell_ranges(k, n)
+        for j1 in range(jx_lo, jx_hi + 1)
+        for j2 in range(jy_lo, jy_hi + 1)
+    }
     return CellCover(n, frozenset(cells))
+
+
+def _cover_boxes(k: BoxUnion, n: int) -> BoxUnion:
+    """The n-cover of K as |K| closed boxes: per box of K, the union of the
+    cells it meets, [jx_lo/n, (jx_hi+1)/n] x [jy_lo/n, (jy_hi+1)/n]."""
+    return BoxUnion(
+        tuple(
+            (Fraction(jx_lo, n), Fraction(jy_lo, n), Fraction(jx_hi + 1, n), Fraction(jy_hi + 1, n))
+            for (jx_lo, jx_hi, jy_lo, jy_hi) in _cell_ranges(k, n)
+        )
+    )
 
 
 def integer_points_of_union(k: BoxUnion) -> frozenset[Vec]:
@@ -119,54 +144,19 @@ def integer_points_of_union(k: BoxUnion) -> frozenset[Vec]:
     return frozenset(pts)
 
 
-def cover_integer_diff_points(cover: CellCover) -> frozenset[Vec]:
-    """Integer points of K_n - K_n for the cover's cell union.
-
-    A candidate m is in the difference iff some pair of cells is within one
-    step of m*n apart per coordinate; scanning cells against a hash set keeps
-    this linear in the cover size per candidate.
-    """
-    n = cover.n
-    cells = cover.cells
-    if not cells:
-        return frozenset()
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    span_x = max(xs) - min(xs) + 1
-    span_y = max(ys) - min(ys) + 1
-    mx_range = range(-((span_x + 1) // n + 1), (span_x + 1) // n + 2)
-    my_range = range(-((span_y + 1) // n + 1), (span_y + 1) // n + 2)
-    out: set[Vec] = set()
-    for mx in mx_range:
-        for my in my_range:
-            found = False
-            for (j1, j2) in cells:
-                tx = j1 - mx * n
-                ty = j2 - my * n
-                for dx in (-1, 0, 1):
-                    if found:
-                        break
-                    for dy in (-1, 0, 1):
-                        if (tx + dx, ty + dy) in cells:
-                            found = True
-                            break
-                if found:
-                    break
-            if found:
-                out.add((mx, my))
-    return frozenset(out)
-
-
 def discretization_exact(k: BoxUnion, n: int) -> bool:
     """Whether the integer difference sets of K and of its n-cover coincide.
 
-    Both sides are computed exactly; guaranteed true for n >= n0 from
+    The n-cover is the union of |K| closed boxes, each the rectangle of
+    1/n-cells one box of K meets, so both sides are
+    `integer_points_of_union(minkowski_diff(.))`: exact, and at a cost that
+    does not grow with the number of cells. Guaranteed true for n >= n0 from
     `epsilon_gap`.
     """
     if n < 1:
         raise ValueError("non-positive n")
     lhs = integer_points_of_union(minkowski_diff(k))
-    rhs = cover_integer_diff_points(cover_cells(k, n))
+    rhs = integer_points_of_union(minkowski_diff(_cover_boxes(k, n)))
     return lhs == rhs
 
 

@@ -87,14 +87,6 @@ class Curve:
         return len(self.steps)
 
 
-def row_loop(n: int, j: int = 0) -> Curve:
-    return Curve(n, tuple(Step("h", i, j % n, True) for i in range(n)))
-
-
-def column_loop(n: int, i: int = 0) -> Curve:
-    return Curve(n, tuple(Step("v", i % n, j, True) for j in range(n)))
-
-
 @dataclass(frozen=True)
 class Component:
     """A maximal monochromatic connected set of squares on the torus."""
@@ -339,46 +331,3 @@ def interiors_decomposition(component: Component) -> list[Component]:
                     frontier.append(nb)
         pieces.append(Component(n, component.color, frozenset(blob), "edge"))
     return pieces
-
-
-def pinch_graph_is_forest(component: Component) -> bool:
-    """Whether the component's pieces meet like an iterated wedge sum.
-
-    Nodes are edge-connected pieces; each pinch vertex where two distinct
-    pieces touch diagonally is an edge. The free-product (wedge) reading of
-    the component requires this multigraph to be acyclic; wrapping pinch
-    necklaces are exactly the components failing it.
-    """
-    pieces = interiors_decomposition(component)
-    if len(pieces) <= 1:
-        return True
-    owner: dict[Vec, int] = {}
-    for idx, piece in enumerate(pieces):
-        for sq in piece.squares:
-            owner[sq] = idx
-    n = component.n
-    inside = component.squares
-    edges = 0
-    for (i, j) in sorted(inside):
-        # Diagonal pinch at vertex (i, j): this square meets (i-1, j-1) with
-        # the antidiagonal pair absent; likewise the antidiagonal pinch at
-        # vertex (i, j+1). Each pinch vertex is discovered exactly once.
-        sw = ((i - 1) % n, (j - 1) % n)
-        if (
-            sw in inside
-            and ((i - 1) % n, j) not in inside
-            and (i, (j - 1) % n) not in inside
-            and owner[sw] != owner[(i, j)]
-        ):
-            edges += 1
-        nw = ((i - 1) % n, (j + 1) % n)
-        if (
-            nw in inside
-            and ((i - 1) % n, j) not in inside
-            and (i, (j + 1) % n) not in inside
-            and owner[nw] != owner[(i, j)]
-        ):
-            edges += 1
-    # The piece multigraph of a connected component is connected, so it is a
-    # forest exactly when it is a tree.
-    return edges == len(pieces) - 1

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .model import FileFormatError, TileConfig, Vec, validate, vsub, _content_lines
-from .diffset import DiffSet
 
 WHITE = "white"
 RED = "red"
@@ -123,34 +122,6 @@ def edge_labels(vl: VertexLabeling) -> EdgeLabeling:
         tuple(vsub(vl.at(i, j + 1), vl.at(i, j)) for j in range(n)) for i in range(n)
     )
     return EdgeLabeling(n, h, v)
-
-
-def cocycle_defects(el: EdgeLabeling) -> list[tuple[int, int, Vec]]:
-    """Squares whose signed edge sum is nonzero (always empty for labelings
-    derived from a configuration)."""
-    n = el.n
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            s = (
-                el.h_at(i, j)[0] + el.v_at(i + 1, j)[0] - el.h_at(i, j + 1)[0] - el.v_at(i, j)[0],
-                el.h_at(i, j)[1] + el.v_at(i + 1, j)[1] - el.h_at(i, j + 1)[1] - el.v_at(i, j)[1],
-            )
-            if s != (0, 0):
-                bad.append((i, j, s))
-    return bad
-
-
-def row_gain(el: EdgeLabeling, j: int = 0) -> Vec:
-    gx = sum(el.h[i][j][0] for i in range(el.n))
-    gy = sum(el.h[i][j][1] for i in range(el.n))
-    return (gx, gy)
-
-
-def column_gain(el: EdgeLabeling, i: int = 0) -> Vec:
-    gx = sum(el.v[i][j][0] for j in range(el.n))
-    gy = sum(el.v[i][j][1] for j in range(el.n))
-    return (gx, gy)
 
 
 @dataclass(frozen=True)
@@ -269,15 +240,6 @@ def square_colors(ec: EdgeColoring) -> Union[SquareClasses, list[SquareViolation
     if violations:
         return violations
     return SquareClasses(n, tuple(classes))
-
-
-def edge_values_subset(el: EdgeLabeling, d: DiffSet) -> bool:
-    """Every cocycle value belongs to the difference set (membership claim
-    for labelings built from a configuration)."""
-    n = el.n
-    return all(
-        el.h[i][j] in d and el.v[i][j] in d for i in range(n) for j in range(n)
-    )
 
 
 def parse_coloring(text: str) -> EdgeColoring:

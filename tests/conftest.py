@@ -1,6 +1,8 @@
 """Shared generators for randomized property tests (seeded, deterministic),
 the brute-force offset rule, the from-scratch plain search, the line-by-line
-config parser, and the subprocess runner for the command-line tests."""
+config parser, the per-cell scan of a cover's integer difference points, the
+cocycle and pinch-graph helpers only the tests call, and the subprocess
+runner for the command-line tests."""
 
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ from pathlib import Path
 
 import tilediff
 from tilediff import (
+    CellCover,
     Component,
+    DiffSet,
     FileFormatError,
     SquareClasses,
     TileConfig,
@@ -22,6 +26,7 @@ from tilediff import (
     axes_subset,
     components_of_classes,
     difference_set,
+    interiors_decomposition,
 )
 from tilediff.search import _Partial, _record_witness, _swap_position, _value_range
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, EdgeLabeling
@@ -94,6 +99,132 @@ def plain_scan_oracle(spec, difference_set=difference_set):
         else:
             _record_witness(part, check.witness, config if spec.witnesses else None)
     return part
+
+
+def cover_integer_diff_points_oracle(cover: CellCover) -> frozenset[Vec]:
+    """Integer points of K_n - K_n for the cover's cell union.
+
+    A candidate m is in the difference iff some pair of cells is within one
+    step of m*n apart per coordinate; scanning cells against a hash set keeps
+    this linear in the cover size per candidate.
+    """
+    n = cover.n
+    cells = cover.cells
+    if not cells:
+        return frozenset()
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
+    span_x = max(xs) - min(xs) + 1
+    span_y = max(ys) - min(ys) + 1
+    mx_range = range(-((span_x + 1) // n + 1), (span_x + 1) // n + 2)
+    my_range = range(-((span_y + 1) // n + 1), (span_y + 1) // n + 2)
+    out: set[Vec] = set()
+    for mx in mx_range:
+        for my in my_range:
+            found = False
+            for (j1, j2) in cells:
+                tx = j1 - mx * n
+                ty = j2 - my * n
+                for dx in (-1, 0, 1):
+                    if found:
+                        break
+                    for dy in (-1, 0, 1):
+                        if (tx + dx, ty + dy) in cells:
+                            found = True
+                            break
+                if found:
+                    break
+            if found:
+                out.add((mx, my))
+    return frozenset(out)
+
+
+def cocycle_defects(el: EdgeLabeling) -> list[tuple[int, int, Vec]]:
+    """Squares whose signed edge sum is nonzero (always empty for labelings
+    derived from a configuration)."""
+    n = el.n
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            s = (
+                el.h_at(i, j)[0] + el.v_at(i + 1, j)[0] - el.h_at(i, j + 1)[0] - el.v_at(i, j)[0],
+                el.h_at(i, j)[1] + el.v_at(i + 1, j)[1] - el.h_at(i, j + 1)[1] - el.v_at(i, j)[1],
+            )
+            if s != (0, 0):
+                bad.append((i, j, s))
+    return bad
+
+
+def row_gain(el: EdgeLabeling, j: int = 0) -> Vec:
+    gx = sum(el.h[i][j][0] for i in range(el.n))
+    gy = sum(el.h[i][j][1] for i in range(el.n))
+    return (gx, gy)
+
+
+def column_gain(el: EdgeLabeling, i: int = 0) -> Vec:
+    gx = sum(el.v[i][j][0] for j in range(el.n))
+    gy = sum(el.v[i][j][1] for j in range(el.n))
+    return (gx, gy)
+
+
+def edge_values_subset(el: EdgeLabeling, d: DiffSet) -> bool:
+    """Every cocycle value belongs to the difference set (membership claim
+    for labelings built from a configuration)."""
+    n = el.n
+    return all(
+        el.h[i][j] in d and el.v[i][j] in d for i in range(n) for j in range(n)
+    )
+
+
+def row_loop(n: int, j: int = 0) -> Curve:
+    return Curve(n, tuple(Step("h", i, j % n, True) for i in range(n)))
+
+
+def column_loop(n: int, i: int = 0) -> Curve:
+    return Curve(n, tuple(Step("v", i % n, j, True) for j in range(n)))
+
+
+def pinch_graph_is_forest(component: Component) -> bool:
+    """Whether the component's pieces meet like an iterated wedge sum.
+
+    Nodes are edge-connected pieces; each pinch vertex where two distinct
+    pieces touch diagonally is an edge. The free-product (wedge) reading of
+    the component requires this multigraph to be acyclic; wrapping pinch
+    necklaces are exactly the components failing it.
+    """
+    pieces = interiors_decomposition(component)
+    if len(pieces) <= 1:
+        return True
+    owner: dict[Vec, int] = {}
+    for idx, piece in enumerate(pieces):
+        for sq in piece.squares:
+            owner[sq] = idx
+    n = component.n
+    inside = component.squares
+    edges = 0
+    for (i, j) in sorted(inside):
+        # Diagonal pinch at vertex (i, j): this square meets (i-1, j-1) with
+        # the antidiagonal pair absent; likewise the antidiagonal pinch at
+        # vertex (i, j+1). Each pinch vertex is discovered exactly once.
+        sw = ((i - 1) % n, (j - 1) % n)
+        if (
+            sw in inside
+            and ((i - 1) % n, j) not in inside
+            and (i, (j - 1) % n) not in inside
+            and owner[sw] != owner[(i, j)]
+        ):
+            edges += 1
+        nw = ((i - 1) % n, (j + 1) % n)
+        if (
+            nw in inside
+            and ((i - 1) % n, j) not in inside
+            and (i, (j + 1) % n) not in inside
+            and owner[nw] != owner[(i, j)]
+        ):
+            edges += 1
+    # The piece multigraph of a connected component is connected, so it is a
+    # forest exactly when it is a tree.
+    return edges == len(pieces) - 1
 
 
 def _content_lines(text: str):

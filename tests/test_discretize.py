@@ -1,5 +1,6 @@
 """Discretization: difference of box unions, gap, covers, transversals."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,9 @@ from tilediff import (
     reduce_to_transversal,
     discretization_exact,
 )
-from tilediff.discretize import CellCover, cover_integer_diff_points, integer_points_of_union
+from tilediff.discretize import CellCover, _cover_boxes, integer_points_of_union
+
+from conftest import cover_integer_diff_points_oracle
 
 UNIT = BoxUnion.of((0, 0, 1, 1))
 HALF = BoxUnion.of((0, 0, F(1, 2), F(1, 2)))
@@ -114,9 +117,43 @@ def test_discretization_exact_unit_square_threshold():
 
 def test_unit_square_n2_gains_two_two():
     lhs = integer_points_of_union(minkowski_diff(UNIT))
-    rhs = cover_integer_diff_points(cover_cells(UNIT, 2))
+    rhs = cover_integer_diff_points_oracle(cover_cells(UNIT, 2))
     assert lhs == {(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)}
     assert (2, 2) in rhs - lhs
+
+
+def _random_rational(rng, lo, hi):
+    q = rng.randint(1, 6)
+    return F(rng.randint(lo * q, hi * q), q)
+
+
+def _random_box_union(rng):
+    """1-4 closed boxes with corners in [-1, 1] and sides up to 1, each
+    side zero a quarter of the time (points and segments)."""
+    boxes = []
+    for _ in range(rng.randint(1, 4)):
+        x0, y0 = _random_rational(rng, -1, 1), _random_rational(rng, -1, 1)
+        w = 0 if rng.random() < 0.25 else _random_rational(rng, 0, 1)
+        h = 0 if rng.random() < 0.25 else _random_rational(rng, 0, 1)
+        boxes.append((x0, y0, x0 + w, y0 + h))
+    return BoxUnion(tuple(boxes))
+
+
+def test_cover_boxes_match_the_per_cell_scan():
+    rng = random.Random(1717)
+    verdicts = set()
+    for _ in range(40):
+        k = _random_box_union(rng)
+        lhs = integer_points_of_union(minkowski_diff(k))
+        n0 = epsilon_gap(k).n0
+        for n in range(1, 7):
+            points = integer_points_of_union(minkowski_diff(_cover_boxes(k, n)))
+            oracle = cover_integer_diff_points_oracle(cover_cells(k, n))
+            assert points == oracle, (k.boxes, n)
+            assert discretization_exact(k, n) is (lhs == oracle)
+            verdicts.add((n < n0, lhs == oracle))
+    # Covers below n0 that gain vectors, and covers at or above n0 that match.
+    assert {(True, False), (False, True)} <= verdicts
 
 
 def test_discretization_exact_point():
@@ -149,5 +186,5 @@ def test_transversal_diffset_within_cover_diffset():
         n = epsilon_gap(k).n0
         cover = cover_cells(k, n)
         config = reduce_to_transversal(cover)
-        cover_points = cover_integer_diff_points(cover)
+        cover_points = cover_integer_diff_points_oracle(cover)
         assert difference_set(config).vectors <= cover_points

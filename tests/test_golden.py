@@ -90,7 +90,7 @@ def test_golden_text_corpora_are_present():
 
 
 def test_golden_discretize_coloring_and_render_corpora_are_present():
-    assert [p.stem for p in BOXES] == ["brick", "ell-n4", "thirds-l", "unit"]
+    assert [p.stem for p in BOXES] == ["brick", "ell-n4", "thirds-l", "unit", "wide"]
     assert [p.stem for p in COLORINGS] == ["band3", "blocks5", "columns4"]
     assert [p.stem for p in RENDERS] == ["blocks5", "n3-two-pairs"]
     for boxes in BOXES:

@@ -12,8 +12,7 @@ import tilediff
 from tilediff import TileConfig, format_config
 from conftest import PACKAGE_ROOT
 
-# Every name the package re-exported when it imported all its submodules
-# eagerly, with the submodule that defines it.
+# Every name the package re-exports, with the submodule that defines it.
 EXPORTS = {
     "model": (
         "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
@@ -35,9 +34,9 @@ EXPORTS = {
         "vertex_labels",
     ),
     "topology": (
-        "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "column_loop",
-        "components", "components_of_classes", "curve_gain", "homotopy_class",
-        "interiors_decomposition", "pi1_image", "pinch_graph_is_forest", "row_loop",
+        "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "components",
+        "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
+        "pi1_image",
     ),
     "search": ("SearchReport", "SearchSpec", "run_search", "verify_witnesses"),
     "render": ("RenderSpec", "render_svg"),

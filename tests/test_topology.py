@@ -12,7 +12,6 @@ from tilediff import (
     TileConfig,
     axes_subset,
     boundary_curves,
-    column_loop,
     components,
     components_of_classes,
     curve_gain,
@@ -23,8 +22,6 @@ from tilediff import (
     interiors_decomposition,
     normalize,
     pi1_image,
-    pinch_graph_is_forest,
-    row_loop,
     impossibility_audit,
     vertex_labels,
 )
@@ -35,10 +32,13 @@ from tilediff.topology import boundary_steps
 from conftest import (
     band_coloring,
     block_coloring,
+    column_loop,
+    pinch_graph_is_forest,
     product_labeling,
     random_closed_curve,
     random_config,
     random_square_classes,
+    row_loop,
     uniform_coloring,
 )
 

@@ -22,14 +22,19 @@ from tilediff.torus import (
     OffAxesEdges,
     SquareClasses,
     VertexLabeling,
-    cocycle_defects,
-    column_gain,
-    edge_values_subset,
-    row_gain,
     square_edge_colors,
 )
 
-from conftest import band_coloring, block_coloring, random_config, uniform_coloring
+from conftest import (
+    band_coloring,
+    block_coloring,
+    cocycle_defects,
+    column_gain,
+    edge_values_subset,
+    random_config,
+    row_gain,
+    uniform_coloring,
+)
 
 
 def test_vertex_labels_single_cell_table():
