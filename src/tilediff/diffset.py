@@ -16,7 +16,8 @@ A `DiffSet` holds generators G and stands for {(0, 0)} | G | -G; for
 `difference_set`, G is the distinct vectors of the forward pairs.
 Membership, the axes verdict and the lattice span read G directly. The
 symmetric closure is built, once per set, only when a caller asks for all
-of its vectors, its size or its sorted list.
+of its vectors, its size or its sorted list. `DiffSet` is a one-field
+`typing.NamedTuple` subclass that compares and hashes by that closure.
 
 Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
 behind one vector on demand, with one more O(n^2) scan of the same table.
@@ -35,7 +36,6 @@ nothing from the torus or topology layers. The verdicts `AxesCheck`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Optional
@@ -47,8 +47,11 @@ from .model import TileConfig, Vec, validate
 WitnessPair = tuple[tuple[int, int], tuple[int, int], Vec]
 
 
-@dataclass(frozen=True, eq=False)
-class DiffSet:
+class _DiffSetFields(NamedTuple):
+    generators: frozenset[Vec]
+
+
+class DiffSet(_DiffSetFields):
     """Integer points of the difference set of a configuration's plane set.
 
     The set is symmetric and contains the origin, so it is held by
@@ -56,9 +59,13 @@ class DiffSet:
     gives an equal, equally hashed `DiffSet`; `geometric_oracle` passes the
     full set, which is its own closure. Only vectors are kept;
     `witness_pairs` names the cell pairs behind any one of them.
+
+    No ``__slots__``: `vectors` caches the closure in the instance
+    ``__dict__``, which no assignment can reach.
     """
 
-    generators: frozenset[Vec]
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def vectors(self) -> frozenset[Vec]:
@@ -66,10 +73,12 @@ class DiffSet:
         gens = self.generators
         return gens.union([(0, 0)], [(-x, -y) for x, y in gens])
 
+    # tuple's own ==, != and hash would compare the generators.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiffSet):
-            return NotImplemented
-        return self.vectors == other.vectors
+        return isinstance(other, DiffSet) and self.vectors == other.vectors
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash(self.vectors)

@@ -6,17 +6,19 @@ closed squares of side 1/n inside the unit square by its cell's translate.
 Everything downstream (difference sets, discretization, the torus complex)
 consumes these values.
 
-All types are immutable after construction.
+All types are immutable after construction. `TileConfig` is a
+`typing.NamedTuple`, so it unpacks as ``n, translates = config`` and compares
+equal to the plain tuple ``(n, translates)``; `BoxUnion` is one too, over a
+single ``boxes`` field, and checks its boxes when built.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 Vec = tuple[int, int]
 
@@ -38,8 +40,7 @@ def on_axes(v: Vec) -> bool:
     return v[0] == 0 or v[1] == 0
 
 
-@dataclass(frozen=True)
-class TileConfig:
+class TileConfig(NamedTuple):
     """Grid resolution ``n`` plus one translate per cell.
 
     Translates are stored row-major by (i, j) with i the x-index:
@@ -98,22 +99,27 @@ def normalize(config: TileConfig) -> TileConfig:
 Box = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class BoxUnion:
+class _BoxUnionFields(NamedTuple):
+    boxes: tuple[Box, ...]
+
+
+class BoxUnion(_BoxUnionFields):
     """A compact set given as a finite union of closed rational boxes.
 
     Degenerate boxes (points, segments) are allowed; the box list must be
     non-empty.
     """
 
-    boxes: tuple[Box, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.boxes:
             raise ValueError("empty box union")
         for (x0, y0, x1, y1) in self.boxes:
             if x0 > x1 or y0 > y1:
                 raise ValueError(f"inverted box ({x0},{y0},{x1},{y1})")
+        return self
 
     @staticmethod
     def of(*boxes) -> "BoxUnion":

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import TileConfig, Vec, on_axes
 from .diffset import _forward_pairs, axes_subset, difference_set, geometric_oracle
@@ -72,8 +72,7 @@ class BudgetExceeded(ValueError):
                 f"cell 1 fully explored {self.explored} of {self.domain} values")
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class _SearchSpecFields(NamedTuple):
     n: int
     bound: int
     engine: str = PRUNED
@@ -82,7 +81,14 @@ class SearchSpec:
     jobs: int = 1
     witnesses: bool = False
 
-    def __post_init__(self):
+
+class SearchSpec(_SearchSpecFields):
+    """One bounded search: the fields, checked when the spec is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError("non-positive n")
         if self.bound < 0:
@@ -91,10 +97,10 @@ class SearchSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.budget < 1 or self.jobs < 1:
             raise ValueError("budget and jobs must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of one bounded search.
 
     The guarantee stated by a clean report is bounded: no valid configuration
@@ -120,15 +126,24 @@ class SearchReport:
     wall_time: float
 
 
-@dataclass
 class _Partial:
-    configs_enumerated: int = 0
-    nodes_visited: int = 0
-    valid_found: int = 0
-    witness_counts: dict = field(default_factory=dict)
-    witness_records: list = field(default_factory=list)
-    valid_configs: list = field(default_factory=list)
+    """The counts and records of one scan, mutated as it walks."""
 
+    def __init__(self):
+        self.configs_enumerated = 0
+        self.nodes_visited = 0
+        self.valid_found = 0
+        self.witness_counts: dict = {}
+        self.witness_records: list = []
+        self.valid_configs: list = []
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Partial):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"_Partial({vars(self)})"
 
 
 def _value_range(bound: int) -> list[Vec]:
@@ -185,10 +200,9 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
     walk keeps its own stack: at bound 0 a search of any n fits the budget,
     and its depth n^2 would pass Python's recursion limit.
     """
-    n = spec.n
+    n, symmetry, witnesses = spec.n, spec.symmetry, spec.witnesses
     last = n * n - 1
     backward = _value_range(spec.bound)[::-1]  # stacked, so popped in order
-    symmetry = spec.symmetry
     # The vector of a pair is +-(u(d) - u(other) + o) for its later cell d,
     # and the witness rule does not see the sign.
     groups: list[list[tuple[int, int, int]]] = [[] for _ in range(last + 1)]
@@ -227,14 +241,14 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
             continue
         part.configs_enumerated += 1
         first = witness is None or witness not in part.witness_counts
-        config = TileConfig(n, tuple(assigned)) if first or spec.witnesses else None
+        config = TileConfig(n, tuple(assigned)) if first or witnesses else None
         if first and axes_subset(difference_set(config)).witness != witness:
             raise AssertionError("plain engine disagrees with difference_set")
         if witness is None:
             part.valid_found += orbit
             part.valid_configs.append(config)
         else:
-            _record_witness(part, witness, config if spec.witnesses else None)
+            _record_witness(part, witness, config if witnesses else None)
     part.nodes_visited = part.configs_enumerated
     return part
 
@@ -384,17 +398,19 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
         return _plain_scan(spec)
+    # Locals, read once: the node loop and `cut` run per node.
+    bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
     part = _Partial()
-    fwd = _Forward(n, spec.bound)
+    fwd = _Forward(n, bound)
     later = fwd.later
     last = n * n - 1
     assigned: list[Vec] = [(0, 0)] * (last + 1)
 
     def cut(depth: int, f: int):
         config = None
-        if spec.witnesses:
+        if witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
-            translates[f] = (-spec.bound, -spec.bound)
+            translates[f] = (-bound, -bound)
             config = TileConfig(n, tuple(translates))
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
@@ -402,7 +418,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
-    values = _value_range(spec.bound)
+    values = _value_range(bound)
     # Per depth d: the domains with cells 0..d-1 placed, the values cell d
     # has still to try, and whether the swap order was settled above d.
     level: list[list[int]] = [domains] * (last + 1)
@@ -421,16 +437,16 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             i = low.bit_length() - 1
             nodes += 1
             assigned[depth] = values[i]
-            if nodes > spec.budget:
-                raise BudgetExceeded(spec.budget, depth)
+            if nodes > budget:
+                raise BudgetExceeded(budget, depth)
             child = level[depth][:]
             wiped = _narrow(child, later[depth], i)
             if wiped >= 0:
                 cut(depth, wiped)
                 continue
-            orbit = 2 if spec.symmetry else 1
+            orbit = 2 if symmetry else 1
             sub_settled = settled[depth]
-            if spec.symmetry and not sub_settled:
+            if symmetry and not sub_settled:
                 state = _lex_state(assigned, depth, n)
                 if state == _PRUNE:
                     continue
@@ -454,7 +470,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         # Cell 1 tries its values in index order, and assigned[1] holds the
         # one under way when the budget ran out.
         qx, qy = assigned[1]
-        under_way = (qx + spec.bound) * fwd.width + qy + spec.bound
+        under_way = (qx + bound) * fwd.width + qy + bound
         stop.explored = (domains[1] & (1 << under_way) - 1).bit_count()
         stop.domain = domains[1].bit_count()
         raise

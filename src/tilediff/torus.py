@@ -46,12 +46,6 @@ class EdgeLabeling:
     h: Grid
     v: Grid
 
-    def h_at(self, i: int, j: int) -> Vec:
-        return self.h[i % self.n][j % self.n]
-
-    def v_at(self, i: int, j: int) -> Vec:
-        return self.v[i % self.n][j % self.n]
-
 
 @dataclass(frozen=True)
 class EdgeColoring:

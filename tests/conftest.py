@@ -142,13 +142,15 @@ def cover_integer_diff_points_oracle(cover: CellCover) -> frozenset[Vec]:
 def cocycle_defects(el: EdgeLabeling) -> list[tuple[int, int, Vec]]:
     """Squares whose signed edge sum is nonzero (always empty for labelings
     derived from a configuration)."""
-    n = el.n
+    n, h, v = el.n, el.h, el.v
     bad = []
     for i in range(n):
         for j in range(n):
+            bottom, top = h[i][j], h[i][(j + 1) % n]
+            left, right = v[i][j], v[(i + 1) % n][j]
             s = (
-                el.h_at(i, j)[0] + el.v_at(i + 1, j)[0] - el.h_at(i, j + 1)[0] - el.v_at(i, j)[0],
-                el.h_at(i, j)[1] + el.v_at(i + 1, j)[1] - el.h_at(i, j + 1)[1] - el.v_at(i, j)[1],
+                bottom[0] + right[0] - top[0] - left[0],
+                bottom[1] + right[1] - top[1] - left[1],
             )
             if s != (0, 0):
                 bad.append((i, j, s))

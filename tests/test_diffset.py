@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -257,6 +258,24 @@ def test_diffset_is_its_generators_closure():
         assert ds.vectors == closure
         check = axes_subset(ds)
         assert (check.on_axes, check.witness) == _brute_axes(closure), gens
+
+
+def test_diffset_record_keeps_its_repr_closure_equality_and_frozen_fields():
+    ds = DiffSet(frozenset({(1, 0)}))
+    assert repr(ds) == "DiffSet(generators=frozenset({(1, 0)}))"
+    assert ds == DiffSet(generators=frozenset({(1, 0), (-1, 0)}))
+    assert not ds != DiffSet(frozenset({(0, 0), (-1, 0)}))
+    assert ds != (frozenset({(1, 0)}),)
+    for config in (TileConfig.uniform(2), random_config(random.Random(7), 3, 2)):
+        fast, oracle = difference_set(config), geometric_oracle(config)
+        assert fast.generators != oracle.generators
+        assert fast == oracle and not fast != oracle
+        assert hash(fast) == hash(oracle)
+    for name in ("generators", "vectors"):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, frozenset())
+    assert ds.vectors == {(0, 0), (1, 0), (-1, 0)}
+    assert pickle.loads(pickle.dumps(ds)) == ds
 
 
 def test_lattice_span_of_diffset_reads_generators():

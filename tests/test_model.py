@@ -258,3 +258,34 @@ def test_cover_cells_rejects_non_positive_n():
         cover_cells(unit, 0)
     with pytest.raises(ValueError, match="non-positive n"):
         discretization_exact(unit, 0)
+
+
+def test_tile_config_record_keeps_its_repr_equality_and_frozen_fields():
+    translates = ((0, 0), (1, 0), (0, 1), (0, 0))
+    config = TileConfig(2, translates)
+    assert repr(config) == "TileConfig(n=2, translates=((0, 0), (1, 0), (0, 1), (0, 0)))"
+    assert repr(TileConfig.uniform(1)) == "TileConfig(n=1, translates=((0, 0),))"
+    assert config == TileConfig(n=2, translates=translates)
+    assert hash(config) == hash(TileConfig(n=2, translates=translates))
+    assert config != TileConfig(2, ((0, 0),) * 4)
+    for name in ("n", "translates"):
+        with pytest.raises(AttributeError):
+            setattr(config, name, getattr(config, name))
+
+
+def test_box_union_record_keeps_its_repr_equality_errors_and_frozen_field():
+    unit = BoxUnion.of((0, 0, 1, 1))
+    assert repr(unit) == (
+        "BoxUnion(boxes=((Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(1, 1)),))"
+    )
+    assert unit == BoxUnion(boxes=unit.boxes) == BoxUnion(unit.boxes)
+    assert hash(unit) == hash(BoxUnion(boxes=unit.boxes))
+    assert unit != BoxUnion.of((0, 0, 1, 2))
+    with pytest.raises(AttributeError):
+        unit.boxes = ()
+    with pytest.raises(ValueError, match=r"^empty box union$"):
+        BoxUnion(boxes=())
+    with pytest.raises(ValueError, match=r"^inverted box \(1,0,0,1\)$"):
+        BoxUnion(((1, 0, 0, 1),))
+    with pytest.raises(ValueError, match=r"^inverted box \(0,1,1,0\)$"):
+        BoxUnion.of((0, 1, 1, 0))

@@ -87,13 +87,18 @@ print(json.dumps(sorted(
 """
 
 
-def _module_bodies(argv, cwd) -> set:
+def _run_json(script: str, argv, cwd):
+    """Run `script` with ARGV in a fresh interpreter; parse what it prints."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE_ROOT)}
     result = subprocess.run(
-        [sys.executable, "-c", MODULE_BODIES, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, cwd=cwd, env=env, check=True,
     )
-    return set(json.loads(result.stdout))
+    return json.loads(result.stdout)
+
+
+def _module_bodies(argv, cwd) -> set:
+    return set(_run_json(MODULE_BODIES, argv, cwd))
 
 
 def test_search_runs_only_the_modules_it_uses(tmp_path):
@@ -111,6 +116,33 @@ def test_analyze_on_a_config_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["analyze", "zero2.txt", "--json"], tmp_path)
     assert ran == {"__init__", "cli", "model", "diffset"}
+
+
+# Prints, as a JSON list, the modules that importing the CLI and calling
+# main(ARGV) add to sys.modules; whatever site imports at start-up is
+# already there before, so it is not counted.
+MODULES_ADDED = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+from tilediff.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--bound", "1", "--json"],
+    ["check", "zero2.txt", "--json"],
+    ["analyze", "zero2.txt", "--json"],
+])
+def test_search_check_and_analyze_never_import_dataclasses(argv, tmp_path):
+    # Building a dataclass execs generated source; the records on these
+    # paths are named tuples and plain classes.
+    (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
+    added = _run_json(MODULES_ADDED, argv, tmp_path)
+    assert "tilediff.cli" in added
+    assert "dataclasses" not in added
 
 
 def test_topology_still_binds_the_audit():

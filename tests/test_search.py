@@ -27,6 +27,7 @@ from tilediff.search import (
     MASK_BYTES_LIMIT,
     BudgetExceeded,
     _Forward,
+    _Partial,
     _constraint_table,
     _narrow,
     _plain_scan,
@@ -107,14 +108,65 @@ CONFIG_SYMMETRIES = {
 
 
 def test_search_spec_validation():
-    with pytest.raises(ValueError, match="non-positive n"):
+    with pytest.raises(ValueError, match="^non-positive n$"):
         SearchSpec(n=0, bound=1)
-    with pytest.raises(ValueError, match="negative bound"):
-        SearchSpec(n=2, bound=-1)
-    with pytest.raises(ValueError, match="unknown engine"):
+    with pytest.raises(ValueError, match="^negative bound$"):
+        SearchSpec(2, -1)
+    with pytest.raises(ValueError, match="^unknown engine 'smart'$"):
         SearchSpec(n=2, bound=1, engine="smart")
-    with pytest.raises(ValueError, match="must be positive"):
-        SearchSpec(n=2, bound=1, jobs=0)
+    for kwargs in ({"jobs": 0}, {"budget": 0}):
+        with pytest.raises(ValueError, match="^budget and jobs must be positive$"):
+            SearchSpec(n=2, bound=1, **kwargs)
+
+
+def test_search_spec_record_keeps_its_repr_defaults_and_frozen_fields():
+    spec = SearchSpec(n=1, bound=0)
+    assert repr(spec) == (
+        "SearchSpec(n=1, bound=0, engine='pruned', symmetry=False, budget=2000000, "
+        "jobs=1, witnesses=False)"
+    )
+    full = SearchSpec(2, 1, "plain", True, 50, 3, True)
+    named = SearchSpec(n=2, bound=1, engine="plain", symmetry=True, budget=50, jobs=3,
+                       witnesses=True)
+    assert full == named and hash(full) == hash(named)
+    assert SearchSpec(1, 0) == spec and SearchSpec(1, 0, jobs=2) != spec
+    for name in ("n", "bound", "engine", "symmetry", "budget", "jobs", "witnesses"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+
+
+def test_search_report_record_keeps_its_repr_equality_and_frozen_fields():
+    spec = SearchSpec(n=1, bound=0)
+    fields = dict(
+        spec=spec, configs_enumerated=1, nodes_visited=1, valid_found=0,
+        witness_counts=(((-1, -1), 1),), witness_records=(), valid_configs=(), wall_time=0.0,
+    )
+    report = search.SearchReport(**fields)
+    assert repr(report) == (
+        "SearchReport(spec=SearchSpec(n=1, bound=0, engine='pruned', symmetry=False, "
+        "budget=2000000, jobs=1, witnesses=False), configs_enumerated=1, nodes_visited=1, "
+        "valid_found=0, witness_counts=(((-1, -1), 1),), witness_records=(), "
+        "valid_configs=(), wall_time=0.0)"
+    )
+    assert report == search.SearchReport(*fields.values())
+    assert hash(report) == hash(search.SearchReport(*fields.values()))
+    assert report != search.SearchReport(**{**fields, "wall_time": 1.0})
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(report, name, getattr(report, name))
+
+
+def test_scan_partials_compare_by_their_counts_and_records():
+    first, second = _Partial(), _Partial()
+    assert first == second
+    first.witness_counts[(-1, -1)] = 1
+    assert first != second
+    second.witness_counts[(-1, -1)] = 1
+    second.valid_configs.append(TileConfig.uniform(1))
+    assert first != second
+    first.valid_configs.append(TileConfig.uniform(1))
+    assert first == second
+    assert first != object()
 
 
 def test_verify_without_records_is_stale():
