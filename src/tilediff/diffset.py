@@ -6,11 +6,13 @@ translated grid squares exactly when the cells are within one step of each
 other on the n-torus, per coordinate. Lifting the translates to Z^2 by
 U(c + n*e) = u(c) - e, the set is {U(c) - U(c') : c, c' king-adjacent}.
 It is closed under negation, so the 4 forward king steps of each cell, one
-cached table of 4n^2 pairs per n, determine it in O(n^2).
+cached table of 4n^2 pairs per n, determine it in O(n^2). That table,
+`_forward_pairs`, lives in `lift`, which the search reads too.
 `geometric_oracle` builds every pairwise difference box with exact
 rationals and lists its integer points; it stays O(n^4) on purpose, as the
-independent route. The routes are property-tested against each other and
-must never disagree.
+independent route, and it is the one function here that imports
+`fractions`, when it runs. The routes are property-tested against each
+other and must never disagree.
 
 A `DiffSet` holds generators G and stands for {(0, 0)} | G | -G; for
 `difference_set`, G is the distinct vectors of the forward pairs.
@@ -36,11 +38,14 @@ nothing from the torus or topology layers. The verdicts `AxesCheck`,
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
+from .lift import _forward_pairs
 from .model import TileConfig, Vec, validate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Witness for the membership of one vector: cells p, q and integer offset m
 # with vector == u(p) - u(q) + m.
@@ -91,32 +96,6 @@ class DiffSet(_DiffSetFields):
 
     def sorted_vectors(self) -> list[Vec]:
         return sorted(self.vectors)
-
-
-# Forward king steps. With their negations and the zero step they reach all 9
-# cells within one step of a cell, per coordinate.
-_FORWARD_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
-@lru_cache(maxsize=64)
-def _forward_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The 4n^2 forward king pairs of the lifted n-grid as (k, k2, mx, my).
-
-    For each cell p = (i, j) (row-major index k) and forward step delta, the
-    lifted neighbour q' = p + delta lies in cell k2 = q' mod n, row-major, of
-    the translate m = floor(q' / n) per axis. Lifting u to Z^2 by
-    U(c + n*e) = u(c) - e gives U(p) - U(q') = u(k) - u(k2) + m, and m is an
-    admissible offset of the cell pair (k, k2): |p_k - p_k2 - m*n| <= 1 per
-    axis.
-    """
-    # wrap[d][a] = (floor((a + d) / n), (a + d) mod n), one axis at a time.
-    wrap = {d: [divmod(a + d, n) for a in range(n)] for d in (-1, 0, 1)}
-    table = []
-    for di, dj in _FORWARD_STEPS:
-        for i, (mx, i2) in enumerate(wrap[di]):
-            for j, (my, j2) in enumerate(wrap[dj]):
-                table.append((i * n + j, i2 * n + j2, mx, my))
-    return tuple(table)
 
 
 def _checked(config: TileConfig) -> None:
@@ -185,6 +164,8 @@ def geometric_oracle(config: TileConfig) -> DiffSet:
     [(i-i'-1)/n, (i-i'+1)/n] x [(j-j'-1)/n, (j-j'+1)/n] shifted by
     u(p) - u(q); its integer points are enumerated directly.
     """
+    from fractions import Fraction
+
     _checked(config)
     n = config.n
     cells = list(config.cells())

@@ -10,15 +10,20 @@ All types are immutable after construction. `TileConfig` is a
 `typing.NamedTuple`, so it unpacks as ``n, translates = config`` and compares
 equal to the plain tuple ``(n, translates)``; `BoxUnion` is one too, over a
 single ``boxes`` field, and checks its boxes when built.
+
+Only the code that builds a rational (`parse_boxes` and `BoxUnion.of`)
+imports `fractions`, so reading and checking configurations never loads it.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Vec = tuple[int, int]
 
@@ -96,7 +101,9 @@ def normalize(config: TileConfig) -> TileConfig:
 
 
 # A closed axis-aligned box with rational corners: (x0, y0, x1, y1), x0<=x1, y0<=y1.
-Box = tuple[Fraction, Fraction, Fraction, Fraction]
+# Spelled with forward references, so that only code that builds a Fraction
+# imports `fractions`.
+Box = tuple["Fraction", "Fraction", "Fraction", "Fraction"]
 
 
 class _BoxUnionFields(NamedTuple):
@@ -123,6 +130,8 @@ class BoxUnion(_BoxUnionFields):
 
     @staticmethod
     def of(*boxes) -> "BoxUnion":
+        from fractions import Fraction
+
         return BoxUnion(tuple(tuple(Fraction(c) for c in b) for b in boxes))
 
     def bounding_box(self) -> Box:
@@ -161,6 +170,8 @@ def _parse_int(token: str, line_no: int) -> int:
 
 
 def _parse_rational(token: str, line_no: int) -> Fraction:
+    from fractions import Fraction
+
     if "/" in token:
         num, _, den = token.partition("/")
         if not (_INT.match(num) and _INT.match(den)):

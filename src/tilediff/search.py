@@ -26,16 +26,28 @@ therefore a valid configuration, and the engines agree exactly.
 Both engines run in one process and stop on the first node past the
 budget. `jobs` is accepted and validated, but the report does not depend on
 it.
+
+Both engines read the forward-pair table of `lift` and nothing else of the
+package until they need it, looking `model` and `diffset` up when they run.
+The plain engine (and the pruned one at n = 1, which scans like it) builds
+a `TileConfig` and its difference set at its first leaf. The pruned engine
+builds a `TileConfig` only at a leaf, which the paper's lift never lets it
+reach, or at a cut under `witnesses`. `verify_witnesses` replays records
+through `diffset.geometric_oracle`. So a default pruned search runs no
+`model` or `diffset` code.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .model import TileConfig, Vec, on_axes
-from .diffset import _forward_pairs, axes_subset, difference_set, geometric_oracle
+from . import diffset, model
+from .lift import _forward_pairs
+
+if TYPE_CHECKING:
+    from .model import TileConfig, Vec
 
 PLAIN = "plain"
 PRUNED = "pruned"
@@ -241,8 +253,8 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
             continue
         part.configs_enumerated += 1
         first = witness is None or witness not in part.witness_counts
-        config = TileConfig(n, tuple(assigned)) if first or witnesses else None
-        if first and axes_subset(difference_set(config)).witness != witness:
+        config = model.TileConfig(n, tuple(assigned)) if first or witnesses else None
+        if first and diffset.axes_subset(diffset.difference_set(config)).witness != witness:
             raise AssertionError("plain engine disagrees with difference_set")
         if witness is None:
             part.valid_found += orbit
@@ -411,7 +423,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         if witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
             translates[f] = (-bound, -bound)
-            config = TileConfig(n, tuple(translates))
+            config = model.TileConfig(n, tuple(translates))
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
     domains, wiped = fwd.root()
@@ -455,10 +467,10 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 elif state == _FIXED:
                     orbit = 1  # self-symmetric leaf; scans always settle at leaves
             if depth == last:
-                config = TileConfig(n, tuple(assigned))
+                config = model.TileConfig(n, tuple(assigned))
                 # Adjacent pairs carry every difference vector, so a reached
                 # leaf must be valid; cross-check against the full set.
-                if not axes_subset(difference_set(config)).on_axes:
+                if not diffset.axes_subset(diffset.difference_set(config)).on_axes:
                     raise AssertionError("pruned engine reached an invalid leaf")
                 part.configs_enumerated += 1
                 part.valid_found += orbit
@@ -512,9 +524,9 @@ def verify_witnesses(report: SearchReport, records=None) -> bool:
     if not records:
         raise ValueError("stale witness: report retained no witness records")
     for config, vec in records:
-        if on_axes(vec):
+        if model.on_axes(vec):
             raise ValueError(f"stale witness: {vec} lies on the axes")
-        if vec not in geometric_oracle(config):
+        if vec not in diffset.geometric_oracle(config):
             raise ValueError(f"stale witness: {vec} not in difference set")
     return True
 

@@ -102,20 +102,26 @@ def _module_bodies(argv, cwd) -> set:
 
 
 def test_search_runs_only_the_modules_it_uses(tmp_path):
-    ran = _module_bodies(["search", "--n", "2", "--bound", "1", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset", "search"}
+    # The default pruned search at A = I never reaches a leaf, so it builds
+    # no TileConfig and no difference set. The plain engine builds both at
+    # its first leaf, and --witnesses builds a TileConfig for each record.
+    argv = ["search", "--n", "2", "--bound", "1", "--json"]
+    used = {"__init__", "cli", "lift", "search"}
+    assert _module_bodies(argv, tmp_path) == used
+    assert _module_bodies([*argv, "--engine", "plain"], tmp_path) == used | {"model", "diffset"}
+    assert _module_bodies([*argv, "--witnesses"], tmp_path) == used | {"model"}
 
 
 def test_check_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["check", "zero2.txt", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset"}
+    assert ran == {"__init__", "cli", "model", "diffset", "lift"}
 
 
 def test_analyze_on_a_config_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["analyze", "zero2.txt", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset"}
+    assert ran == {"__init__", "cli", "model", "diffset", "lift"}
 
 
 # Prints, as a JSON list, the modules that importing the CLI and calling
@@ -138,11 +144,13 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 ])
 def test_search_check_and_analyze_never_import_dataclasses(argv, tmp_path):
     # Building a dataclass execs generated source; the records on these
-    # paths are named tuples and plain classes.
+    # paths are named tuples and plain classes. Only code that builds a
+    # Fraction imports `fractions` (and with it `decimal` and `numbers`).
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     added = _run_json(MODULES_ADDED, argv, tmp_path)
     assert "tilediff.cli" in added
     assert "dataclasses" not in added
+    assert "fractions" not in added
 
 
 def test_topology_still_binds_the_audit():

@@ -16,6 +16,7 @@ from tilediff import (
     SearchSpec,
     axes_subset,
     difference_set,
+    diffset,
     geometric_oracle,
     run_search,
     search,
@@ -222,7 +223,7 @@ def test_plain_scan_builds_one_difference_set_per_distinct_witness(monkeypatch):
         calls.append(config)
         return difference_set(config)
 
-    monkeypatch.setattr(search, "difference_set", counting)
+    monkeypatch.setattr(diffset, "difference_set", counting)
     report = run_search(SearchSpec(n=2, bound=1, engine="plain"))
     assert report.configs_enumerated == 729
     assert len(calls) == len(report.witness_counts) == 13
@@ -260,7 +261,7 @@ TWISTS = {
 def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, monkeypatch):
     pairs, twisted = twisted_lift(a)
     monkeypatch.setattr(search, "_forward_pairs", pairs)
-    monkeypatch.setattr(search, "difference_set", twisted)
+    monkeypatch.setattr(diffset, "difference_set", twisted)
     for bound, count in zip((1, 2), counts):
         spec = SearchSpec(n=2, bound=bound, engine="plain")
         part = _plain_scan(spec)
@@ -281,7 +282,7 @@ def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
     # configurations are their own swap, so both orbit weights are used.
     pairs, twisted = twisted_lift(TWISTS["zero"][0])
     monkeypatch.setattr(search, "_forward_pairs", pairs)
-    monkeypatch.setattr(search, "difference_set", twisted)
+    monkeypatch.setattr(diffset, "difference_set", twisted)
     spec = SearchSpec(n=2, bound=1, engine="plain", symmetry=True)
     part = _plain_scan(spec)
     assert part.valid_found == 53
