@@ -50,7 +50,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "components",
+            "Component", "Curve", "Step", "boundary_curves", "components",
             "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
             "pi1_image",
         ),

@@ -88,20 +88,23 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#f4f4f4"/>',
     ]
 
-    if "components" in spec.show and coloring is not None:
+    comps = []  # corner components, when the coloring keeps the square rules
+    if coloring is not None and {"components", "gains"} & spec.show:
         classified = square_colors(coloring)
         if not isinstance(classified, list):
             comps = components_of_classes(classified, "corner")
-            shade_index = {RED: 0, BLUE: 0, WHITE: 0}
-            for comp in comps:
-                palette = _TINTS[comp.color]
-                fill = palette[shade_index[comp.color] % len(palette)]
-                shade_index[comp.color] += 1
-                for (i, j) in sorted(comp.squares):
-                    parts.append(
-                        f'<rect x="{vx(i)}" y="{vy(j + 1)}" width="{px}" height="{px}" '
-                        f'fill="{fill}"/>'
-                    )
+
+    if "components" in spec.show:
+        shade_index = {RED: 0, BLUE: 0, WHITE: 0}
+        for comp in comps:
+            palette = _TINTS[comp.color]
+            fill = palette[shade_index[comp.color] % len(palette)]
+            shade_index[comp.color] += 1
+            for (i, j) in sorted(comp.squares):
+                parts.append(
+                    f'<rect x="{vx(i)}" y="{vy(j + 1)}" width="{px}" height="{px}" '
+                    f'fill="{fill}"/>'
+                )
 
     stroke_w = max(1, px // 8)
     if "edges" in spec.show:
@@ -139,17 +142,15 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
                     f'fill="#333333">{wx},{wy}</text>'
                 )
 
-    if "gains" in spec.show and labeling is not None and coloring is not None:
-        classified = square_colors(coloring)
-        if not isinstance(classified, list):
-            for comp in components_of_classes(classified, "corner"):
-                for curve in boundary_curves(comp):
-                    gx, gy = curve_gain(curve, labeling)
-                    first = curve.steps[0]
-                    parts.append(
-                        f'<text x="{vx(first.i) + px // 2}" y="{vy(first.j) + font}" '
-                        f'font-size="{font}" fill="#006600">g={gx},{gy}</text>'
-                    )
+    if "gains" in spec.show and labeling is not None:
+        for comp in comps:
+            for curve in boundary_curves(comp):
+                gx, gy = curve_gain(curve, labeling)
+                first = curve.steps[0]
+                parts.append(
+                    f'<text x="{vx(first.i) + px // 2}" y="{vy(first.j) + font}" '
+                    f'font-size="{font}" fill="#006600">g={gx},{gy}</text>'
+                )
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -62,7 +62,8 @@ class BudgetExceeded(ValueError):
 
     The message is "budget exceeded", and `progress` says in one line how
     far the search got. The plain engine stops before its first leaf when
-    its `leaves` pass the budget. The pruned engine stops on the first node
+    its `leaves` pass the budget; a count too long to write out is the
+    power "b^e" instead of an int. The pruned engine stops on the first node
     past it, while placing row-major cell `cell`; of the `domain` values
     cell 1, the first free cell, had after the base cell was placed,
     `explored` were fully searched.
@@ -490,15 +491,32 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     return part
 
 
+# A plain leaf count past this many is reported as a power, "b^e".
+_LONG_COUNT = 10**18
+
+
+def _power_upto(base: int, exponent: int, cap: int) -> int | None:
+    """base**exponent, or None once the product passes `cap`. The product is
+    built one factor at a time, so a count past the budget is refused after
+    about log(cap) multiplications, however large its exponent."""
+    power = 1
+    for _ in range(exponent if base > 1 else 0):
+        power *= base
+        if power > cap:
+            return None
+    return power
+
+
 def run_search(spec: SearchSpec) -> SearchReport:
     """Run the configured engine and assemble the final report."""
     start = time.perf_counter()
     n = spec.n
     free = n * n - 1
     if spec.engine == PLAIN:
-        leaves = (2 * spec.bound + 1) ** (2 * free)
-        if leaves > spec.budget:
-            raise BudgetExceeded(spec.budget, leaves=leaves)
+        base, exponent = 2 * spec.bound + 1, 2 * free
+        leaves = _power_upto(base, exponent, max(spec.budget, _LONG_COUNT))
+        if leaves is None or leaves > spec.budget:
+            raise BudgetExceeded(spec.budget, leaves=leaves or f"{base}^{exponent}")
     part = _plain_scan(spec) if spec.engine == PLAIN else _pruned_scan(spec)
     elapsed = time.perf_counter() - start
     return SearchReport(

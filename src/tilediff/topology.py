@@ -1,11 +1,12 @@
 """Topology of colored squares on the n-torus.
 
 Components are maximal monochromatic connected square sets (corner contact
-counts as connected by default). Their boundaries decompose into simple
-closed edge curves; curves carry gains (cocycle sums) and winding classes
-(computed by lifting to the plane, independent of any cocycle). The image of
-a component's loops in the torus fundamental group is computed from its
-square-adjacency graph with deck displacements.
+counts as connected by default); one flood fill finds them and their
+edge-connected pieces. Their boundaries, the sides of their squares that
+face out, decompose into simple closed edge curves; curves carry gains
+(cocycle sums) and winding classes (by lifting to the plane, independent of
+any cocycle). The image of a component's loops in the torus fundamental
+group is a `diffset.LatticeSpan`, from its deck-labeled square adjacencies.
 
 Boundary convention ("split"): at a vertex where four boundary edges meet,
 incoming and outgoing edges pair by maximal left turn, keeping the component
@@ -24,10 +25,10 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple
 
 from .model import Vec, vadd, vneg, vsub
-from .diffset import lattice_span
+from .diffset import LatticeSpan, lattice_span
 
 # The audit lives in `diffset`, so a program that only checks configurations
 # never runs this module. The name stays bound here because the benchmark's
@@ -116,27 +117,39 @@ def _neighbors(square: Vec, n: int, mode: str):
         yield ((i + dx) % n, (j + dy) % n)
 
 
-def components_of_classes(sc: torus.SquareClasses, mode: str = "corner") -> list[Component]:
-    """Partition all squares into maximal same-class connected sets."""
-    n = sc.n
+def _flood_fill(squares: Iterable[Vec], n: int, mode: str, key: Callable) -> list[tuple]:
+    """Split `squares` into maximal connected sets of one key each, as
+    (key, set) pairs in order of their smallest square. A neighbour joins
+    when its key is the start's, so a `key` that tests membership in
+    `squares` keeps every set inside them."""
     seen: set[Vec] = set()
-    out: list[Component] = []
-    for start in sorted((i, j) for i in range(n) for j in range(n)):
+    out = []
+    for start in sorted(squares):
         if start in seen:
             continue
-        color = sc.at(*start)
+        k = key(start)
         blob = {start}
         frontier = [start]
         seen.add(start)
         while frontier:
             sq = frontier.pop()
             for nb in _neighbors(sq, n, mode):
-                if nb not in seen and sc.at(*nb) == color:
+                if nb not in seen and key(nb) == k:
                     seen.add(nb)
                     blob.add(nb)
                     frontier.append(nb)
-        out.append(Component(n, color, frozenset(blob), mode))
+        out.append((k, frozenset(blob)))
     return out
+
+
+def components_of_classes(sc: torus.SquareClasses, mode: str = "corner") -> list[Component]:
+    """Partition all squares into maximal same-class connected sets."""
+    n = sc.n
+    squares = ((i, j) for i in range(n) for j in range(n))
+    return [
+        Component(n, color, blob, mode)
+        for color, blob in _flood_fill(squares, n, mode, lambda sq: sc.classes[sq[0]][sq[1]])
+    ]
 
 
 def components(ec: torus.EdgeColoring, mode: str = "corner") -> list[Component]:
@@ -154,18 +167,18 @@ def boundary_steps(component: Component) -> list[Step]:
     n = component.n
     inside = component.squares
     steps = []
-    for i in range(n):
-        for j in range(n):
-            # Horizontal edge (i, j): square above is (i, j), below is (i, j-1).
-            above = (i, j) in inside
-            below = (i, (j - 1) % n) in inside
-            if above != below:
-                steps.append(Step("h", i, j, above))
-            # Vertical edge (i, j): square right is (i, j), left is (i-1, j).
-            right = (i, j) in inside
-            left = ((i - 1) % n, j) in inside
-            if right != left:
-                steps.append(Step("v", i, j, left))
+    for (i, j) in inside:
+        # Sides: bottom h(i, j), top h(i, j+1), left v(i, j), right v(i+1, j).
+        # A side is on the boundary when the square across it is outside.
+        up, right = (j + 1) % n, (i + 1) % n
+        if (i, (j - 1) % n) not in inside:
+            steps.append(Step("h", i, j, True))
+        if (i, up) not in inside:
+            steps.append(Step("h", i, up, False))
+        if ((i - 1) % n, j) not in inside:
+            steps.append(Step("v", i, j, False))
+        if (right, j) not in inside:
+            steps.append(Step("v", right, j, True))
     return sorted(steps)
 
 
@@ -248,86 +261,49 @@ def homotopy_class(curve: Curve) -> Vec:
     return (tx // curve.n, ty // curve.n)
 
 
-@dataclass(frozen=True)
-class Pi1Image:
-    """Image of a component's loops in the torus fundamental group Z^2,
-    canonicalized like a lattice span."""
+def pi1_image(component: Component) -> LatticeSpan:
+    """Subgroup of Z^2 realized by loops inside the component.
 
-    rank: int
-    basis: tuple[Vec, ...]
-    index: Optional[int]
-
-
-def _deck_adjacencies(component: Component):
-    """Square adjacencies of the component over the 8-neighbourhood, each with
-    its deck displacement (the per-coordinate wrap carry).
-
+    A spanning tree of the component's square adjacencies, each with its deck
+    displacement (the per-coordinate wrap carry), assigns each square a
+    planar lift; every non-tree adjacency contributes its period (lift
+    mismatch), and the canonical span of the periods is the image. The
+    Hermite basis is unique, so the order the tree grows in does not matter.
     Corner contacts are part of the underlying point set whatever the
-    discovery mode, so the offsets are always the full 8-neighbourhood.
+    discovery mode, so adjacency is always over the full 8-neighbourhood.
     """
     n = component.n
     inside = component.squares
-    for (i, j) in sorted(inside):
-        for dx, dy in _CORNER_OFFSETS:
-            ri, rj = i + dx, j + dy
-            target = (ri % n, rj % n)
-            if target in inside:
-                # ri, rj lie in [-1, n]; floor division is the wrap carry.
-                yield (i, j), target, (ri // n, rj // n)
-
-
-def pi1_image(component: Component) -> Pi1Image:
-    """Subgroup of Z^2 realized by loops inside the component.
-
-    A spanning tree of the deck-labeled adjacency graph assigns each square a
-    planar lift; every non-tree adjacency contributes its period (lift
-    mismatch), and the canonical span of the periods is the image.
-    """
-    n = component.n
-    squares = sorted(component.squares)
-    adj: dict[Vec, list[tuple[Vec, Vec]]] = {s: [] for s in squares}
-    for src, dst, carry in _deck_adjacencies(component):
-        adj[src].append((dst, carry))
-    root = squares[0]
+    root = min(inside)
     lift: dict[Vec, Vec] = {root: (0, 0)}
-    queue = [root]
+    stack = [root]
     periods: list[Vec] = []
-    while queue:
-        src = queue.pop(0)
-        for dst, carry in adj[src]:
-            shifted = vadd(lift[src], carry)
+    while stack:
+        src = stack.pop()
+        for dx, dy in _CORNER_OFFSETS:
+            ri, rj = src[0] + dx, src[1] + dy
+            dst = (ri % n, rj % n)
+            if dst not in inside:
+                continue
+            # ri, rj lie in [-1, n]; floor division is the wrap carry.
+            shifted = vadd(lift[src], (ri // n, rj // n))
             if dst not in lift:
                 lift[dst] = shifted
-                queue.append(dst)
+                stack.append(dst)
             else:
                 period = vsub(shifted, lift[dst])
                 if period != (0, 0):
                     periods.append(period)
-    if len(lift) != len(squares):
+    if len(lift) != len(inside):
         raise ValueError("component not connected on the torus")
-    span = lattice_span(periods)
-    return Pi1Image(span.rank, span.basis, span.index)
+    return lattice_span(periods)
 
 
 def interiors_decomposition(component: Component) -> list[Component]:
     """Maximal edge-connected pieces of the component (its connected-interior
     parts, which meet each other only at corner pinches)."""
-    n = component.n
     inside = component.squares
-    seen: set[Vec] = set()
-    pieces = []
-    for start in sorted(inside):
-        if start in seen:
-            continue
-        blob = {start}
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            sq = frontier.pop()
-            for nb in _neighbors(sq, n, "edge"):
-                if nb in inside and nb not in seen:
-                    seen.add(nb)
-                    blob.add(nb)
-                    frontier.append(nb)
-        pieces.append(Component(n, component.color, frozenset(blob), "edge"))
-    return pieces
+    return [
+        Component(component.n, component.color, blob, "edge")
+        for _, blob in _flood_fill(inside, component.n, "edge", inside.__contains__)
+    ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .model import FileFormatError, TileConfig, Vec, validate, vsub, _content_lines
+from .model import FileFormatError, TileConfig, Vec, validate, vsub, _content_lines, _parse_int
 
 WHITE = "white"
 RED = "red"
@@ -65,9 +65,11 @@ class EdgeColoring:
 def vertex_labels(config: TileConfig) -> VertexLabeling:
     """Extended vertex labels of a normalized configuration.
 
-    Interior vertices carry their cell's translate; the right seam column
-    carries column 0's translates shifted by (-1, 0), the top seam row
-    carries row 0's shifted by (0, -1), and the far corner is (-1, -1).
+    Vertex (i, j) of the (n+1) x (n+1) grid is cell c = (i mod n, j mod n)
+    moved by e = (i div n, j div n), so it carries the lift
+    U(c + n*e) = u(c) - e: the right seam column repeats column 0 shifted by
+    (-1, 0), the top seam row repeats row 0 shifted by (0, -1), and the far
+    corner is (-1, -1).
     """
     problems = validate(config)
     if problems:
@@ -75,20 +77,10 @@ def vertex_labels(config: TileConfig) -> VertexLabeling:
     if not config.is_normalized:
         raise ValueError("config not normalized")
     n = config.n
-    cols = []
-    for i in range(n + 1):
-        col = []
-        for j in range(n + 1):
-            if i < n and j < n:
-                col.append(config.u(i, j))
-            elif i == n and j < n:
-                col.append(vsub(config.u(0, j), (1, 0)))
-            elif i < n and j == n:
-                col.append(vsub(config.u(i, 0), (0, 1)))
-            else:
-                col.append((-1, -1))
-        cols.append(tuple(col))
-    return VertexLabeling(n, tuple(cols))
+    return VertexLabeling(n, tuple(
+        tuple(vsub(config.u(i % n, j % n), (i // n, j // n)) for j in range(n + 1))
+        for i in range(n + 1)
+    ))
 
 
 def edge_labels(vl: VertexLabeling) -> EdgeLabeling:
@@ -246,10 +238,7 @@ def parse_coloring(text: str) -> EdgeColoring:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
         raise FileFormatError(line_no, f"expected 'n <N>', got {header!r}")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise FileFormatError(line_no, f"expected integer, got {parts[1]!r}") from None
+    n = _parse_int(parts[1], line_no)
     if n < 1:
         raise FileFormatError(line_no, "non-positive n")
     seen: dict[tuple[str, int, int], str] = {}
@@ -258,10 +247,7 @@ def parse_coloring(text: str) -> EdgeColoring:
         if len(parts) != 4 or parts[0] not in ("h", "v"):
             raise FileFormatError(line_no, f"expected 'h|v <i> <j> <color>', got {line!r}")
         kind = parts[0]
-        try:
-            i, j = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FileFormatError(line_no, "expected integer indices") from None
+        i, j = _parse_int(parts[1], line_no), _parse_int(parts[2], line_no)
         if not (0 <= i < n and 0 <= j < n):
             raise FileFormatError(line_no, f"edge ({i},{j}) out of range for n={n}")
         color = parts[3]

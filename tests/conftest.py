@@ -1,7 +1,8 @@
 """Shared generators for randomized property tests (seeded, deterministic),
 the brute-force offset rule, the from-scratch plain search, the line-by-line
 config parser, the per-cell scan of a cover's integer difference points, the
-cocycle and pinch-graph helpers only the tests call, and the subprocess
+full-grid scan of a component's boundary, the cocycle and pinch-graph
+helpers only the tests call, and the subprocess
 runner for the command-line tests."""
 
 from __future__ import annotations
@@ -227,6 +228,28 @@ def pinch_graph_is_forest(component: Component) -> bool:
     # The piece multigraph of a connected component is connected, so it is a
     # forest exactly when it is a tree.
     return edges == len(pieces) - 1
+
+
+def boundary_steps_oracle(component: Component) -> list[Step]:
+    """The component's boundary steps by a scan of all 2n^2 torus edges: an
+    edge is a step when exactly one of its two squares is inside, oriented
+    with that square on the left."""
+    n = component.n
+    inside = component.squares
+    steps = []
+    for i in range(n):
+        for j in range(n):
+            # Horizontal edge (i, j): square above is (i, j), below is (i, j-1).
+            above = (i, j) in inside
+            below = (i, (j - 1) % n) in inside
+            if above != below:
+                steps.append(Step("h", i, j, above))
+            # Vertical edge (i, j): square right is (i, j), left is (i-1, j).
+            right = (i, j) in inside
+            left = ((i - 1) % n, j) in inside
+            if right != left:
+                steps.append(Step("v", i, j, left))
+    return sorted(steps)
 
 
 def _content_lines(text: str):

@@ -448,6 +448,16 @@ def test_plain_search_over_budget_says_how_many_leaves(workdir):
     )
 
 
+def test_plain_search_over_budget_names_a_long_count_as_a_power(workdir):
+    # 3^9246 has more digits than int's string conversion allows.
+    result = run_cli(["search", "--n", "68", "--bound", "1", "--engine", "plain"], workdir)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (
+        "plain search would visit 3^9246 leaves, over the budget of 2000000\n"
+        "error: budget exceeded\n"
+    )
+
+
 def test_search_with_oversize_tables_fails_fast(workdir):
     result = run_cli(["search", "--n", "3", "--bound", "120"], workdir)
     assert (result.returncode, result.stdout) == (1, "")

@@ -34,7 +34,7 @@ EXPORTS = {
         "vertex_labels",
     ),
     "topology": (
-        "Component", "Curve", "Pi1Image", "Step", "boundary_curves", "components",
+        "Component", "Curve", "Step", "boundary_curves", "components",
         "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
         "pi1_image",
     ),

@@ -32,6 +32,7 @@ from tilediff.search import (
     _constraint_table,
     _narrow,
     _plain_scan,
+    _power_upto,
     _value_range,
 )
 
@@ -327,6 +328,27 @@ def test_budget_guard_plain():
     with pytest.raises(BudgetExceeded, match="^budget exceeded$") as stop:
         run_search(SearchSpec(n=3, bound=1, engine="plain"))
     assert (stop.value.leaves, stop.value.nodes) == (9 ** 8, 2_000_000)
+
+
+@pytest.mark.parametrize(
+    "n, bound, leaves",
+    [(3, 2, 5**16), (5, 1, "3^48"), (68, 1, "3^9246"), (40, 12, "25^3198")],
+)
+def test_budget_guard_plain_names_a_long_count_as_a_power(n, bound, leaves):
+    # Counts up to 10^18 are written out; 3^9246 and 25^3198 are past the
+    # 4,300 digits `str` converts.
+    with pytest.raises(BudgetExceeded, match="^budget exceeded$") as stop:
+        run_search(SearchSpec(n=n, bound=bound, engine="plain"))
+    assert stop.value.leaves == leaves
+    assert stop.value.progress == (
+        f"plain search would visit {leaves} leaves, over the budget of 2000000"
+    )
+
+
+def test_leaf_count_stops_multiplying_once_past_the_cap():
+    # 3^199999998 (n = 10,000, bound 1) has about 95 million digits.
+    assert _power_upto(3, 199_999_998, 2_000_000) is None
+    assert _power_upto(3, 16, 3**16) == 3**16
 
 
 def test_budget_guard_pruned():

@@ -7,6 +7,7 @@ import pytest
 from tilediff import (
     AxesCheck,
     Component,
+    LatticeSpan,
     Curve,
     Step,
     TileConfig,
@@ -32,6 +33,7 @@ from tilediff.topology import boundary_steps
 from conftest import (
     band_coloring,
     block_coloring,
+    boundary_steps_oracle,
     column_loop,
     pinch_graph_is_forest,
     product_labeling,
@@ -168,6 +170,20 @@ def test_boundary_edges_of_legal_components_are_white():
                 assert grid[step.i][step.j] == WHITE
 
 
+def test_boundary_steps_match_the_full_grid_scan():
+    # Sides of the component's own squares against every torus edge; at
+    # n = 1 and n = 2 a square's opposite sides wrap onto one edge or onto
+    # edges shared with the same neighbour.
+    rng = random.Random(87)
+    for n in range(1, 9):
+        for mode in ("corner", "edge"):
+            for _ in range(12):
+                classes = random_square_classes(rng, n, (RED, BLUE, WHITE))
+                for comp in components_of_classes(classes, mode):
+                    assert boundary_steps(comp) == boundary_steps_oracle(comp), (
+                        n, mode, sorted(comp.squares))
+
+
 def test_curve_gain_row_and_column_loops():
     rng = random.Random(77)
     for _ in range(25):
@@ -226,9 +242,7 @@ def test_pi1_full_torus_rank_two():
 
 def test_pi1_band_rank_one():
     comp = Component(4, RED, frozenset((i, 1) for i in range(4)), "corner")
-    image = pi1_image(comp)
-    assert image.rank == 1
-    assert image.basis == ((1, 0),)
+    assert pi1_image(comp) == LatticeSpan(1, ((1, 0),), None)
 
 
 def test_interiors_decomposition_examples():
@@ -240,32 +254,38 @@ def test_interiors_decomposition_examples():
     assert len(interiors_decomposition(plus)) == 1
 
 
-def _pi1_by_dfs_from_other_root(comp):
-    # Independent spanning-tree computation: DFS from the largest square,
-    # periods collected the same way. The resulting subgroup must not depend
-    # on traversal or root (gauge invariance of the period construction).
-    from tilediff import lattice_span
-    from tilediff.topology import _deck_adjacencies
+def _pi1_by_bfs_from_other_root(comp):
+    # Independent spanning-tree computation: BFS from the largest square,
+    # with its own deck-displacement walk, periods collected the same way.
+    # The resulting subgroup must not depend on traversal or root (gauge
+    # invariance of the period construction).
+    from collections import deque
 
-    squares = sorted(comp.squares, reverse=True)
-    adj = {s: [] for s in squares}
-    for src, dst, carry in _deck_adjacencies(comp):
-        adj[src].append((dst, carry))
-    root = squares[0]
+    from tilediff import lattice_span
+
+    n = comp.n
+    inside = comp.squares
+    root = max(inside)
     lift = {root: (0, 0)}
-    stack = [root]
+    queue = deque([root])
     periods = []
-    while stack:
-        src = stack.pop()
-        for dst, (cx, cy) in adj[src]:
-            shifted = (lift[src][0] + cx, lift[src][1] + cy)
-            if dst not in lift:
-                lift[dst] = shifted
-                stack.append(dst)
-            else:
-                period = (shifted[0] - lift[dst][0], shifted[1] - lift[dst][1])
-                if period != (0, 0):
-                    periods.append(period)
+    while queue:
+        src = queue.popleft()
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                # Unwrapped neighbour; the carry is how many tori it crossed.
+                ui, uj = src[0] + dx, src[1] + dy
+                dst = (ui % n, uj % n)
+                if (dx, dy) == (0, 0) or dst not in inside:
+                    continue
+                shifted = (lift[src][0] + ui // n, lift[src][1] + uj // n)
+                if dst not in lift:
+                    lift[dst] = shifted
+                    queue.append(dst)
+                else:
+                    period = (shifted[0] - lift[dst][0], shifted[1] - lift[dst][1])
+                    if period != (0, 0):
+                        periods.append(period)
     return lattice_span(periods)
 
 
@@ -275,7 +295,7 @@ def test_pi1_image_is_tree_independent():
         n = rng.randint(2, 7)
         for comp in components_of_classes(random_square_classes(rng, n), "corner"):
             image = pi1_image(comp)
-            alt = _pi1_by_dfs_from_other_root(comp)
+            alt = _pi1_by_bfs_from_other_root(comp)
             assert (alt.rank, alt.basis, alt.index) == (
                 image.rank,
                 image.basis,

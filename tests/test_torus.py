@@ -231,3 +231,20 @@ def test_coloring_parse_errors():
         parse_coloring("n 1\nh 0 0 red\nv 0 0 green\n")
     with pytest.raises(FileFormatError):
         parse_coloring("n 1\nh 0 0 red\nh 0 0 red\nv 0 0 blue\n")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("n 1_0\n", "line 1: expected integer, got '1_0'"),
+        ("n 1\nh 0_0 0 white\nv 0 0 white\n", "line 2: expected integer, got '0_0'"),
+    ],
+    ids=["size", "index"],
+)
+def test_coloring_integers_are_plain_decimal(text, error):
+    # The config parser's rule: `int` alone would read "1_0" as 10.
+    from tilediff.model import FileFormatError
+
+    with pytest.raises(FileFormatError) as exc:
+        parse_coloring(text)
+    assert str(exc.value) == error
