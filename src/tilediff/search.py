@@ -17,11 +17,12 @@ Two engines: `plain` enumerates every full assignment depth first and
 serves as the oracle. It evaluates each forward pair once per prefix, at the
 later of its two cells, and checks each valid leaf and the first leaf of
 each witness vector against `difference_set`. `pruned` does forward
-checking (Haralick & Elliott 1980) in static row-major order. Each free cell
-keeps a bitmask domain over the value range. Placing a cell ANDs the
-closed-form mask above into the domain of every later cell it touches, and a
-domain that empties cuts the subtree. A leaf the pruned engine reaches is
-therefore a valid configuration, and the engines agree exactly.
+checking (Haralick & Elliott 1980) in the static diagonal order of
+`_search_order`. Each free cell keeps a bitmask domain over the value range.
+Placing a cell ANDs the closed-form mask above into the domain of every
+later cell it touches, and a domain that empties cuts the subtree. A leaf
+the pruned engine reaches is therefore a valid configuration, and the
+engines agree exactly.
 
 Both engines run in one process and stop on the first node past the
 budget. `jobs` is accepted and validated, but the report does not depend on
@@ -64,9 +65,10 @@ class BudgetExceeded(ValueError):
     far the search got. The plain engine stops before its first leaf when
     its `leaves` pass the budget; a count too long to write out is the
     power "b^e" instead of an int. The pruned engine stops on the first node
-    past it, while placing row-major cell `cell`; of the `domain` values
-    cell 1, the first free cell, had after the base cell was placed,
-    `explored` were fully searched.
+    past it, while placing cell `cell`; of the `domain` values cell `first`,
+    the first free cell of its order, had after the base cell was placed,
+    `explored` were fully searched. Both cells are named by their row-major
+    index.
     """
 
     def __init__(self, nodes: int, cell: int = 0, leaves: int = 0):
@@ -74,6 +76,7 @@ class BudgetExceeded(ValueError):
         self.nodes = nodes
         self.cell = cell
         self.leaves = leaves
+        self.first = 0
         self.explored = 0
         self.domain = 0
 
@@ -82,7 +85,7 @@ class BudgetExceeded(ValueError):
         if self.leaves:
             return f"plain search would visit {self.leaves} leaves, over the budget of {self.nodes}"
         return (f"search stopped after {self.nodes} nodes, placing cell {self.cell}; "
-                f"cell 1 fully explored {self.explored} of {self.domain} values")
+                f"cell {self.first} fully explored {self.explored} of {self.domain} values")
 
 
 class _SearchSpecFields(NamedTuple):
@@ -168,21 +171,40 @@ def _swap_position(k: int, n: int) -> int:
     return j * n + i
 
 
+@functools.lru_cache(maxsize=64)
+def _search_order(n: int) -> tuple[int, ...]:
+    """The row-major cells in the pruned engine's placement order: by
+    diagonal (i + j) mod n, then by i, so the base cell (0, 0) comes first.
+
+    Each diagonal is a closed king loop around the torus, so placing one
+    diagonal after another closes loops, and wipes out domains, sooner than
+    row-major order does. Cached per n, like `_forward_pairs`.
+    """
+    return tuple(sorted(range(n * n), key=lambda k: ((k // n + k % n) % n, k // n)))
+
+
+@functools.lru_cache(maxsize=64)
+def _search_position(n: int) -> tuple[int, ...]:
+    """The inverse of `_search_order(n)`: the position of each row-major
+    cell in the placement order."""
+    return tuple(sorted(range(n * n), key=_search_order(n).__getitem__))
+
+
 # Lexicographic-leader scan outcomes for the x<->y swap quotient.
 _PRUNE, _UNDECIDED, _CANONICAL, _FIXED = range(4)
 
 
-def _lex_state(values: list, depth: int, n: int) -> int:
+def _lex_state(values: list, depth: int, swap: tuple[int, ...]) -> int:
     """Compare the partial assignment against its x<->y swap image.
 
-    values[0..depth] are assigned. Returns _PRUNE when every completion is
-    lexicographically greater than its swap (subtree safe to drop),
-    _CANONICAL when every completion is strictly smaller, _FIXED when the
-    full assignment equals its swap, and _UNDECIDED otherwise.
+    values[p] is the translate at position p of a scan order, and swap[p]
+    the position of the mirror image of that cell; values[0..depth] are
+    assigned. Returns _PRUNE when every completion is lexicographically
+    greater than its swap (subtree safe to drop), _CANONICAL when every
+    completion is strictly smaller, _FIXED when the full assignment equals
+    its swap, and _UNDECIDED otherwise.
     """
-    total = n * n
-    for k in range(total):
-        sk = _swap_position(k, n)
+    for k, sk in enumerate(swap):
         if k > depth or sk > depth:
             return _UNDECIDED
         mine = values[k]
@@ -225,6 +247,7 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
         else:
             groups[k2].append((k, -mx, -my))
     assigned: list[Vec] = [(0, 0)] * (last + 1)
+    swap = tuple(_swap_position(k, n) for k in range(last + 1)) if symmetry else ()
     part = _Partial()
     # Nodes still to visit, as (depth, value, parent's witness, settled). A
     # node is popped after its parent and before its parent's next sibling,
@@ -243,7 +266,7 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
                     witness = (x, y)
         orbit = 2 if symmetry else 1
         if symmetry and not settled:
-            state = _lex_state(assigned, depth, n)
+            state = _lex_state(assigned, depth, swap)
             if state == _PRUNE:
                 continue
             settled = state == _CANONICAL
@@ -268,23 +291,27 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
 
 @functools.lru_cache(maxsize=64)
 def _constraint_table(n: int):
-    """For each row-major cell position k, the later cells f that touch it
-    on the torus, as (f, offsets, mx, my): offsets are the admissible
-    offsets m of p_f - p_k (|p_f - p_k - m*n| <= 1 per axis), sorted with mx
-    outermost, and mx (my) is their single x (y) offset, or None when there
-    are several.
+    """For each position k of `_search_order(n)`, the later positions f
+    whose cells touch the cell at k on the torus, as (f, offsets, mx, my):
+    offsets are the admissible offsets m of p_f - p_k, for the cells p_f
+    and p_k at those positions (|p_f - p_k - m*n| <= 1 per axis), sorted
+    with mx outermost, and mx (my) is their single x (y) offset, or None
+    when there are several.
 
     The table depends on n alone, so it is built once per n and shared, as
     `_forward_pairs` is; it is all tuples, so no caller can change it.
 
-    Read in O(n^2) from the forward king pairs (k, k2, m) of
-    `_forward_pairs`: m is an offset of p_k - p_k2, so a pair with k2 < k
-    gives the link k2 -> k with offset m, one with k < k2 gives the link
-    k -> k2 with offset -m, and each offset of each linked pair comes from
-    exactly one forward pair. Self-pairs (n = 1) link nothing.
+    Read in O(n^2) from the forward king pairs (c, c2, m) of
+    `_forward_pairs`: m is an offset of p_c - p_c2. With the cells at
+    positions k and k2, a pair with k2 < k gives the link k2 -> k with
+    offset m, one with k < k2 gives the link k -> k2 with offset -m, and
+    each offset of each linked pair comes from exactly one forward pair.
+    Self-pairs (n = 1) link nothing.
     """
+    position = _search_position(n)
     grouped: list[dict[int, list[Vec]]] = [{} for _ in range(n * n)]
-    for k, k2, mx, my in _forward_pairs(n):
+    for c, c2, mx, my in _forward_pairs(n):
+        k, k2 = position[c], position[c2]
         if k2 < k:
             grouped[k2].setdefault(k, []).append((mx, my))
         elif k < k2:
@@ -307,10 +334,11 @@ class _Forward:
 
     Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
     _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
-    int whose bit i is set when value i is still allowed. later[k] lists
-    (f, masks) for each later cell f touching k, where masks[i] is the
-    domain of f allowed by cell k holding value i; earlier[f] lists
-    (k, offsets) for each earlier cell k touching f, in row-major order.
+    int whose bit i is set when value i is still allowed. Cells are named by
+    their position in `_search_order(n)`. later[k] lists (f, masks) for
+    each later cell f touching k, where masks[i] is the domain of f allowed
+    by cell k holding value i; earlier[f] lists (k, offsets) for each
+    earlier cell k touching f, in that order.
 
     The masks are built per axis. Against k at (qx, qy), the column
     x = qx - mx is one block of W bits and the row y = qy - my is a comb of
@@ -393,7 +421,7 @@ class _Forward:
 
 def _narrow(domains: list[int], links, i: int) -> int:
     """AND the masks of a cell holding value i into the domains of its later
-    neighbours, in row-major order; return the first neighbour whose domain
+    neighbours, in search order; return the first neighbour whose domain
     empties (the rest are left as they were), or -1."""
     for f, masks in links:
         allowed = domains[f] & masks[i]
@@ -404,9 +432,11 @@ def _narrow(domains: list[int], links, i: int) -> int:
 
 
 def _pruned_scan(spec: SearchSpec) -> _Partial:
-    """Forward-checking search in row-major order, each cell trying its
-    values in `_value_range` order. The walk keeps its own per-depth state,
-    so a search deeper than Python's recursion limit stops at its budget."""
+    """Forward-checking search in `_search_order`, each cell trying its
+    values in `_value_range` order. Depth d places the cell at position d,
+    and the configurations it reports are read back into row-major order.
+    The walk keeps its own per-depth state, so a search deeper than Python's
+    recursion limit stops at its budget."""
     n = spec.n
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
@@ -417,6 +447,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     fwd = _Forward(n, bound)
     later = fwd.later
     last = n * n - 1
+    order, position = _search_order(n), _search_position(n)
     assigned: list[Vec] = [(0, 0)] * (last + 1)
 
     def cut(depth: int, f: int):
@@ -424,7 +455,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         if witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
             translates[f] = (-bound, -bound)
-            config = model.TileConfig(n, tuple(translates))
+            config = model.TileConfig(n, tuple(translates[k] for k in position))
         _record_witness(part, fwd.witness(assigned, depth, f), config)
 
     domains, wiped = fwd.root()
@@ -432,6 +463,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
     values = _value_range(bound)
+    swap = tuple(position[_swap_position(c, n)] for c in order) if symmetry else ()
     # Per depth d: the domains with cells 0..d-1 placed, the values cell d
     # has still to try, and whether the swap order was settled above d.
     level: list[list[int]] = [domains] * (last + 1)
@@ -451,7 +483,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             nodes += 1
             assigned[depth] = values[i]
             if nodes > budget:
-                raise BudgetExceeded(budget, depth)
+                raise BudgetExceeded(budget, order[depth])
             child = level[depth][:]
             wiped = _narrow(child, later[depth], i)
             if wiped >= 0:
@@ -460,7 +492,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             orbit = 2 if symmetry else 1
             sub_settled = settled[depth]
             if symmetry and not sub_settled:
-                state = _lex_state(assigned, depth, n)
+                state = _lex_state(assigned, depth, swap)
                 if state == _PRUNE:
                     continue
                 if state == _CANONICAL:
@@ -468,7 +500,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 elif state == _FIXED:
                     orbit = 1  # self-symmetric leaf; scans always settle at leaves
             if depth == last:
-                config = model.TileConfig(n, tuple(assigned))
+                config = model.TileConfig(n, tuple(assigned[k] for k in position))
                 # Adjacent pairs carry every difference vector, so a reached
                 # leaf must be valid; cross-check against the full set.
                 if not diffset.axes_subset(diffset.difference_set(config)).on_axes:
@@ -480,10 +512,11 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 depth += 1
                 level[depth], remaining[depth], settled[depth] = child, child[depth], sub_settled
     except BudgetExceeded as stop:
-        # Cell 1 tries its values in index order, and assigned[1] holds the
-        # one under way when the budget ran out.
+        # The first free cell tries its values in index order, and
+        # assigned[1] holds the one under way when the budget ran out.
         qx, qy = assigned[1]
         under_way = (qx + bound) * fwd.width + qy + bound
+        stop.first = order[1]
         stop.explored = (domains[1] & (1 << under_way) - 1).bit_count()
         stop.domain = domains[1].bit_count()
         raise

@@ -1,12 +1,14 @@
 """Shared generators for randomized property tests (seeded, deterministic),
-the brute-force offset rule, the from-scratch plain search, the line-by-line
-config parser, the per-cell scan of a cover's integer difference points, the
-full-grid scan of a component's boundary, the cocycle and pinch-graph
-helpers only the tests call, and the subprocess
+the brute-force offset and domain rules, the from-scratch plain and pruned
+searches, the twisted lifts that give both engines valid configurations,
+the line-by-line config parser, the per-cell scan of a cover's integer
+difference points, the full-grid scan of a component's boundary, the
+cocycle and pinch-graph helpers only the tests call, and the subprocess
 runner for the command-line tests."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -29,7 +31,16 @@ from tilediff import (
     difference_set,
     interiors_decomposition,
 )
-from tilediff.search import _Partial, _record_witness, _swap_position, _value_range
+from tilediff.lift import _forward_pairs
+from tilediff.model import on_axes
+from tilediff.search import (
+    BudgetExceeded,
+    _Partial,
+    _record_witness,
+    _search_order,
+    _swap_position,
+    _value_range,
+)
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, EdgeLabeling
 from tilediff.topology import Curve, Step
 
@@ -100,6 +111,162 @@ def plain_scan_oracle(spec, difference_set=difference_set):
         else:
             _record_witness(part, check.witness, config if spec.witnesses else None)
     return part
+
+
+@functools.lru_cache(maxsize=None)
+def _passing(n, k, f, bound):
+    """The differences w = v - q of two translates in [-bound, bound]^2 for
+    which v - q + m lies on the axes for every admissible offset m of the
+    row-major cell pair (f, k), found by trying each w."""
+    offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
+    span = range(-2 * bound, 2 * bound + 1)
+    return tuple((wx, wy) for wx in span for wy in span
+                 if all(on_axes((wx + mx, wy + my)) for mx, my in offsets))
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_mask(bound, n, k, value, f):
+    """The mask of values of row-major cell f that keep every difference
+    vector against cell k, holding `value`, on the axes."""
+    index = {v: i for i, v in enumerate(_value_range(bound))}
+    qx, qy = value
+    mask = 0
+    for wx, wy in _passing(n, k, f, bound):
+        i = index.get((qx + wx, qy + wy))
+        if i is not None:
+            mask |= 1 << i
+    return mask
+
+
+def allowed_mask(bound, n, placed, f):
+    """Brute force: the mask of values of row-major cell f that keep every
+    difference vector against the placed cells {k: translate} on the axes."""
+    mask = (1 << (2 * bound + 1) ** 2) - 1
+    for k, value in placed.items():
+        mask &= _pair_mask(bound, n, k, value, f)
+    return mask
+
+
+def pruned_scan_oracle(spec):
+    """From-scratch oracle of the pruned engine at n >= 2: forward checking
+    in `_search_order(n)`, with each domain narrowed by the brute-force
+    `allowed_mask` of every placed cell and no closed-form mask.
+
+    It walks recursively, trying each cell's values in `_value_range` order.
+    Placing a cell narrows every later cell in order and cuts at the first
+    that empties; the cut's witness excludes the lowest value (-bound,
+    -bound) of that cell, from the first placed cell and admissible offset
+    that put it off the axes. Under `symmetry` a subtree is dropped when the
+    longest prefix of positions whose mirror positions are placed too
+    compares greater than its x<->y swap. Past `budget` nodes it raises
+    `BudgetExceeded` with the fields of the engine's progress line."""
+    n, bound = spec.n, spec.bound
+    order = _search_order(n)
+    last = n * n - 1
+    values = _value_range(bound)
+    swap = [order.index(_swap_position(c, n)) for c in order]
+    assigned = [(0, 0)] * (last + 1)  # by position
+    part = _Partial()
+    nodes = 0
+
+    def narrow(domains, depth):
+        for f in range(depth + 1, last + 1):
+            domains[f] &= _pair_mask(bound, n, order[depth], assigned[depth], order[f])
+            if not domains[f]:
+                return f
+        return -1
+
+    def cut(depth, f):
+        fi, fj = divmod(order[f], n)
+        vectors = (
+            (-bound - qx + mx, -bound - qy + my)
+            for (qx, qy), c in zip(assigned[: depth + 1], order)
+            for mx, my in admissible_offsets((fi - c // n, fj - c % n), n)
+        )
+        vector = next(w for w in vectors if not on_axes(w))
+        cells = {order[k]: assigned[k] for k in range(depth + 1)}
+        cells[order[f]] = (-bound, -bound)
+        config = TileConfig(n, tuple(cells.get(c, (0, 0)) for c in range(last + 1)))
+        _record_witness(part, vector, config if spec.witnesses else None)
+
+    def swap_order(depth):
+        known = next((p for p in range(last + 1) if p > depth or swap[p] > depth), last + 1)
+        mine = assigned[:known]
+        theirs = [(assigned[swap[p]][1], assigned[swap[p]][0]) for p in range(known)]
+        return (mine > theirs) - (mine < theirs), known > last
+
+    def visit(depth, domains, settled):
+        nonlocal nodes
+        for i, value in enumerate(values):
+            if not domains[depth] >> i & 1:
+                continue
+            nodes += 1
+            assigned[depth] = value
+            if nodes > spec.budget:
+                stop = BudgetExceeded(spec.budget, order[depth])
+                stop.first = order[1]
+                stop.domain = root[1].bit_count()
+                stop.explored = sum(root[1] >> j & 1 for j in range(values.index(assigned[1])))
+                raise stop
+            child = domains[:]
+            wiped = narrow(child, depth)
+            if wiped >= 0:
+                cut(depth, wiped)
+                continue
+            orbit, below = 1 + spec.symmetry, settled
+            if spec.symmetry and not settled:
+                sign, whole = swap_order(depth)
+                if sign > 0:
+                    continue
+                below = sign < 0
+                if sign == 0 and whole:
+                    orbit = 1
+            if depth < last:
+                visit(depth + 1, child, below)
+                continue
+            config = TileConfig(n, tuple(assigned[order.index(c)] for c in range(last + 1)))
+            assert axes_subset(difference_set(config)).on_axes
+            part.configs_enumerated += 1
+            part.valid_found += orbit
+            part.valid_configs.append(config)
+
+    root = [(1 << len(values)) - 1] * (last + 1)
+    root[0] = 1 << values.index((0, 0))
+    wiped = narrow(root, 0)
+    if wiped >= 0:
+        cut(0, wiped)
+    else:
+        visit(1, root, False)
+    part.nodes_visited = nodes
+    return part
+
+
+def twisted_lift(a):
+    """Test-side copies of the forward-pair table and of `difference_set`
+    for the lift U(c + n*e) = u(c) - A*e: a pair's vector becomes
+    u(k) - u(k2) + A*m. The paper's lift is A = I."""
+    (a11, a12), (a21, a22) = a
+
+    @functools.cache
+    def pairs(n):
+        return tuple((k, k2, a11 * mx + a12 * my, a21 * mx + a22 * my)
+                     for k, k2, mx, my in _forward_pairs(n))
+
+    def twisted_difference_set(config):
+        t = config.translates
+        return DiffSet(frozenset((t[k][0] - t[k2][0] + ax, t[k][1] - t[k2][1] + ay)
+                                 for k, k2, ax, ay in pairs(config.n)))
+
+    return pairs, twisted_difference_set
+
+
+# Singular twists with valid configurations, and their counts at (2, 1) and
+# (2, 2), found by brute force over every configuration.
+TWISTS = {
+    "zero": (((0, 0), (0, 0)), (53, 249)),
+    "diag10": (((1, 0), (0, 0)), (27, 125)),
+    "rank1": (((2, 0), (1, 0)), (1, 2)),
+}
 
 
 def cover_integer_diff_points_oracle(cover: CellCover) -> frozenset[Vec]:

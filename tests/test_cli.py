@@ -396,7 +396,7 @@ def test_each_subcommand_parser_is_built_once():
 
 # Calls that reuse one cached parser: a plain search with a small budget,
 # then one that must get the default engine and budget back ((4,1) tries
-# 53,654 nodes, past 5000), and a missing required argument between valid
+# 12,911 nodes, past 5000), and a missing required argument between valid
 # calls.
 CACHED_PARSER_ARGVS = [
     ["search", "--n", "2", "--bound", "1", "--engine", "plain", "--budget", "5000", "--json"],
@@ -419,11 +419,13 @@ def test_cached_parsers_match_the_full_parser_call_after_call(workdir, capsys, m
 
 
 def test_search_over_budget_says_how_far_it_got(workdir):
+    # Cells are named row-major: the first free cell of the diagonal order
+    # is (1,2), cell 5, and the tenth node places cell 1, (0,1).
     result = run_cli(["search", "--n", "3", "--bound", "1", "--budget", "10"], workdir)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        "search stopped after 10 nodes, placing cell 5; "
-        "cell 1 fully explored 1 of 5 values\n"
+        "search stopped after 10 nodes, placing cell 1; "
+        "cell 5 fully explored 1 of 5 values\n"
         "error: budget exceeded\n"
     )
 
@@ -433,8 +435,8 @@ def test_search_deeper_than_the_recursion_limit_stops_at_its_budget(workdir):
     result = run_cli(["search", "--n", "40", "--bound", "1", "--budget", "2000"], workdir)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        "search stopped after 2000 nodes, placing cell 1518; "
-        "cell 1 fully explored 0 of 5 values\n"
+        "search stopped after 2000 nodes, placing cell 1481; "
+        "cell 79 fully explored 0 of 5 values\n"
         "error: budget exceeded\n"
     )
 
@@ -462,7 +464,7 @@ def test_search_with_oversize_tables_fails_fast(workdir):
     result = run_cli(["search", "--n", "3", "--bound", "120"], workdir)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        "error: n=3 bound=120: the pruning tables would take 2412 MiB, "
+        "error: n=3 bound=120: the pruning tables would take 2814 MiB, "
         "over the 256 MiB limit\n"
     )
 

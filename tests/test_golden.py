@@ -80,6 +80,7 @@ def test_golden_analyze_and_search_corpora_are_present():
         "pruned-n2-b3",
         "pruned-n3-b2-symmetry",
         "pruned-n3-b2",
+        "pruned-n4-b2",
     ]
 
 

@@ -2,7 +2,6 @@
 forward-checking domains, the node budget, and reports that do not depend
 on the job count."""
 
-import functools
 import itertools
 import os
 import random
@@ -22,7 +21,6 @@ from tilediff import (
     search,
     verify_witnesses,
 )
-from tilediff.diffset import DiffSet, _forward_pairs
 from tilediff.model import TileConfig, normalize, on_axes
 from tilediff.search import (
     MASK_BYTES_LIMIT,
@@ -33,10 +31,20 @@ from tilediff.search import (
     _narrow,
     _plain_scan,
     _power_upto,
+    _search_order,
     _value_range,
 )
 
-from conftest import PACKAGE_ROOT, admissible_offsets, plain_scan_oracle, random_config
+from conftest import (
+    PACKAGE_ROOT,
+    TWISTS,
+    admissible_offsets,
+    allowed_mask,
+    plain_scan_oracle,
+    pruned_scan_oracle,
+    random_config,
+    twisted_lift,
+)
 
 
 def swap_xy(config: TileConfig) -> TileConfig:
@@ -230,34 +238,6 @@ def test_plain_scan_builds_one_difference_set_per_distinct_witness(monkeypatch):
     assert len(calls) == len(report.witness_counts) == 13
 
 
-def twisted_lift(a):
-    """Test-side copies of the forward-pair table and of `difference_set`
-    for the lift U(c + n*e) = u(c) - A*e: a pair's vector becomes
-    u(k) - u(k2) + A*m. The paper's lift is A = I."""
-    (a11, a12), (a21, a22) = a
-
-    @functools.cache
-    def pairs(n):
-        return tuple((k, k2, a11 * mx + a12 * my, a21 * mx + a22 * my)
-                     for k, k2, mx, my in _forward_pairs(n))
-
-    def twisted_difference_set(config):
-        t = config.translates
-        return DiffSet(frozenset((t[k][0] - t[k2][0] + ax, t[k][1] - t[k2][1] + ay)
-                                 for k, k2, ax, ay in pairs(config.n)))
-
-    return pairs, twisted_difference_set
-
-
-# Singular twists with valid configurations, and their counts at (2, 1) and
-# (2, 2), found by brute force over every configuration.
-TWISTS = {
-    "zero": (((0, 0), (0, 0)), (53, 249)),
-    "diag10": (((1, 0), (0, 0)), (27, 125)),
-    "rank1": (((2, 0), (1, 0)), (1, 2)),
-}
-
-
 @pytest.mark.parametrize("a, counts", TWISTS.values(), ids=TWISTS)
 def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, monkeypatch):
     pairs, twisted = twisted_lift(a)
@@ -290,6 +270,92 @@ def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
     fixed = [c for c in part.valid_configs if swap_xy(c) == c]
     assert 0 < len(fixed) < len(part.valid_configs)
     assert part == plain_scan_oracle(spec, twisted)
+
+
+@pytest.fixture
+def twist(monkeypatch):
+    """Install the twisted lift of a matrix A in both engines: the
+    forward-pair table, the difference set the leaves are checked against,
+    and the pruned engine's constraint table, which is rebuilt from the
+    patched pairs and again after the test."""
+
+    def install(a):
+        pairs, twisted = twisted_lift(a)
+        monkeypatch.setattr(search, "_forward_pairs", pairs)
+        monkeypatch.setattr(diffset, "difference_set", twisted)
+        _constraint_table.cache_clear()
+        return twisted
+
+    yield install
+    _constraint_table.cache_clear()
+
+
+def _with_swaps(configs):
+    return {c for config in configs for c in (config, swap_xy(config))}
+
+
+@pytest.mark.parametrize("name", ["zero", "diag10"])
+def test_pruned_scan_finds_the_valid_configurations_of_a_twisted_lift(name, twist):
+    # Both engines find the same valid configurations, each once, in their
+    # own orders. (rank1 is left out: at n = 2 its twisted offsets are not a
+    # product Mx x My, which the pruned tables assume.)
+    a, counts = TWISTS[name]
+    twist(a)
+    for bound, count in zip((1, 2), counts):
+        plain = run_search(SearchSpec(n=2, bound=bound, engine="plain"))
+        pruned = run_search(SearchSpec(n=2, bound=bound))
+        assert pruned.valid_found == len(pruned.valid_configs) == count
+        assert sorted(pruned.valid_configs) == sorted(plain.valid_configs)
+
+
+def test_pruned_symmetry_weights_valid_orbits_of_a_twisted_lift(twist):
+    # Under A = 0 each engine keeps one representative per swap orbit, the
+    # least in its own cell order, and both weights sum to the full count.
+    a, counts = TWISTS["zero"]
+    twist(a)
+    for bound, count in zip((1, 2), counts):
+        plain = run_search(SearchSpec(n=2, bound=bound, engine="plain", symmetry=True))
+        pruned = run_search(SearchSpec(n=2, bound=bound, symmetry=True))
+        full = run_search(SearchSpec(n=2, bound=bound))
+        assert plain.valid_found == pruned.valid_found == count
+        fixed = [c for c in pruned.valid_configs if swap_xy(c) == c]
+        assert 0 < len(fixed) < len(pruned.valid_configs) < count
+        assert _with_swaps(pruned.valid_configs) == _with_swaps(plain.valid_configs)
+        assert _with_swaps(pruned.valid_configs) == set(full.valid_configs)
+
+
+def test_pruned_scan_raises_at_a_leaf_difference_set_rejects(twist, monkeypatch):
+    # The engine narrows by the A = 0 table, and the leaf check builds the
+    # paper's set, for which no leaf is valid.
+    twist(TWISTS["zero"][0])
+    monkeypatch.setattr(diffset, "difference_set", difference_set)
+    with pytest.raises(AssertionError, match="reached an invalid leaf"):
+        run_search(SearchSpec(n=2, bound=1))
+
+
+@pytest.mark.parametrize(
+    "a, n, bound, symmetry, count",
+    [
+        (TWISTS["zero"][0], 3, 1, False, 13_121),
+        (TWISTS["diag10"][0], 3, 1, False, 6_639),
+        (((1, 1), (1, 1)), 4, 2, False, 12),
+        (((1, 1), (1, 1)), 4, 2, True, 12),
+        (((1, -1), (1, -1)), 4, 1, False, 12),
+    ],
+    ids=["zero-3-1", "diag10-3-1", "ones-4-2", "ones-4-2-symmetry", "antiones-4-1"],
+)
+def test_pruned_scan_counts_the_valid_configurations_of_a_twisted_lift(
+    a, n, bound, symmetry, count, twist
+):
+    # Past n = 2 the plain engine is over its budget; these counts agree
+    # with the row-major pruned engine. Every leaf reached is checked
+    # against the twisted difference set. The swap is a symmetry of
+    # [[1,1],[1,1]], since it commutes with the matrix.
+    twist(a)
+    report = run_search(SearchSpec(n=n, bound=bound, symmetry=symmetry))
+    assert report.valid_found == count
+    if not symmetry:
+        assert len(set(report.valid_configs)) == count
 
 
 def test_plain_two_grid_bound_zero():
@@ -352,8 +418,9 @@ def test_leaf_count_stops_multiplying_once_past_the_cap():
 
 
 def test_budget_guard_pruned():
+    # (3,1) takes 57 nodes.
     with pytest.raises(ValueError, match="budget exceeded"):
-        run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=100))
+        run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=50))
 
 
 def test_monotonicity_in_bound():
@@ -403,12 +470,15 @@ def test_parallel_matches_sequential():
 
 
 def test_parallel_split_over_surviving_first_values():
-    # The first free cell keeps only the values that the base cell allows
-    # (axis values at (3,2)), and a jobs=3 report equals the sequential one.
+    # The first free cell, (1,2) at n = 3, keeps only the values that the
+    # base cell allows: the cross x = 0 or y = -1 at (3,2), since the pair
+    # wraps in y. A jobs=3 report equals the sequential one.
     domains, wiped = _Forward(3, 2).root()
     assert wiped < 0
+    assert _search_order(3)[1] == 5
+    assert domains[1] == allowed_mask(2, 3, {0: (0, 0)}, 5)
     first = [v for i, v in enumerate(_value_range(2)) if domains[1] >> i & 1]
-    assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == 0]
+    assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == -1]
     spec = SearchSpec(n=3, bound=2, engine="pruned", witnesses=True, symmetry=True)
     seq = run_search(spec)
     par = run_search(SearchSpec(n=3, bound=2, engine="pruned", witnesses=True,
@@ -470,45 +540,16 @@ def test_pruned_leaves_match_plain_validity_semantics():
     assert pruned.configs_enumerated == len(pruned.valid_configs) == 0
 
 
-@functools.lru_cache(maxsize=None)
-def _passing(n, k, f, bound):
-    """Brute force: the differences w = v - q of two translates in
-    [-bound, bound]^2 for which v - q + m lies on the axes for every
-    admissible offset m of the cell pair (f, k), found by trying each w."""
-    offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
-    span = range(-2 * bound, 2 * bound + 1)
-    return tuple((wx, wy) for wx in span for wy in span
-                 if all(on_axes((wx + mx, wy + my)) for mx, my in offsets))
-
-
-@functools.lru_cache(maxsize=None)
-def _value_index(bound):
-    return {v: i for i, v in enumerate(_value_range(bound))}
-
-
-def _allowed(bound, n, placed, f):
-    """Brute force: the mask of values of cell f that keep every difference
-    vector against the placed cells {k: translate} on the axes."""
-    index = _value_index(bound)
-    mask = (1 << len(index)) - 1
-    for k, (qx, qy) in placed.items():
-        passing = 0
-        for wx, wy in _passing(n, k, f, bound):
-            i = index.get((qx + wx, qy + wy))
-            if i is not None:
-                passing |= 1 << i
-        mask &= passing
-    return mask
-
-
 def _admissible_links(n):
     """Brute force: the constraint table from the offset rule on every pair
-    of cells k < f, in row-major order."""
+    of positions k < f of the search order."""
+    order = _search_order(n)
     table = []
-    for k in range(n * n):
+    for k, ck in enumerate(order):
         links = []
         for f in range(k + 1, n * n):
-            offsets = admissible_offsets((f // n - k // n, f % n - k % n), n)
+            cf = order[f]
+            offsets = admissible_offsets((cf // n - ck // n, cf % n - ck % n), n)
             if offsets:
                 mxs = {mx for mx, _ in offsets}
                 mys = {my for _, my in offsets}
@@ -542,10 +583,11 @@ def test_constraint_table_is_cached_and_read_only():
 
 
 def test_oversize_tables_fail_before_any_mask_is_built():
-    # (3,120) would need about 2.4 GB of cross-class masks.
+    # (3,120) would need about 2.8 GB of cross-class masks: 7 classes of
+    # 402 MiB each.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^n=3 bound=120: .* 2412 MiB, over the 256 MiB limit$"):
+        with pytest.raises(ValueError, match=r"^n=3 bound=120: .* 2814 MiB, over the 256 MiB limit$"):
             run_search(SearchSpec(n=3, bound=120))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -561,17 +603,18 @@ def test_no_benchmark_or_golden_search_reaches_the_table_limit():
 
 
 def test_budget_stop_counts_cell_one_values_as_the_budget_grows():
-    # Cell 1's domain is what the base cell at (0, 0) allows; a larger
-    # budget never finishes fewer of its values, and the last node leaves
-    # only the last value unfinished.
-    domain = _allowed(1, 3, {0: (0, 0)}, 1).bit_count()
+    # The first free cell's domain is what the base cell at (0, 0) allows;
+    # a larger budget never finishes fewer of its values, and the last node
+    # leaves only the last value unfinished.
+    first = _search_order(3)[1]
+    domain = allowed_mask(1, 3, {0: (0, 0)}, first).bit_count()
     total = run_search(SearchSpec(n=3, bound=1)).nodes_visited
     explored = []
     for budget in range(1, total):
         with pytest.raises(BudgetExceeded, match="^budget exceeded$") as stop:
             run_search(SearchSpec(n=3, bound=1, budget=budget))
         assert stop.value.nodes == budget
-        assert stop.value.domain == domain
+        assert (stop.value.first, stop.value.domain) == (first, domain)
         explored.append(stop.value.explored)
     assert explored == sorted(explored)
     assert (explored[0], explored[-1]) == (0, domain - 1)
@@ -581,22 +624,25 @@ def test_closed_form_masks_match_brute_force():
     # Every torus-adjacent pair (so every offset class) at n <= 5, b <= 3,
     # and at n = 2 every bound the benchmark times (widths 1 to 25), where
     # the classes are row-only, column-only and empty: the mask equals the
-    # per-pair rule for every value of the earlier cell.
+    # per-pair rule for every value of the earlier cell. Tables name cells
+    # by search position.
     cases = [(n, bound) for n in range(1, 6) for bound in range(4)]
     cases += [(2, bound) for bound in range(4, 13)]
     for n, bound in cases:
         fwd = _Forward(n, bound)
         values = _value_range(bound)
-        for k in range(n * n):
+        order = _search_order(n)
+        for k, ck in enumerate(order):
             links = dict(fwd.later[k])
             for f in range(k + 1, n * n):
-                d = (f // n - k // n, f % n - k % n)
+                cf = order[f]
+                d = (cf // n - ck // n, cf % n - ck % n)
                 assert (f in links) == bool(admissible_offsets(d, n)), (n, k, f)
                 if f not in links:
                     continue
                 assert len(links[f]) == len(values), (n, bound, k, f)
                 for i, value in enumerate(values):
-                    expected = _allowed(bound, n, {k: value}, f)
+                    expected = allowed_mask(bound, n, {ck: value}, cf)
                     assert links[f][i] == expected, (n, bound, k, f, value)
 
 
@@ -606,31 +652,86 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
         for bound in range(4):
             fwd = _Forward(n, bound)
             values = _value_range(bound)
+            order = _search_order(n)
             for _ in range(12):
                 domains, wiped = fwd.root()
-                placed = {0: (0, 0)}
+                placed = {0: (0, 0)}  # row-major cell -> translate
                 depth = 0
                 while wiped < 0 and depth < n * n - 1:
                     depth += 1
                     choices = [i for i in range(len(values)) if domains[depth] >> i & 1]
                     i = rng.choice(choices)
-                    placed[depth] = values[i]
+                    placed[order[depth]] = values[i]
                     wiped = _narrow(domains, fwd.later[depth], i)
                     if rng.random() < 0.2:
                         break
                 if wiped >= 0:
-                    assert _allowed(bound, n, placed, wiped) == 0
-                    assert all(_allowed(bound, n, placed, f)
+                    assert allowed_mask(bound, n, placed, order[wiped]) == 0
+                    assert all(allowed_mask(bound, n, placed, order[f])
                                for f in range(depth + 1, wiped)), (n, bound, placed)
                     continue
                 for f in range(depth + 1, n * n):
-                    assert domains[f] == _allowed(bound, n, placed, f), (n, bound, placed, f)
+                    assert domains[f] == allowed_mask(bound, n, placed, order[f]), (
+                        n, bound, placed, f)
 
 
 def test_pruned_four_grid_bound_one_finishes_in_default_budget():
     report = run_search(SearchSpec(n=4, bound=1, engine="pruned"))
     assert report.valid_found == 0
     assert report.nodes_visited <= SearchSpec(n=4, bound=1).budget
+
+
+def test_pruned_four_grid_bound_two_finishes_in_default_budget():
+    report = run_search(SearchSpec(n=4, bound=2))
+    assert report.valid_found == 0
+    assert report.nodes_visited == 194_988 <= SearchSpec(n=4, bound=2).budget
+
+
+def test_search_order_runs_diagonal_by_diagonal():
+    # Sorted by ((i + j) mod n, i): the base cell first, each diagonal a
+    # closed king loop, and one tuple per n.
+    assert _search_order(1) == (0,)
+    assert _search_order(2) == (0, 3, 1, 2)
+    assert _search_order(3) == (0, 5, 7, 1, 3, 8, 2, 4, 6)
+    for n in range(1, 9):
+        order = _search_order(n)
+        assert order is _search_order(n)
+        assert sorted(order) == list(range(n * n))
+        keys = [((c // n + c % n) % n, c // n) for c in order]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "n, bound, symmetry, nodes",
+    [(3, 1, False, 57), (3, 2, False, 143), (3, 2, True, 87), (3, 3, False, 261),
+     (4, 1, False, 12_911)],
+)
+def test_pruned_node_counts(n, bound, symmetry, nodes):
+    # In row-major order these took 131, 753, 550, 2,639 and 53,654 nodes.
+    report = run_search(SearchSpec(n=n, bound=bound, symmetry=symmetry))
+    assert report.nodes_visited == nodes
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
+@pytest.mark.parametrize("n, bound", [(n, b) for n in (2, 3, 4) for b in (0, 1, 2)])
+def test_pruned_scan_matches_forward_checking_oracle(n, bound, symmetry):
+    # Field for field, records in order; the counts do not depend on
+    # whether the records are kept; and a search stopped halfway says the
+    # same progress line.
+    spec = SearchSpec(n=n, bound=bound, symmetry=symmetry, witnesses=True)
+    expected = pruned_scan_oracle(spec)
+    assert search._pruned_scan(spec) == expected
+    counts = search._pruned_scan(spec._replace(witnesses=False))
+    assert (counts.nodes_visited, counts.witness_counts) == (
+        expected.nodes_visited, expected.witness_counts)
+    if expected.nodes_visited < 2:
+        return
+    halfway = spec._replace(budget=expected.nodes_visited // 2, witnesses=False)
+    with pytest.raises(BudgetExceeded) as stop:
+        search._pruned_scan(halfway)
+    with pytest.raises(BudgetExceeded) as oracle_stop:
+        pruned_scan_oracle(halfway)
+    assert stop.value.progress == oracle_stop.value.progress
 
 
 def test_two_grid_ends_at_the_root_at_a_large_bound():
@@ -661,7 +762,7 @@ def test_budget_stops_on_first_node_past_it():
             run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes - 1, jobs=jobs))
 
 
-@pytest.mark.parametrize("n, bound", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("n, bound", [(2, 2), (3, 1), (3, 2)])
 def test_witness_replay_forward_checking(n, bound):
     report = run_search(SearchSpec(n=n, bound=bound, engine="pruned", witnesses=True))
     assert sum(c for _, c in report.witness_counts) == len(report.witness_records)
