@@ -184,6 +184,24 @@ def geometric_oracle(config: TileConfig) -> DiffSet:
     return DiffSet(frozenset(vectors))
 
 
+def geometric_contains(config: TileConfig, v: Vec) -> bool:
+    """Whether v is in `geometric_oracle(config)`, by the same box rule in
+    integers and without building the set.
+
+    v lies in the box of cells p and q exactly when
+    |n*(v - u(p) + u(q)) - (p - q)| <= 1 on each axis. With the scaled
+    corner c(p) = n*u(p) + p, that is c(q) = c(p) - n*v + e for some e in
+    {-1, 0, 1}^2, so one set of the n^2 corners answers it in O(9n^2),
+    stopping at the first pair found.
+    """
+    _checked(config)
+    n, (vx, vy) = config.n, v
+    corners = {(n * ux + i, n * uy + j)
+               for (i, j), (ux, uy) in zip(config.cells(), config.translates)}
+    return any((cx - n * vx + ex, cy - n * vy + ey) in corners
+               for cx, cy in corners for ex in (-1, 0, 1) for ey in (-1, 0, 1))
+
+
 class AxesCheck(NamedTuple):
     """Verdict of the axes-confinement test with a deterministic witness."""
 

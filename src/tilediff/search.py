@@ -15,14 +15,18 @@ and no value at all when both offset sets have several members.
 
 Two engines: `plain` enumerates every full assignment depth first and
 serves as the oracle. It evaluates each forward pair once per prefix, at the
-later of its two cells, and checks each valid leaf and the first leaf of
-each witness vector against `difference_set`. `pruned` does forward
-checking (Haralick & Elliott 1980) in the static diagonal order of
-`_search_order`. Each free cell keeps a bitmask domain over the value range.
-Placing a cell ANDs the closed-form mask above into the domain of every
-later cell it touches, and a domain that empties cuts the subtree. A leaf
-the pruned engine reaches is therefore a valid configuration, and the
-engines agree exactly.
+later of its two cells, except those of the last cell: each node carries the
+least vector of those per value of the last cell, so it evaluates a whole
+leaf level at once. It checks each valid leaf and the first leaf of each
+witness vector against `difference_set`. `pruned` does forward checking
+(Haralick & Elliott 1980) in the static diagonal order of `_search_order`.
+Each free cell keeps a bitmask domain over the value range. Placing a cell
+ANDs the closed-form mask above, the OR of one column and one row mask,
+into the domain of every later cell it touches, and a domain that empties
+cuts the subtree. A leaf the pruned engine reaches is therefore a valid
+configuration, and the engines agree exactly. The pruned engine keeps one
+live domain list and undoes its changes from a trail when it backtracks,
+so its state grows as n^2.
 
 Both engines run in one process and stop on the first node past the
 budget. `jobs` is accepted and validated, but the report does not depend on
@@ -34,7 +38,7 @@ The plain engine (and the pruned one at n = 1, which scans like it) builds
 a `TileConfig` and its difference set at its first leaf. The pruned engine
 builds a `TileConfig` only at a leaf, which the paper's lift never lets it
 reach, or at a cut under `witnesses`. `verify_witnesses` replays records
-through `diffset.geometric_oracle`. So a default pruned search runs no
+through `diffset.geometric_contains`. So a default pruned search runs no
 `model` or `diffset` code.
 """
 
@@ -53,8 +57,9 @@ if TYPE_CHECKING:
 PLAIN = "plain"
 PRUNED = "pruned"
 
-# Largest size of the cross-class masks of `_Forward`, in bytes. Past it a
-# pruned search fails before building them: they grow as (2b+1)^4 bits.
+# Largest size of the per-axis masks of `_Forward`, in bytes. Past it a
+# pruned search fails before building them: each axis list of masks grows
+# as (2b+1)^3 bits.
 MASK_BYTES_LIMIT = 256 << 20
 
 
@@ -222,22 +227,43 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
         part.witness_records.append((config, vec))
 
 
+def _least(ux: int, uy: int, shifts: list[Vec], least: Vec = (0, 0)) -> Vec:
+    """The smallest of `least` and the off-axes vectors (ux, uy) + s for s
+    in `shifts`, each signed so that x < 0."""
+    for sx, sy in shifts:
+        x, y = ux + sx, uy + sy
+        if x and y:
+            if x > 0:
+                x, y = -x, -y
+            if (x, y) < least:
+                least = (x, y)
+    return least
+
+
 def _plain_scan(spec: SearchSpec) -> _Partial:
     """Enumerate every assignment depth first, in `itertools.product` order:
     cell 1 outermost, values in `_value_range` order.
 
-    Each forward pair is evaluated once per prefix, at the later of its two
-    cells, and folded into the witness carried down from the parent: the
-    lexicographically smallest off-axes pair vector, signed so that x < 0,
-    which is `axes_subset`'s rule. A leaf thus costs the pairs that touch
-    the last cell. Every valid leaf, and the first leaf of each distinct
-    witness, is cross-checked against `difference_set` from scratch. The
-    walk keeps its own stack: at bound 0 a search of any n fits the budget,
-    and its depth n^2 would pass Python's recursion limit.
+    A witness is the lexicographically smallest off-axes pair vector,
+    signed so that x < 0, which is `axes_subset`'s rule; (0, 0) stands for
+    none, as every witness is smaller. Each pair of two cells before the
+    last is evaluated once per prefix, at the later of its two cells, and
+    folded into the witness carried down from the parent. The pairs of the
+    last cell are folded per anchor instead: a node carries one entry per
+    value of the last cell, the least vector of its pairs with the cells
+    placed so far, and builds its entries from its parent's with an
+    elementwise `min` over the row of the cell it places, cached per
+    (cell, value). The node before the last cell then evaluates all its
+    leaves at once, each one tally and no pass over its pairs. Every valid
+    leaf, and the first leaf of each distinct witness, is cross-checked
+    against `difference_set` from scratch. The walk keeps its own stack: at
+    bound 0 a search of any n fits the budget, and its depth n^2 would pass
+    Python's recursion limit.
     """
     n, symmetry, witnesses = spec.n, spec.symmetry, spec.witnesses
     last = n * n - 1
-    backward = _value_range(spec.bound)[::-1]  # stacked, so popped in order
+    values = _value_range(spec.bound)
+    backward = values[::-1]  # stacked, so popped in order
     # The vector of a pair is +-(u(d) - u(other) + o) for its later cell d,
     # and the witness rule does not see the sign.
     groups: list[list[tuple[int, int, int]]] = [[] for _ in range(last + 1)]
@@ -246,46 +272,64 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
             groups[k].append((k2, mx, my))
         else:
             groups[k2].append((k, -mx, -my))
+    rows: dict[tuple[int, Vec], list[Vec]] = {}
+    anchors = {k for k, _, _ in groups[last]} - {last}
     assigned: list[Vec] = [(0, 0)] * (last + 1)
     swap = tuple(_swap_position(k, n) for k in range(last + 1)) if symmetry else ()
     part = _Partial()
-    # Nodes still to visit, as (depth, value, parent's witness, settled). A
-    # node is popped after its parent and before its parent's next sibling,
-    # so assigned[:depth] holds its ancestors' values.
-    stack: list[tuple[int, Vec, Vec | None, bool]] = [(0, (0, 0), None, False)]
+    counts = part.witness_counts
+    leaves = 0
+    # Nodes still to visit, as (depth, value, parent's witness, parent's
+    # last-cell entries, settled). A node is popped after its parent and
+    # before its parent's next sibling, so assigned[:depth] holds its
+    # ancestors' values.
+    stack = [(0, (0, 0), (0, 0), [(0, 0)] * len(values), False)]
     while stack:
-        depth, value, witness, settled = stack.pop()
+        depth, value, witness, entries, settled = stack.pop()
         assigned[depth] = ux, uy = value
-        for other, ox, oy in groups[depth]:
-            qx, qy = assigned[other]
-            x, y = ux - qx + ox, uy - qy + oy
-            if x and y:
-                if x > 0:
-                    x, y = -x, -y
-                if witness is None or (x, y) < witness:
-                    witness = (x, y)
-        orbit = 2 if symmetry else 1
+        witness = _least(ux, uy, [(ox - assigned[k][0], oy - assigned[k][1])
+                                  for k, ox, oy in groups[depth]], witness)
         if symmetry and not settled:
             state = _lex_state(assigned, depth, swap)
             if state == _PRUNE:
                 continue
             settled = state == _CANONICAL
-            if state == _FIXED:
-                orbit = 1
-        if depth < last:
-            stack.extend((depth + 1, v, witness, settled) for v in backward)
+        if depth in anchors:
+            row = rows.get((depth, value))
+            if row is None:
+                offsets = [(ox - ux, oy - uy) for k, ox, oy in groups[last] if k == depth]
+                row = rows[depth, value] = [_least(x, y, offsets) for x, y in values]
+            entries = [e if e < r else r for e, r in zip(entries, row)]
+        if depth < last - 1:
+            stack.extend((depth + 1, v, witness, entries, settled) for v in backward)
             continue
-        part.configs_enumerated += 1
-        first = witness is None or witness not in part.witness_counts
-        config = model.TileConfig(n, tuple(assigned)) if first or witnesses else None
-        if first and diffset.axes_subset(diffset.difference_set(config)).witness != witness:
-            raise AssertionError("plain engine disagrees with difference_set")
-        if witness is None:
-            part.valid_found += orbit
-            part.valid_configs.append(config)
-        else:
-            _record_witness(part, witness, config if witnesses else None)
-    part.nodes_visited = part.configs_enumerated
+        # The leaves under this node; at n = 1 the root is the only leaf.
+        for v, w in zip(values, entries) if depth < last else [(value, (0, 0))]:
+            if witness < w:
+                w = witness
+            orbit = 2 if symmetry else 1
+            if symmetry and not settled:
+                assigned[last] = v
+                state = _lex_state(assigned, last, swap)
+                if state == _PRUNE:
+                    continue
+                if state == _FIXED:
+                    orbit = 1
+            leaves += 1
+            if w in counts and not witnesses:
+                counts[w] += 1
+                continue
+            assigned[last] = v
+            config = model.TileConfig(n, tuple(assigned))
+            if w not in counts and (diffset.axes_subset(diffset.difference_set(config)).witness
+                                    or (0, 0)) != w:
+                raise AssertionError("plain engine disagrees with difference_set")
+            if w == (0, 0):
+                part.valid_found += orbit
+                part.valid_configs.append(config)
+            else:
+                _record_witness(part, w, config if witnesses else None)
+    part.configs_enumerated = part.nodes_visited = leaves
     return part
 
 
@@ -335,32 +379,33 @@ class _Forward:
     Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
     _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
     int whose bit i is set when value i is still allowed. Cells are named by
-    their position in `_search_order(n)`. later[k] lists (f, masks) for
-    each later cell f touching k, where masks[i] is the domain of f allowed
-    by cell k holding value i; earlier[f] lists (k, offsets) for each
+    their position in `_search_order(n)`. later[k] lists (f, xs, ys) for
+    each later cell f touching k: cell k holding value i = (ix, iy) allows
+    the domain xs[ix] | ys[iy] of f. earlier[f] lists (k, offsets) for each
     earlier cell k touching f, in that order.
 
-    The masks are built per axis. Against k at (qx, qy), the column
-    x = qx - mx is one block of W bits and the row y = qy - my is a comb of
-    every W-th bit, each empty when it leaves the range. So a class with a
-    single mx and a single my takes x | y over the W x W (ix, iy) grid, and
-    the other classes repeat one axis list: the column-only class each
-    column W times, the row-only class the whole row list W times, and the
-    class with no single offset is all zeros. The value list itself is not
-    built here.
+    The masks are kept per axis. Against k at (qx, qy), a single x offset
+    mx allows the column x = qx - mx, one block of W bits, and a single y
+    offset my the row y = qy - my, a comb of every W-th bit; each is empty
+    when it leaves the range. So xs is the W columns of the link's mx and ys
+    the W rows of its my, and an axis with several offsets takes one shared
+    list of W zeros. A link with both offsets single allows the cross, one
+    with neither allows nothing. The lists are shared by every link with the
+    same offset, so there are at most three of each. The value list itself
+    is not built here.
 
-    Each cross class holds W^2 masks of W^2 bits, so before building any
-    mask the constructor raises ValueError when the cross classes would
-    take more than MASK_BYTES_LIMIT bytes.
+    Each axis list holds W masks of up to W^2 bits, so before building any
+    the constructor raises ValueError when the lists would take more than
+    MASK_BYTES_LIMIT bytes.
     """
 
     def __init__(self, n: int, bound: int):
         self.bound = bound
         self.width = width = 2 * bound + 1
         table = _constraint_table(n)
-        crosses = {(mx, my) for links in table for _, _, mx, my in links
-                   if mx is not None and my is not None}
-        size = len(crosses) * width ** 4 // 8
+        mxs = {mx for links in table for _, _, mx, _ in links} - {None}
+        mys = {my for links in table for _, _, _, my in links} - {None}
+        size = (len(mxs) + len(mys)) * width ** 3 // 8
         if size > MASK_BYTES_LIMIT:
             raise ValueError(
                 f"n={n} bound={bound}: the pruning tables would take "
@@ -368,41 +413,24 @@ class _Forward:
             )
         block = (1 << width) - 1
         comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
-        classes: dict[tuple, list[int]] = {}
-        self.later = []
-        self.earlier = [[] for _ in range(n * n)]
+        span, zeros = range(width), [0] * width
+        xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
+              for mx in mxs}
+        ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span] for my in mys}
+        self.later = [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, _, mx, my in links]
+                      for links in table]
+        self.earlier = [[] for _ in table]
         for k, links in enumerate(table):
-            mine = []
-            for f, offsets, mx, my in links:
-                masks = classes.get((mx, my))
-                if masks is None:
-                    if mx is not None:
-                        xs = [block << (ix - mx) * width if 0 <= ix - mx < width else 0
-                              for ix in range(width)]
-                    if my is not None:
-                        ys = [comb << iy - my if 0 <= iy - my < width else 0
-                              for iy in range(width)]
-                    if mx is None and my is None:
-                        masks = [0] * (width * width)
-                    elif my is None:
-                        masks = [x for x in xs for _ in range(width)]
-                    elif mx is None:
-                        masks = ys * width
-                    else:
-                        masks = [x | y for x in xs for y in ys]
-                    classes[mx, my] = masks
-                mine.append((f, masks))
+            for f, offsets, _, _ in links:
                 self.earlier[f].append((k, offsets))
-            self.later.append(mine)
 
     def root(self) -> tuple[list[int], int]:
         """The domains with the base cell placed at (0, 0), and the first
         cell whose domain this placement wipes out, or -1."""
-        size = self.width * self.width
-        zero = size // 2  # the middle value, (0, 0)
+        bound, size = self.bound, self.width * self.width
         domains = [(1 << size) - 1] * len(self.later)
-        domains[0] = 1 << zero
-        return domains, _narrow(domains, self.later[0], zero)
+        domains[0] = 1 << size // 2  # the middle value, (0, 0)
+        return domains, _narrow(domains, self.later[0], bound, bound, [])
 
     def witness(self, assigned: list[Vec], depth: int, f: int) -> Vec:
         """The off-axes vector that excludes the lowest value (-bound, -bound)
@@ -419,15 +447,20 @@ class _Forward:
         raise AssertionError("wiped-out domain with no excluding neighbour")
 
 
-def _narrow(domains: list[int], links, i: int) -> int:
-    """AND the masks of a cell holding value i into the domains of its later
-    neighbours, in search order; return the first neighbour whose domain
-    empties (the rest are left as they were), or -1."""
-    for f, masks in links:
-        allowed = domains[f] & masks[i]
+def _narrow(domains: list[int], links, ix: int, iy: int, trail: list) -> int:
+    """AND the masks of a cell holding value index ix * W + iy into the
+    domains of its later neighbours, in search order, appending
+    (cell, old domain) to `trail` for each domain it changes; return the
+    first neighbour whose domain empties (it and the rest are left as they
+    were), or -1."""
+    for f, xs, ys in links:
+        domain = domains[f]
+        allowed = domain & (xs[ix] | ys[iy])
         if not allowed:
             return f
-        domains[f] = allowed
+        if allowed != domain:
+            trail.append((f, domain))
+            domains[f] = allowed
     return -1
 
 
@@ -435,7 +468,12 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     """Forward-checking search in `_search_order`, each cell trying its
     values in `_value_range` order. Depth d places the cell at position d,
     and the configurations it reports are read back into row-major order.
-    The walk keeps its own per-depth state, so a search deeper than Python's
+
+    The walk keeps one live domain list and a trail of the (cell, old
+    domain) changes `_narrow` made. Each depth notes the trail's length
+    when it is entered and undoes the trail back to that mark before it
+    places its next value, so the state is O(n^2) however deep the search
+    goes. The walk keeps its own stack, so a search deeper than Python's
     recursion limit stops at its budget."""
     n = spec.n
     if n == 1:
@@ -445,7 +483,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
     part = _Partial()
     fwd = _Forward(n, bound)
-    later = fwd.later
+    later, width = fwd.later, fwd.width
     last = n * n - 1
     order, position = _search_order(n), _search_position(n)
     assigned: list[Vec] = [(0, 0)] * (last + 1)
@@ -462,11 +500,11 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
-    values = _value_range(bound)
     swap = tuple(position[_swap_position(c, n)] for c in order) if symmetry else ()
-    # Per depth d: the domains with cells 0..d-1 placed, the values cell d
+    # Per depth d: the trail's length when d was entered, the values cell d
     # has still to try, and whether the swap order was settled above d.
-    level: list[list[int]] = [domains] * (last + 1)
+    trail: list[tuple[int, int]] = []
+    marks = [0] * (last + 1)
     remaining = [0] * (last + 1)
     settled = [False] * (last + 1)
     remaining[1] = domains[1]
@@ -479,13 +517,16 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 continue
             low = domain & -domain
             remaining[depth] = domain ^ low
-            i = low.bit_length() - 1
+            ix, iy = divmod(low.bit_length() - 1, width)
             nodes += 1
-            assigned[depth] = values[i]
+            assigned[depth] = (ix - bound, iy - bound)
             if nodes > budget:
                 raise BudgetExceeded(budget, order[depth])
-            child = level[depth][:]
-            wiped = _narrow(child, later[depth], i)
+            mark = marks[depth]
+            while len(trail) > mark:
+                f, old = trail.pop()
+                domains[f] = old
+            wiped = _narrow(domains, later[depth], ix, iy, trail)
             if wiped >= 0:
                 cut(depth, wiped)
                 continue
@@ -510,12 +551,13 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
                 part.valid_configs.append(config)
             else:
                 depth += 1
-                level[depth], remaining[depth], settled[depth] = child, child[depth], sub_settled
+                marks[depth], remaining[depth], settled[depth] = len(trail), domains[depth], sub_settled
     except BudgetExceeded as stop:
         # The first free cell tries its values in index order, and
-        # assigned[1] holds the one under way when the budget ran out.
+        # assigned[1] holds the one under way when the budget ran out. No
+        # placement narrows cell 1, so domains[1] is still its root domain.
         qx, qy = assigned[1]
-        under_way = (qx + bound) * fwd.width + qy + bound
+        under_way = (qx + bound) * width + qy + bound
         stop.first = order[1]
         stop.explored = (domains[1] & (1 << under_way) - 1).bit_count()
         stop.domain = domains[1].bit_count()
@@ -565,10 +607,11 @@ def run_search(spec: SearchSpec) -> SearchReport:
 
 
 def verify_witnesses(report: SearchReport, records=None) -> bool:
-    """Replay recorded witnesses against the geometric oracle.
+    """Replay recorded witnesses against the geometric box rule.
 
-    Each witness vector must be off-axes and a member of its configuration's
-    oracle difference set; anything else is a stale witness.
+    Each witness vector must be off-axes and, by
+    `diffset.geometric_contains`, a member of its configuration's
+    geometric difference set; anything else is a stale witness.
     """
     if records is None:
         records = report.witness_records
@@ -577,7 +620,7 @@ def verify_witnesses(report: SearchReport, records=None) -> bool:
     for config, vec in records:
         if model.on_axes(vec):
             raise ValueError(f"stale witness: {vec} lies on the axes")
-        if vec not in diffset.geometric_oracle(config):
+        if not diffset.geometric_contains(config, vec):
             raise ValueError(f"stale witness: {vec} not in difference set")
     return True
 

@@ -461,10 +461,10 @@ def test_plain_search_over_budget_names_a_long_count_as_a_power(workdir):
 
 
 def test_search_with_oversize_tables_fails_fast(workdir):
-    result = run_cli(["search", "--n", "3", "--bound", "120"], workdir)
+    result = run_cli(["search", "--n", "3", "--bound", "400"], workdir)
     assert (result.returncode, result.stdout) == (1, "")
     assert result.stderr == (
-        "error: n=3 bound=120: the pruning tables would take 2814 MiB, "
+        "error: n=3 bound=400: the pruning tables would take 367 MiB, "
         "over the 256 MiB limit\n"
     )
 

@@ -16,7 +16,7 @@ from tilediff import (
     lattice_span,
     witness_pairs,
 )
-from tilediff.diffset import DiffSet, LatticeSpan, _forward_pairs, _xgcd
+from tilediff.diffset import DiffSet, LatticeSpan, _forward_pairs, _xgcd, geometric_contains
 from tilediff.model import on_axes
 
 from conftest import admissible_offsets, random_config
@@ -76,6 +76,19 @@ def test_oracle_matches_random_larger():
             c = random_config(rng, n, 3)
             assert difference_set(c).vectors == geometric_oracle(c).vectors
 
+
+
+def test_geometric_contains_matches_the_oracle_inside_and_out():
+    # Every vector of the oracle's set, and every vector of its bounding
+    # window widened by one that the set misses, on 300 seeded configs.
+    rng = random.Random(300)
+    for _ in range(300):
+        c = random_config(rng, rng.randint(1, 5), rng.randint(0, 3))
+        oracle = geometric_oracle(c).vectors
+        reach = max(max(abs(x), abs(y)) for x, y in oracle) + 1
+        for x in range(-reach, reach + 1):
+            for y in range(-reach, reach + 1):
+                assert geometric_contains(c, (x, y)) == ((x, y) in oracle), (c, (x, y))
 
 def pair_loop_provenance(config):
     """Reference: the offset rule applied to all n^4 ordered cell pairs, in

@@ -583,12 +583,12 @@ def test_constraint_table_is_cached_and_read_only():
 
 
 def test_oversize_tables_fail_before_any_mask_is_built():
-    # (3,120) would need about 2.8 GB of cross-class masks: 7 classes of
-    # 402 MiB each.
+    # (3,400) would need 367 MiB of axis masks: 3 column and 3 row lists,
+    # each 801 masks of up to 801^2 bits.
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^n=3 bound=120: .* 2814 MiB, over the 256 MiB limit$"):
-            run_search(SearchSpec(n=3, bound=120))
+        with pytest.raises(ValueError, match=r"^n=3 bound=400: .* 367 MiB, over the 256 MiB limit$"):
+            run_search(SearchSpec(n=3, bound=400))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -600,6 +600,26 @@ def test_no_benchmark_or_golden_search_reaches_the_table_limit():
     # and the frontier ladder up to (5,1).
     for n, bound in [(2, 12), (3, 3), (4, 2), (5, 1)]:
         _Forward(n, bound)
+
+
+def test_pruned_search_runs_past_the_cross_class_limit():
+    # W^2 cross masks per offset class refused this search at 329 MiB; the
+    # six axis lists take about 2 MiB.
+    report = run_search(SearchSpec(n=3, bound=70))
+    assert (report.valid_found, report.nodes_visited) == (0, 81_063)
+
+
+def test_deep_pruned_search_keeps_one_domain_list():
+    # Copying the 1,600 domains at each depth held about 22 MiB here; one
+    # live list and its trail hold a few.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            run_search(SearchSpec(n=40, bound=1, budget=5_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_budget_stop_counts_cell_one_values_as_the_budget_grows():
@@ -633,17 +653,19 @@ def test_closed_form_masks_match_brute_force():
         values = _value_range(bound)
         order = _search_order(n)
         for k, ck in enumerate(order):
-            links = dict(fwd.later[k])
+            links = {f: (xs, ys) for f, xs, ys in fwd.later[k]}
             for f in range(k + 1, n * n):
                 cf = order[f]
                 d = (cf // n - ck // n, cf % n - ck % n)
                 assert (f in links) == bool(admissible_offsets(d, n)), (n, k, f)
                 if f not in links:
                     continue
-                assert len(links[f]) == len(values), (n, bound, k, f)
+                xs, ys = links[f]
+                assert len(xs) == len(ys) == fwd.width, (n, bound, k, f)
                 for i, value in enumerate(values):
+                    ix, iy = divmod(i, fwd.width)
                     expected = allowed_mask(bound, n, {ck: value}, cf)
-                    assert links[f][i] == expected, (n, bound, k, f, value)
+                    assert xs[ix] | ys[iy] == expected, (n, bound, k, f, value)
 
 
 def test_forward_domains_match_brute_force_on_random_prefixes():
@@ -655,6 +677,8 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
             order = _search_order(n)
             for _ in range(12):
                 domains, wiped = fwd.root()
+                root = domains[:]
+                trail = []
                 placed = {0: (0, 0)}  # row-major cell -> translate
                 depth = 0
                 while wiped < 0 and depth < n * n - 1:
@@ -662,9 +686,16 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
                     choices = [i for i in range(len(values)) if domains[depth] >> i & 1]
                     i = rng.choice(choices)
                     placed[order[depth]] = values[i]
-                    wiped = _narrow(domains, fwd.later[depth], i)
+                    wiped = _narrow(domains, fwd.later[depth], *divmod(i, fwd.width), trail)
                     if rng.random() < 0.2:
                         break
+                # The trail logs only real changes, and undoing it in reverse
+                # gives back the root domains.
+                undone = domains[:]
+                for f, old in reversed(trail):
+                    assert undone[f] != old
+                    undone[f] = old
+                assert undone == root, (n, bound, placed)
                 if wiped >= 0:
                     assert allowed_mask(bound, n, placed, order[wiped]) == 0
                     assert all(allowed_mask(bound, n, placed, order[f])
@@ -762,7 +793,7 @@ def test_budget_stops_on_first_node_past_it():
             run_search(SearchSpec(n=3, bound=1, engine="pruned", budget=nodes - 1, jobs=jobs))
 
 
-@pytest.mark.parametrize("n, bound", [(2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("n, bound", [(2, 2), (3, 1), (3, 2), (4, 1)])
 def test_witness_replay_forward_checking(n, bound):
     report = run_search(SearchSpec(n=n, bound=bound, engine="pruned", witnesses=True))
     assert sum(c for _, c in report.witness_counts) == len(report.witness_records)
