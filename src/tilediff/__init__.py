@@ -51,8 +51,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "Component", "Curve", "Step", "boundary_curves", "components",
-            "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
-            "pi1_image",
+            "components_of_classes", "homotopy_class", "interiors_decomposition", "pi1_image",
         ),
         "topology",
     ),

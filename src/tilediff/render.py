@@ -1,15 +1,21 @@
-"""Deterministic SVG rendering of colorings and component structure.
+"""Deterministic SVG rendering of configurations and colorings.
 
 Output is byte-identical for identical inputs: integer pixel coordinates
 only, fixed element order, no timestamps. The torus is drawn unfolded as an
 (n+1) x (n+1) grid of vertices; edges identified across a seam are stroked
 once on each side of it.
+
+Each source is drawn from what it holds. A configuration's edges are its
+cocycle values, coloured by `classify_value` (gray off both axes) and
+labelled. A coloring's edges take its own colours, and only a coloring has
+components: no configuration keeps the square rules, since each has an
+off-axes difference vector, so none has a component structure to shade.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from .model import TileConfig, normalize
 from .torus import (
@@ -17,16 +23,14 @@ from .torus import (
     RED,
     WHITE,
     EdgeColoring,
-    EdgeLabeling,
     classify_value,
-    color_edges,
     edge_labels,
     square_colors,
     vertex_labels,
 )
-from .topology import boundary_curves, components_of_classes, curve_gain
+from .topology import components_of_classes
 
-ALL_LAYERS = ("edges", "colors", "components", "gains", "labels")
+ALL_LAYERS = ("edges", "colors", "components", "labels")
 
 _STROKES = {WHITE: "white", RED: "red", BLUE: "blue", None: "gray"}
 _TINTS = {
@@ -49,28 +53,22 @@ class RenderSpec:
             raise ValueError(f"unknown render layers {sorted(unknown)}")
 
 
-def _edge_color(coloring, values, kind, i, j) -> Optional[str]:
-    if coloring is not None:
-        grid = coloring.h if kind == "h" else coloring.v
-        return grid[i][j]
-    # Off-axes values have no color in the three-way scheme.
-    return classify_value(values.h[i][j] if kind == "h" else values.v[i][j])
-
-
 def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str:
-    """Render a configuration (labeling derived) or a bare coloring."""
-    labeling: Optional[EdgeLabeling] = None
-    coloring: Optional[EdgeColoring] = None
+    """Render a configuration (cocycle values, coloured and labelled) or a
+    bare coloring (its own colours and its corner components)."""
+    labeling = None
+    comps = []  # shaded by the components layer
     if isinstance(source, TileConfig):
-        config = normalize(source)
-        labeling = edge_labels(vertex_labels(config))
-        result = color_edges(labeling)
-        if isinstance(result, EdgeColoring):
-            coloring = result
+        labeling = edge_labels(vertex_labels(normalize(source)))
         n = labeling.n
+        h = [[classify_value(value) for value in row] for row in labeling.h]
+        v = [[classify_value(value) for value in row] for row in labeling.v]
     else:
-        coloring = source
-        n = coloring.n
+        n, h, v = source.n, source.h, source.v
+        if "components" in spec.show:
+            classified = square_colors(source)
+            if not isinstance(classified, list):
+                comps = components_of_classes(classified, "corner")
 
     px = spec.cell_px
     margin = px
@@ -88,23 +86,16 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
         f'<rect x="0" y="0" width="{size}" height="{size}" fill="#f4f4f4"/>',
     ]
 
-    comps = []  # corner components, when the coloring keeps the square rules
-    if coloring is not None and {"components", "gains"} & spec.show:
-        classified = square_colors(coloring)
-        if not isinstance(classified, list):
-            comps = components_of_classes(classified, "corner")
-
-    if "components" in spec.show:
-        shade_index = {RED: 0, BLUE: 0, WHITE: 0}
-        for comp in comps:
-            palette = _TINTS[comp.color]
-            fill = palette[shade_index[comp.color] % len(palette)]
-            shade_index[comp.color] += 1
-            for (i, j) in sorted(comp.squares):
-                parts.append(
-                    f'<rect x="{vx(i)}" y="{vy(j + 1)}" width="{px}" height="{px}" '
-                    f'fill="{fill}"/>'
-                )
+    shade_index = {RED: 0, BLUE: 0, WHITE: 0}
+    for comp in comps:
+        palette = _TINTS[comp.color]
+        fill = palette[shade_index[comp.color] % len(palette)]
+        shade_index[comp.color] += 1
+        for (i, j) in sorted(comp.squares):
+            parts.append(
+                f'<rect x="{vx(i)}" y="{vy(j + 1)}" width="{px}" height="{px}" '
+                f'fill="{fill}"/>'
+            )
 
     stroke_w = max(1, px // 8)
     if "edges" in spec.show:
@@ -112,16 +103,14 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
         # Horizontal edges: torus rows 0..n-1 plus the seam copy of row 0.
         for i in range(n):
             for j in range(n + 1):
-                color = _edge_color(coloring, labeling, "h", i, j % n)
-                stroke = _STROKES[color] if use_colors else "black"
+                stroke = _STROKES[h[i][j % n]] if use_colors else "black"
                 parts.append(
                     f'<line x1="{vx(i)}" y1="{vy(j)}" x2="{vx(i + 1)}" y2="{vy(j)}" '
                     f'stroke="{stroke}" stroke-width="{stroke_w}"/>'
                 )
         for i in range(n + 1):
             for j in range(n):
-                color = _edge_color(coloring, labeling, "v", i % n, j)
-                stroke = _STROKES[color] if use_colors else "black"
+                stroke = _STROKES[v[i % n][j]] if use_colors else "black"
                 parts.append(
                     f'<line x1="{vx(i)}" y1="{vy(j)}" x2="{vx(i)}" y2="{vy(j + 1)}" '
                     f'stroke="{stroke}" stroke-width="{stroke_w}"/>'
@@ -140,16 +129,6 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
                 parts.append(
                     f'<text x="{vx(i) + 2}" y="{vy(j) - px // 2}" font-size="{font}" '
                     f'fill="#333333">{wx},{wy}</text>'
-                )
-
-    if "gains" in spec.show and labeling is not None:
-        for comp in comps:
-            for curve in boundary_curves(comp):
-                gx, gy = curve_gain(curve, labeling)
-                first = curve.steps[0]
-                parts.append(
-                    f'<text x="{vx(first.i) + px // 2}" y="{vy(first.j) + font}" '
-                    f'font-size="{font}" fill="#006600">g={gx},{gy}</text>'
                 )
 
     parts.append("</svg>")

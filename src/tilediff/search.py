@@ -392,7 +392,8 @@ class _Forward:
     list of W zeros. A link with both offsets single allows the cross, one
     with neither allows nothing. The lists are shared by every link with the
     same offset, so there are at most three of each. The value list itself
-    is not built here.
+    is not built here, and `later` only on first read: `root` decides a
+    search that ends at the base cell without it.
 
     Each axis list holds W masks of up to W^2 bits, so before building any
     the constructor raises ValueError when the lists would take more than
@@ -402,33 +403,46 @@ class _Forward:
     def __init__(self, n: int, bound: int):
         self.bound = bound
         self.width = width = 2 * bound + 1
-        table = _constraint_table(n)
-        mxs = {mx for links in table for _, _, mx, _ in links} - {None}
-        mys = {my for links in table for _, _, _, my in links} - {None}
-        size = (len(mxs) + len(mys)) * width ** 3 // 8
+        self.table = table = _constraint_table(n)
+        self.mxs = {mx for links in table for _, _, mx, _ in links} - {None}
+        self.mys = {my for links in table for _, _, _, my in links} - {None}
+        size = (len(self.mxs) + len(self.mys)) * width ** 3 // 8
         if size > MASK_BYTES_LIMIT:
             raise ValueError(
                 f"n={n} bound={bound}: the pruning tables would take "
                 f"{size >> 20} MiB, over the {MASK_BYTES_LIMIT >> 20} MiB limit"
             )
-        block = (1 << width) - 1
-        comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
-        span, zeros = range(width), [0] * width
-        xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
-              for mx in mxs}
-        ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span] for my in mys}
-        self.later = [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, _, mx, my in links]
-                      for links in table]
         self.earlier = [[] for _ in table]
         for k, links in enumerate(table):
             for f, offsets, _, _ in links:
                 self.earlier[f].append((k, offsets))
 
+    @functools.cached_property
+    def later(self) -> list[list[tuple[int, list[int], list[int]]]]:
+        width = self.width
+        block = (1 << width) - 1
+        comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
+        span, zeros = range(width), [0] * width
+        xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
+              for mx in self.mxs}
+        ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span]
+              for my in self.mys}
+        return [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, _, mx, my in links]
+                for links in self.table]
+
     def root(self) -> tuple[list[int], int]:
         """The domains with the base cell placed at (0, 0), and the first
-        cell whose domain this placement wipes out, or -1."""
+        cell whose domain this placement wipes out, or -1.
+
+        Every domain is full here, so the base cell wipes out a later cell
+        exactly when neither the link's single mx nor its single my lies in
+        [-bound, bound]: the table decides that without any mask. The
+        domains are returned narrowed only when no cell is wiped out."""
         bound, size = self.bound, self.width * self.width
-        domains = [(1 << size) - 1] * len(self.later)
+        domains = [(1 << size) - 1] * len(self.table)
+        for f, _, mx, my in self.table[0]:
+            if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
+                return domains, f
         domains[0] = 1 << size // 2  # the middle value, (0, 0)
         return domains, _narrow(domains, self.later[0], bound, bound, [])
 
@@ -483,7 +497,6 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
     part = _Partial()
     fwd = _Forward(n, bound)
-    later, width = fwd.later, fwd.width
     last = n * n - 1
     order, position = _search_order(n), _search_position(n)
     assigned: list[Vec] = [(0, 0)] * (last + 1)
@@ -500,6 +513,7 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
+    later, width = fwd.later, fwd.width
     swap = tuple(position[_swap_position(c, n)] for c in order) if symmetry else ()
     # Per depth d: the trail's length when d was entered, the values cell d
     # has still to try, and whether the swap order was settled above d.

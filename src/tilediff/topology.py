@@ -3,9 +3,8 @@
 Components are maximal monochromatic connected square sets (corner contact
 counts as connected by default); one flood fill finds them and their
 edge-connected pieces. Their boundaries, the sides of their squares that
-face out, decompose into simple closed edge curves; curves carry gains
-(cocycle sums) and winding classes (by lifting to the plane, independent of
-any cocycle). The image of a component's loops in the torus fundamental
+face out, decompose into simple closed edge curves; curves carry winding
+classes (by lifting to the plane, independent of any cocycle). The image of a component's loops in the torus fundamental
 group is a `diffset.LatticeSpan`, from its deck-labeled square adjacencies.
 
 Boundary convention ("split"): at a vertex where four boundary edges meet,
@@ -65,9 +64,6 @@ class Step(NamedTuple):
     def direction(self) -> Vec:
         d = (1, 0) if self.kind == "h" else (0, 1)
         return d if self.forward else vneg(d)
-
-    def reversed(self) -> "Step":
-        return Step(self.kind, self.i, self.j, not self.forward)
 
 
 @dataclass(frozen=True)
@@ -232,24 +228,12 @@ def boundary_curves(component: Component, pairing: str = "split") -> list[Curve]
     return curves
 
 
-def curve_gain(curve: Curve, el: torus.EdgeLabeling) -> Vec:
-    """Sum of cocycle values along the curve; backward steps count negated."""
-    if curve.n != el.n:
-        raise ValueError("curve and labeling live on different tori")
-    gx = gy = 0
-    for s in curve.steps:
-        value = el.h[s.i][s.j] if s.kind == "h" else el.v[s.i][s.j]
-        sign = 1 if s.forward else -1
-        gx += sign * value[0]
-        gy += sign * value[1]
-    return (gx, gy)
-
-
 def homotopy_class(curve: Curve) -> Vec:
     """Winding pair of a closed curve, by lifting unit steps to the plane.
 
     Independent of any edge labeling; for labelings derived from a
-    configuration the class equals the negated gain.
+    configuration the class equals the negated gain (the cocycle sum along
+    the curve).
     """
     tx = ty = 0
     for s in curve.steps:

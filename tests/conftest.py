@@ -3,8 +3,8 @@ the brute-force offset and domain rules, the from-scratch plain and pruned
 searches, the twisted lifts that give both engines valid configurations,
 the line-by-line config parser, the per-cell scan of a cover's integer
 difference points, the full-grid scan of a component's boundary, the
-cocycle and pinch-graph helpers only the tests call, and the subprocess
-runner for the command-line tests."""
+cocycle, curve-gain and pinch-graph helpers only the tests call, and the
+subprocess runner for the command-line tests."""
 
 from __future__ import annotations
 
@@ -334,6 +334,19 @@ def row_gain(el: EdgeLabeling, j: int = 0) -> Vec:
 def column_gain(el: EdgeLabeling, i: int = 0) -> Vec:
     gx = sum(el.v[i][j][0] for j in range(el.n))
     gy = sum(el.v[i][j][1] for j in range(el.n))
+    return (gx, gy)
+
+
+def curve_gain(curve: Curve, el: EdgeLabeling) -> Vec:
+    """Sum of cocycle values along the curve; backward steps count negated."""
+    if curve.n != el.n:
+        raise ValueError("curve and labeling live on different tori")
+    gx = gy = 0
+    for s in curve.steps:
+        value = el.h[s.i][s.j] if s.kind == "h" else el.v[s.i][s.j]
+        sign = 1 if s.forward else -1
+        gx += sign * value[0]
+        gy += sign * value[1]
     return (gx, gy)
 
 

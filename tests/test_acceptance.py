@@ -23,7 +23,6 @@ from tilediff import (
     TileConfig,
     boundary_curves,
     components_of_classes,
-    curve_gain,
     difference_set,
     edge_labels,
     epsilon_gap,
@@ -44,6 +43,7 @@ from conftest import (
     cocycle_defects,
     column_gain,
     cover_integer_diff_points_oracle,
+    curve_gain,
     edge_values_subset,
     pinch_graph_is_forest,
     random_closed_curve,

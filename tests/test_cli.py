@@ -7,12 +7,13 @@ import sys
 import pytest
 
 import tilediff.cli as cli
-from tilediff import TileConfig, format_coloring, format_config
+from tilediff import TileConfig, format_coloring, format_config, torus
 from tilediff.cli import build_parser, main
-from tilediff.render import RenderSpec, render_svg
+from tilediff.render import ALL_LAYERS, RenderSpec, render_svg
 from conftest import (
     band_coloring,
     is_config_source_oracle,
+    random_config,
     random_source_text,
     run_cli,
     uniform_coloring,
@@ -241,9 +242,11 @@ def test_render_cell_px_too_small(workdir):
 
 
 def test_render_unknown_layer_rejected(workdir):
-    result = run_cli(["render", "single.txt", "-o", "x.svg", "--show", "sparkles"], workdir)
-    assert result.returncode != 0
-    assert "unknown render layers" in result.stderr
+    # A former layer name is rejected like any other.
+    for layer in ("sparkles", "gains"):
+        result = run_cli(["render", "single.txt", "-o", "x.svg", "--show", layer], workdir)
+        assert result.returncode != 0, layer
+        assert f"unknown render layers ['{layer}']" in result.stderr
 
 
 def test_render_components_layer_deterministic(workdir):
@@ -259,6 +262,27 @@ def test_render_in_process_is_byte_stable():
     spec = RenderSpec(cell_px=16, show=frozenset(("edges", "colors", "components")))
     ec = band_coloring(4, rows=(0, 1))
     assert render_svg(ec, spec) == render_svg(ec, spec)
+
+
+def test_render_on_a_config_builds_no_coloring(monkeypatch):
+    # No configuration keeps the square rules, so render reads a config's
+    # colours from its cocycle values and shades no components.
+    def refuse(*args, **kwargs):
+        raise AssertionError("render built a coloring of a configuration")
+
+    for name in ("color_edges", "square_colors"):
+        original = getattr(torus, name)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("tilediff"):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+    every = RenderSpec(show=frozenset(ALL_LAYERS))
+    no_components = RenderSpec(show=frozenset(ALL_LAYERS) - {"components"})
+    rng = random.Random(2323)
+    for _ in range(200):
+        config = random_config(rng, rng.randint(1, 4), rng.randint(0, 1))
+        assert render_svg(config, every) == render_svg(config, no_components)
 
 
 def test_json_outputs_byte_identical(workdir):

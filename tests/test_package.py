@@ -1,10 +1,13 @@
 """The package surface: re-exported names, and which submodules a
 command-line call runs."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,8 +38,7 @@ EXPORTS = {
     ),
     "topology": (
         "Component", "Curve", "Step", "boundary_curves", "components",
-        "components_of_classes", "curve_gain", "homotopy_class", "interiors_decomposition",
-        "pi1_image",
+        "components_of_classes", "homotopy_class", "interiors_decomposition", "pi1_image",
     ),
     "search": ("SearchReport", "SearchSpec", "run_search", "verify_witnesses"),
     "render": ("RenderSpec", "render_svg"),
@@ -62,6 +64,20 @@ def test_star_import_gives_every_export():
     for module, names in EXPORTS.items():
         for name in names:
             assert namespace[name] is getattr(getattr(tilediff, module), name), name
+
+
+def test_every_function_the_benchmark_traces_exists(monkeypatch):
+    # bench/tracing.py looks each traced function up by module and name, so a
+    # deleted or renamed one would stop every traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, name, _, _ in tracing.TRACED:
+        module_object = importlib.import_module(f"tilediff.{module}")
+        assert callable(getattr(module_object, name, None)), f"{module}.{name}"
 
 
 # Records the tilediff files whose module body runs while importing the

@@ -767,9 +767,16 @@ def test_pruned_scan_matches_forward_checking_oracle(n, bound, symmetry):
 
 def test_two_grid_ends_at_the_root_at_a_large_bound():
     # The diagonal cell pair empties a domain before any value is tried, so
-    # the set-up is the whole search. It builds per-axis masks and no value
-    # list, so bound 250 (251,001 values) takes tens of milliseconds.
-    report = run_search(SearchSpec(n=2, bound=250))
+    # the set-up is the whole search. The constraint table decides the root
+    # without any mask or value list, so bound 250 (251,001 values) holds
+    # only the full domain, one int of 31 KB.
+    tracemalloc.start()
+    try:
+        report = run_search(SearchSpec(n=2, bound=250))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert report.nodes_visited == 0
     assert report.witness_counts == (((-250, -250), 1),)
     report = run_search(SearchSpec(n=2, bound=250, witnesses=True))

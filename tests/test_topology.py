@@ -15,7 +15,6 @@ from tilediff import (
     boundary_curves,
     components,
     components_of_classes,
-    curve_gain,
     difference_set,
     edge_labels,
     geometric_oracle,
@@ -35,6 +34,7 @@ from conftest import (
     block_coloring,
     boundary_steps_oracle,
     column_loop,
+    curve_gain,
     pinch_graph_is_forest,
     product_labeling,
     random_closed_curve,
@@ -68,14 +68,6 @@ def test_curve_and_component_validation():
     disconnected = Component(5, RED, frozenset({(0, 0), (2, 2)}), "corner")
     with pytest.raises(ValueError, match="not connected"):
         pi1_image(disconnected)
-
-
-def test_step_reversal_swaps_endpoints():
-    step = Step("v", 1, 2, True)
-    rev = step.reversed()
-    assert rev.tail(4) == step.head(4)
-    assert rev.head(4) == step.tail(4)
-    assert rev.direction == (0, -1)
 
 
 def test_components_isolated_red_square():
