@@ -4,10 +4,13 @@ Human-readable text by default; ``--json`` switches every subcommand to a
 structured document with stable field names (sorted keys, no timing fields),
 which repeated runs reproduce byte-identically.
 
-A call parses with the argument parser of the subcommand it names alone,
-built on the first call in the process and reused after that. The full
-parser, with every subcommand, is built afresh only to print the top-level
-help or a usage error, so those read exactly as they always have.
+Every subcommand's arguments are described once, in the COMMANDS table.
+A well-formed call, with each option spelled exactly and every value valid,
+is read from the table directly, without argparse. Any other call (help,
+an abbreviation, ``--n=2``, a bad value, a missing or stray argument) goes
+to the argparse parser built from the same table, which prints the help
+or the usage error, so those read exactly as they always have. argparse is
+imported only then.
 
 The library is reached through its submodules' attributes at call time,
 so a call runs only the submodules its subcommand uses.
@@ -15,12 +18,11 @@ so a call runs only the submodules its subcommand uses.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import diffset, discretize, model, render, search, topology, torus
 
@@ -272,95 +274,165 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _check_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("config", help="config file")
-    p.add_argument("--vectors", action="store_true", help="list the difference set, one pair per line")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
+FLAG = "flag"  # the kind of an option that takes no value: False unless given
 
 
-def _discretize_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("boxes", help="box-union file")
-    p.add_argument("--n", type=int, default=None, help="resolution (default: n0)")
-    p.add_argument("--reduce", action="store_true", help="emit the transversal config")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_discretize)
+class Arg:
+    """One argument of a subcommand. `flags` holds the option spellings, or
+    is empty for a positional. `kind` is FLAG, `int`, `str`, or the tuple of
+    a choice's values. (A plain class: a named tuple class would add about
+    0.15 ms to the import that every call pays.)"""
+
+    __slots__ = ("flags", "dest", "kind", "default", "required", "help")
+
+    def __init__(self, flags, dest, kind=str, default=None, required=False, help=None):
+        self.flags, self.dest, self.kind = flags, dest, kind
+        self.default, self.required, self.help = default, required, help
 
 
-def _search_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--engine", choices=[search.PLAIN, search.PRUNED], default=search.PRUNED)
-    p.add_argument("--budget", type=int, default=2_000_000, help="node budget")
-    p.add_argument("--witnesses", action="store_true", help="retain witness records")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--symmetry", action="store_true", help="quotient by the x<->y swap")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
+class Command:
+    """One subcommand: its help line, the function it runs, its arguments."""
+
+    __slots__ = ("help", "func", "args")
+
+    def __init__(self, help, func, args):
+        self.help, self.func, self.args = help, func, args
 
 
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="coloring or config file")
-    p.add_argument("--mode", choices=["corner", "edge"], default="corner")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_analyze)
-
-
-def _render_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="coloring or config file")
-    p.add_argument("-o", "--out", required=True, help="output SVG path")
-    p.add_argument("--cell-px", type=int, default=24, dest="cell_px")
-    p.add_argument(
-        "--show",
-        default="edges,colors",
-        help=f"comma-separated layers from: {','.join(render.ALL_LAYERS)}",
-    )
-    p.set_defaults(func=cmd_render)
-
-
-# Subcommand name -> (help text, function adding its arguments). Both the
-# full parser and the one-subcommand parser of `main` read this table.
+# The one description of every subcommand's arguments. `build_parser` builds
+# the argparse parser from it, and `_read_argv` reads well-formed calls with
+# it. The engine and layer names are written out, not read from `search` and
+# `render`, so that the table loads neither; a test checks they agree.
 COMMANDS = {
-    "check": ("difference set, axes and generation verdicts", _check_arguments),
-    "discretize": ("gap, threshold resolution and covering", _discretize_arguments),
-    "search": ("bounded exhaustive search", _search_arguments),
-    "analyze": ("component table or config audit", _analyze_arguments),
-    "render": ("render an SVG diagram", _render_arguments),
+    "check": Command("difference set, axes and generation verdicts", cmd_check, (
+        Arg((), "config", help="config file"),
+        Arg(("--vectors",), "vectors", FLAG, help="list the difference set, one pair per line"),
+        Arg(("--json",), "json", FLAG),
+    )),
+    "discretize": Command("gap, threshold resolution and covering", cmd_discretize, (
+        Arg((), "boxes", help="box-union file"),
+        Arg(("--n",), "n", int, help="resolution (default: n0)"),
+        Arg(("--reduce",), "reduce", FLAG, help="emit the transversal config"),
+        Arg(("--json",), "json", FLAG),
+    )),
+    "search": Command("bounded exhaustive search", cmd_search, (
+        Arg(("--n",), "n", int, required=True),
+        Arg(("--bound",), "bound", int, required=True),
+        Arg(("--engine",), "engine", ("plain", "pruned"), "pruned"),
+        Arg(("--budget",), "budget", int, 2_000_000, help="node budget"),
+        Arg(("--witnesses",), "witnesses", FLAG, help="retain witness records"),
+        Arg(("--jobs",), "jobs", int, 1),
+        Arg(("--symmetry",), "symmetry", FLAG, help="quotient by the x<->y swap"),
+        Arg(("--json",), "json", FLAG),
+    )),
+    "analyze": Command("component table or config audit", cmd_analyze, (
+        Arg((), "file", help="coloring or config file"),
+        Arg(("--mode",), "mode", ("corner", "edge"), "corner"),
+        Arg(("--json",), "json", FLAG),
+    )),
+    "render": Command("render an SVG diagram", cmd_render, (
+        Arg((), "file", help="coloring or config file"),
+        Arg(("-o", "--out"), "out", required=True, help="output SVG path"),
+        Arg(("--cell-px",), "cell_px", int, 24),
+        Arg(("--show",), "show", str, "edges,colors",
+            help="comma-separated layers from: edges,colors,components,labels"),
+    )),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every subcommand, built from COMMANDS. It
+    prints the help, and reads every call `_read_argv` declines, so usage
+    errors and their exit codes are argparse's own."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tilediff",
         description="Difference sets of grid-square tilings: exact checks, "
         "discretization, torus analysis, and bounded exhaustive search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            if not arg.flags:
+                p.add_argument(arg.dest, help=arg.help)
+                continue
+            if arg.kind is FLAG:
+                options = {"action": "store_true"}
+            elif isinstance(arg.kind, tuple):
+                options = {"choices": arg.kind, "default": arg.default}
+            else:
+                options = {"type": arg.kind, "default": arg.default}
+            p.add_argument(
+                *arg.flags, dest=arg.dest, required=arg.required, help=arg.help, **options
+            )
+        p.set_defaults(func=command.func)
     return parser
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of subcommand `name` alone. Parsing gives each call a
-    fresh namespace and leaves the parser as it was, so one per process
-    serves every call; help is formatted when printed, reading COLUMNS."""
-    parser = argparse.ArgumentParser(prog=f"tilediff {name}")
-    COMMANDS[name][1](parser)
-    return parser
+def _is_value(token: str) -> bool:
+    """Whether argparse reads `token` as an argument, not as an option: it
+    does not start with '-', or it is a negative integer such as "-3"."""
+    return not token.startswith("-") or token[1:].isdigit() and token.isascii()
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a well-formed call, or None.
+
+    A well-formed call names a subcommand, then spells each option exactly
+    and at most once, gives each a value that converts and is one of its
+    choices, every required option, and as many other arguments as the
+    subcommand has positionals. Anything else (help, "--", "--n=2", an
+    abbreviation, a repeat, a bad value, a missing or stray argument) is
+    left to `build_parser`."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {flag: arg for arg in command.args for flag in arg.flags}
+    values = {arg.dest: False if arg.kind is FLAG else arg.default for arg in command.args if arg.flags}
+    given, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        arg = options.get(token)
+        if arg is None:
+            if not _is_value(token):
+                return None
+            positionals.append(token)
+            continue
+        if arg.dest in given:
+            return None
+        given.add(arg.dest)
+        if arg.kind is FLAG:
+            values[arg.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or not _is_value(value):
+            return None
+        if arg.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif arg.kind is not str and value not in arg.kind:
+            return None
+        values[arg.dest] = value
+    names = [arg.dest for arg in command.args if not arg.flags]
+    required = {arg.dest for arg in command.args if arg.required}
+    if len(positionals) != len(names) or not required <= given:
+        return None
+    values.update(zip(names, positionals))
+    return SimpleNamespace(command=argv[0], func=command.func, **values)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and return its exit code. An argv that does not
-    start with a subcommand, or leaves arguments unrecognized, goes to the
-    full parser, which reports it under the top-level usage line."""
+    """Run one subcommand and return its exit code. A well-formed call is
+    read from COMMANDS directly; any other goes to the full parser, which
+    prints help or reports the error under the usage line it always has."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extras:
-            return args.func(args)
-    args = build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     return args.func(args)
 
 

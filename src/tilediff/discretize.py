@@ -23,6 +23,11 @@ from fractions import Fraction
 from .model import Box, BoxUnion, TileConfig, Vec, normalize
 from .diffset import _integer_points_in_box
 
+# Most cells a cover may take: a cell costs about 150 bytes in the cover's
+# set, so a cover at the limit stays near 150 MiB. The largest golden input,
+# `wide.boxes`, takes 9,616.
+COVER_CELLS_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class GapResult:
@@ -114,12 +119,19 @@ def _cell_ranges(k: BoxUnion, n: int):
 
 
 def cover_cells(k: BoxUnion, n: int) -> CellCover:
-    """Cells whose closed 1/n-square intersects K (closed-box test, exact)."""
+    """Cells whose closed 1/n-square intersects K (closed-box test, exact).
+
+    Raises ValueError, before listing any cell, when the boxes' cell ranges
+    hold more than COVER_CELLS_LIMIT cells together."""
     if n < 1:
         raise ValueError("non-positive n")
+    ranges = list(_cell_ranges(k, n))
+    count = sum((jx_hi - jx_lo + 1) * (jy_hi - jy_lo + 1) for jx_lo, jx_hi, jy_lo, jy_hi in ranges)
+    if count > COVER_CELLS_LIMIT:
+        raise ValueError(f"n={n}: the cover would take {count} cells, over the limit of {COVER_CELLS_LIMIT}")
     cells = {
         (j1, j2)
-        for (jx_lo, jx_hi, jy_lo, jy_hi) in _cell_ranges(k, n)
+        for (jx_lo, jx_hi, jy_lo, jy_hi) in ranges
         for j1 in range(jx_lo, jx_hi + 1)
         for j2 in range(jy_lo, jy_hi + 1)
     }

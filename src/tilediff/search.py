@@ -57,10 +57,14 @@ if TYPE_CHECKING:
 PLAIN = "plain"
 PRUNED = "pruned"
 
-# Largest size of the per-axis masks of `_Forward`, in bytes. Past it a
-# pruned search fails before building them: each axis list of masks grows
-# as (2b+1)^3 bits.
-MASK_BYTES_LIMIT = 256 << 20
+# Largest size of the tables of `_Forward`, in bytes. Past it a pruned
+# search fails before building them: the per-cell tables grow as n^2, and
+# each axis list of masks as (2b+1)^3 bits.
+TABLE_BYTES_LIMIT = 256 << 20
+# What the n^2-sized tables of a pruned search (forward pairs, placement
+# order, constraint links, domains) take per cell, by tracemalloc at
+# n = 50 to 200.
+_TABLE_BYTES_PER_CELL = 2_200
 
 
 class BudgetExceeded(ValueError):
@@ -395,23 +399,26 @@ class _Forward:
     is not built here, and `later` only on first read: `root` decides a
     search that ends at the base cell without it.
 
-    Each axis list holds W masks of up to W^2 bits, so before building any
-    the constructor raises ValueError when the lists would take more than
-    MASK_BYTES_LIMIT bytes.
+    The constructor raises ValueError before building any table when the
+    n^2-sized ones would take more than TABLE_BYTES_LIMIT bytes, and `later`
+    raises it before building any mask when the axis lists, W masks of up
+    to W^2 bits each, would. A search that `root` decides builds no mask,
+    so its bound is not limited.
     """
 
     def __init__(self, n: int, bound: int):
+        size = n * n * _TABLE_BYTES_PER_CELL
+        if size > TABLE_BYTES_LIMIT:
+            raise ValueError(
+                f"n={n}: the search tables would take {size >> 20} MiB, "
+                f"over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
+            )
+        self.n = n
         self.bound = bound
-        self.width = width = 2 * bound + 1
+        self.width = 2 * bound + 1
         self.table = table = _constraint_table(n)
         self.mxs = {mx for links in table for _, _, mx, _ in links} - {None}
         self.mys = {my for links in table for _, _, _, my in links} - {None}
-        size = (len(self.mxs) + len(self.mys)) * width ** 3 // 8
-        if size > MASK_BYTES_LIMIT:
-            raise ValueError(
-                f"n={n} bound={bound}: the pruning tables would take "
-                f"{size >> 20} MiB, over the {MASK_BYTES_LIMIT >> 20} MiB limit"
-            )
         self.earlier = [[] for _ in table]
         for k, links in enumerate(table):
             for f, offsets, _, _ in links:
@@ -420,6 +427,12 @@ class _Forward:
     @functools.cached_property
     def later(self) -> list[list[tuple[int, list[int], list[int]]]]:
         width = self.width
+        size = (len(self.mxs) + len(self.mys)) * width ** 3 // 8
+        if size > TABLE_BYTES_LIMIT:
+            raise ValueError(
+                f"n={self.n} bound={self.bound}: the pruning tables would take "
+                f"{size >> 20} MiB, over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
+            )
         block = (1 << width) - 1
         comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
         span, zeros = range(width), [0] * width
@@ -436,15 +449,16 @@ class _Forward:
 
         Every domain is full here, so the base cell wipes out a later cell
         exactly when neither the link's single mx nor its single my lies in
-        [-bound, bound]: the table decides that without any mask. The
-        domains are returned narrowed only when no cell is wiped out."""
+        [-bound, bound]: the table decides that without any mask, and then
+        no domain is built and the list is empty."""
         bound, size = self.bound, self.width * self.width
-        domains = [(1 << size) - 1] * len(self.table)
         for f, _, mx, my in self.table[0]:
             if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
-                return domains, f
+                return [], f
+        links = self.later[0]
+        domains = [(1 << size) - 1] * len(self.table)
         domains[0] = 1 << size // 2  # the middle value, (0, 0)
-        return domains, _narrow(domains, self.later[0], bound, bound, [])
+        return domains, _narrow(domains, links, bound, bound, [])
 
     def witness(self, assigned: list[Vec], depth: int, f: int) -> Vec:
         """The off-axes vector that excludes the lowest value (-bound, -bound)

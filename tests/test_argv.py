@@ -1,0 +1,131 @@
+"""The argument reader of `cli.main` against the full argparse parser.
+
+`main` reads a well-formed call from the argument table itself and hands
+every other argv to `build_parser`. On argvs drawn from each subcommand's
+flags, their abbreviations, ``--x=v`` forms, help, ``--``, numbers in
+several spellings, bad choices and stray positionals, the reader's
+namespace must be the one argparse gives, and `main` must print, raise and
+return what the full parser does. The subcommands' functions are replaced
+by one that returns its namespace, so no call reads a file or searches.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+import tilediff.cli as cli  # noqa: E402
+
+FLAGS = sorted({flag for command in cli.COMMANDS.values() for arg in command.args for flag in arg.flags})
+ABBREVIATIONS = sorted(
+    {flag[:k] for flag in FLAGS if flag.startswith("--") for k in range(3, len(flag))} - set(FLAGS)
+)
+NUMBERS = ["0", "1", "2", "7", "-1", "-3", "1_0", "-1.5", "1.5", " 2", "+2", "0x1", "9" * 4301]
+VALUES = [*NUMBERS, "", "x", "nope", "plain", "pruned", "corner", "edge", "edges,colors"]
+NOISE = st.one_of(
+    st.sampled_from([*FLAGS, *ABBREVIATIONS, "-h", "--help", "--", "-", "-o5", "--bogus"]),
+    st.sampled_from(VALUES),
+    st.sampled_from(["a.txt", "b", "check", "search"]),
+    st.builds("{}={}".format, st.sampled_from(FLAGS + ABBREVIATIONS), st.sampled_from(VALUES)),
+)
+
+
+def _value(arg):
+    """Mostly a value the argument accepts, sometimes any value."""
+    if arg.kind is int:
+        valid = st.integers(-3, 12).map(str)
+    elif isinstance(arg.kind, tuple):
+        valid = st.sampled_from(arg.kind)
+    else:
+        valid = st.sampled_from(["a.txt", "out.svg", "edges", "-"])
+    return st.one_of(valid, valid, st.sampled_from(VALUES))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or none, or an unknown one), some of its arguments in
+    any order, and a little noise."""
+    name = draw(st.sampled_from([*cli.COMMANDS, "bogus", None]))
+    if name is None:
+        return draw(st.lists(NOISE, max_size=3))
+    parts = []
+    for arg in cli.COMMANDS.get(name, cli.COMMANDS["check"]).args:
+        needed = arg.required or not arg.flags
+        if not draw(st.integers(0, 4) if needed else st.booleans()):
+            continue
+        if not arg.flags:
+            parts.append([draw(st.sampled_from(["a.txt", "-5", "-1.5", "b"]))])
+            continue
+        part = [draw(st.sampled_from(arg.flags))]
+        if arg.kind is not cli.FLAG:
+            part.append(draw(_value(arg)))
+        if not draw(st.integers(0, 5)):  # the same option as one "--x=v" token
+            part = [f"{part[0]}={part[-1] if len(part) > 1 else draw(st.sampled_from(VALUES))}"]
+        parts.append(part)
+    tokens = [token for part in draw(st.permutations(parts)) for token in part]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(NOISE))
+    return [name, *tokens]
+
+
+def _outcome(run, argv):
+    """What ``run(argv)`` returns, or its exit code, with its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = run(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parser_dispatch(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _namespace(args):
+    return vars(args)
+
+
+@pytest.fixture
+def echo_commands(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in cli.COMMANDS.values():
+        monkeypatch.setattr(command, "func", _namespace)
+
+
+@settings(
+    max_examples=600,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=argvs())
+def test_reader_agrees_with_the_full_parser(argv, echo_commands):
+    expected = _outcome(_full_parser_dispatch, argv)
+    read = cli._read_argv(list(argv))
+    if read is not None:
+        assert expected == (vars(read), "", "")
+    assert _outcome(cli.main, argv) == expected
+
+
+def test_reader_takes_well_formed_calls_and_declines_the_rest(echo_commands):
+    # The drawn argvs above must reach both sides of the reader.
+    assert cli._read_argv(["search", "--bound", "-2", "--n", "1_0", "--engine", "plain"]) is not None
+    for argv in (
+        ["search", "--n=2", "--bound", "1"],
+        ["search", "--n", "2", "--bou", "1"],
+        ["search", "--n", "2", "--bound", "1", "--n", "2"],
+        ["search", "--n", "2", "--bound", "-1.5"],
+        ["search", "--n", "2"],
+        ["search", "--", "--n", "2", "--bound", "1"],
+        ["check", "-h", "a.txt"],
+        ["check", "a.txt", "b"],
+        ["analyze", "a.txt", "--mode", "nope"],
+    ):
+        assert cli._read_argv(argv) is None, argv

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import tilediff.cli as cli
-from tilediff import TileConfig, format_coloring, format_config, torus
+from tilediff import TileConfig, format_coloring, format_config, search, torus
 from tilediff.cli import build_parser, main
 from tilediff.render import ALL_LAYERS, RenderSpec, render_svg
 from conftest import (
@@ -175,6 +175,11 @@ def test_search_budget_error(workdir):
         (["--n", "2", "--bound", "1", "--budget", "0"], "budget and jobs must be positive"),
         (["--n", "2", "--bound", "-1"], "negative bound"),
         (["--n", "0", "--bound", "1"], "non-positive n"),
+        # 4,000,000 cells at about 2.2 KB each: refused before any table.
+        (
+            ["--n", "2000", "--bound", "1", "--budget", "10"],
+            "n=2000: the search tables would take 8392 MiB, over the 256 MiB limit",
+        ),
     ],
 )
 def test_search_rejects_bad_spec_without_traceback(workdir, args, message):
@@ -194,6 +199,11 @@ def test_search_rejects_bad_spec_without_traceback(workdir, args, message):
             "cannot write missing/x.svg: No such file or directory",
         ),
         (["render", "single.txt", "-o", "."], "cannot write .: Is a directory"),
+        # 100,002^2 cells of the unit square: refused before any is listed.
+        (
+            ["discretize", "unit.boxes", "--n", "100000"],
+            "n=100000: the cover would take 10000400004 cells, over the limit of 1000000",
+        ),
     ],
 )
 def test_bad_resolution_or_output_path_exits_without_traceback(workdir, args, message):
@@ -413,16 +423,19 @@ def test_main_matches_the_full_parser(argv, workdir, capsys, monkeypatch):
     assert _outcome(main, argv, capsys) == expected
 
 
-def test_each_subcommand_parser_is_built_once():
-    for name in cli.COMMANDS:
-        assert cli._command_parser(name) is cli._command_parser(name)
+def test_the_argument_table_names_every_engine_and_layer():
+    # The table spells the choices out so that reading it loads neither
+    # `search` nor `render`.
+    args = {(name, arg.dest): arg for name, command in cli.COMMANDS.items() for arg in command.args}
+    assert args["search", "engine"].kind == (search.PLAIN, search.PRUNED)
+    assert args["search", "engine"].default == search.SearchSpec(n=1, bound=0).engine
+    assert args["render", "show"].help.endswith(f"from: {','.join(ALL_LAYERS)}")
 
 
-# Calls that reuse one cached parser: a plain search with a small budget,
-# then one that must get the default engine and budget back ((4,1) tries
-# 12,911 nodes, past 5000), and a missing required argument between valid
-# calls.
-CACHED_PARSER_ARGVS = [
+# Calls in one process: a plain search with a small budget, then one that
+# must get the default engine and budget back ((4,1) tries 12,911 nodes,
+# past 5000), and a missing required argument between valid calls.
+SEQUENCE_ARGVS = [
     ["search", "--n", "2", "--bound", "1", "--engine", "plain", "--budget", "5000", "--json"],
     ["search", "--n", "4", "--bound", "1", "--json"],
     ["search", "--n", "2"],
@@ -432,12 +445,12 @@ CACHED_PARSER_ARGVS = [
 ]
 
 
-def test_cached_parsers_match_the_full_parser_call_after_call(workdir, capsys, monkeypatch):
-    # One process, one parser per subcommand: no call sees what an earlier
-    # call parsed, defaulted or failed on.
+def test_calls_match_the_full_parser_call_after_call(workdir, capsys, monkeypatch):
+    # One process, one argument table: no call sees what an earlier call
+    # parsed, defaulted or failed on.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(workdir)
-    for argv in [*FRONT_END_ARGVS, *CACHED_PARSER_ARGVS, *FRONT_END_ARGVS]:
+    for argv in [*FRONT_END_ARGVS, *SEQUENCE_ARGVS, *FRONT_END_ARGVS]:
         expected = _outcome(_full_parser_dispatch, argv, capsys)
         assert _outcome(main, argv, capsys) == expected, argv
 
@@ -491,6 +504,15 @@ def test_search_with_oversize_tables_fails_fast(workdir):
         "error: n=3 bound=400: the pruning tables would take 367 MiB, "
         "over the 256 MiB limit\n"
     )
+
+
+def test_search_at_n2_takes_any_bound(workdir, capsys, monkeypatch):
+    # The base cell wipes out the only other cell, so no mask is built:
+    # (2,600) would need 413 MiB of them.
+    monkeypatch.chdir(workdir)
+    assert main(["search", "--n", "2", "--bound", "600", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["valid_found"], doc["nodes_visited"]) == (0, 0)
 
 
 def test_unrecognized_arguments_get_the_top_level_usage(workdir, capsys, monkeypatch):

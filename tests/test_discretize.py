@@ -1,6 +1,7 @@
 """Discretization: difference of box unions, gap, covers, transversals."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from tilediff import (
     TileConfig,
     cover_cells,
     difference_set,
+    discretize,
     epsilon_gap,
     minkowski_diff,
     reduce_to_transversal,
@@ -154,6 +156,24 @@ def test_cover_boxes_match_the_per_cell_scan():
             verdicts.add((n < n0, lhs == oracle))
     # Covers below n0 that gain vectors, and covers at or above n0 that match.
     assert {(True, False), (False, True)} <= verdicts
+
+
+def test_cover_past_the_cell_limit_fails_before_listing_cells(monkeypatch):
+    # 100,002^2 cells: refused from the box ranges alone.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^n=100000: .* 10000400004 cells, over the limit of 1000000$"):
+            cover_cells(UNIT, 100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # The limit counts each box's range: the two unit boxes hold 2 * 6^2
+    # cells at n = 4.
+    monkeypatch.setattr(discretize, "COVER_CELLS_LIMIT", 72)
+    assert len(cover_cells(TWO_BOXES, 4).cells) == 72
+    with pytest.raises(ValueError, match=r"^n=5: the cover would take 98 cells, over the limit of 72$"):
+        cover_cells(TWO_BOXES, 5)
 
 
 def test_discretization_exact_point():

@@ -21,16 +21,19 @@ that of the same call with ``--reduce``. A name ending in ``-nN`` adds
 ``NAME.MODE.json`` the stdout of ``tilediff analyze NAME.coloring --mode MODE
 --json``. ``tests/golden/render/NAME.svg`` is the file written by ``tilediff
 render SOURCE -o NAME.svg --show`` every layer, where SOURCE is
-``check/NAME.txt`` or ``coloring/NAME.coloring``.
+``check/NAME.txt`` or ``coloring/NAME.coloring``. ``tests/golden/help/NAME.txt``
+is the stdout of ``tilediff NAME --help`` at ``COLUMNS=80``, and
+``tilediff.txt`` that of ``tilediff --help``.
 
 Regenerate a file only for an intended change of the output.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from tilediff.cli import main
+from tilediff.cli import COMMANDS, main
 from tilediff.render import ALL_LAYERS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +45,7 @@ SEARCHES = sorted((GOLDEN / "search").glob("*.json"))
 BOXES = sorted((GOLDEN / "discretize").glob("*.boxes"))
 COLORINGS = sorted((GOLDEN / "coloring").glob("*.coloring"))
 RENDERS = sorted((GOLDEN / "render").glob("*.svg"))
+HELP = sorted((GOLDEN / "help").glob("*.txt"))
 
 
 def search_argv(name: str) -> list[str]:
@@ -86,6 +90,7 @@ def test_golden_analyze_and_search_corpora_are_present():
 
 def test_golden_text_corpora_are_present():
     assert len(CHECK_TEXT) == len(ANALYZE_TEXT) == 8
+    assert [p.stem for p in HELP] == [*sorted(COMMANDS), "tilediff"]
     assert [p.stem for p in CHECK_TEXT] == [p.stem for p in CONFIGS]
     assert [p.stem for p in ANALYZE_TEXT] == [p.stem for p in CONFIGS]
 
@@ -160,3 +165,18 @@ def test_render_svg_matches_golden(golden, tmp_path, capsys):
     argv = ["render", str(render_source(golden)), "-o", str(out), "--show", ",".join(ALL_LAYERS)]
     assert main(argv) == 0
     assert out.read_bytes() == golden.read_bytes()
+
+
+# argparse words and lays out help differently before 3.11 ("optional
+# arguments:") and from 3.13 ("-o, --out OUT"); the goldens are 3.11's.
+@pytest.mark.skipif(
+    not (3, 11) <= sys.version_info[:2] <= (3, 12), reason="argparse help layout of 3.11 and 3.12"
+)
+@pytest.mark.parametrize("golden", HELP, ids=lambda path: path.stem)
+def test_help_matches_golden(golden, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    command = [] if golden.stem == "tilediff" else [golden.stem]
+    with pytest.raises(SystemExit) as exit:
+        main([*command, "--help"])
+    assert exit.value.code == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()

@@ -23,7 +23,7 @@ from tilediff import (
 )
 from tilediff.model import TileConfig, normalize, on_axes
 from tilediff.search import (
-    MASK_BYTES_LIMIT,
+    TABLE_BYTES_LIMIT,
     BudgetExceeded,
     _Forward,
     _Partial,
@@ -592,14 +592,26 @@ def test_oversize_tables_fail_before_any_mask_is_built():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < MASK_BYTES_LIMIT // 1000
+    assert peak < TABLE_BYTES_LIMIT // 1000
+
+
+def test_oversize_n_fails_before_any_table_is_built():
+    # The n^2-sized tables of (2000,1) would take about 8.4 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^n=2000: .* 8392 MiB, over the 256 MiB limit$"):
+            run_search(SearchSpec(n=2000, bound=1, budget=10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < TABLE_BYTES_LIMIT // 1000
 
 
 def test_no_benchmark_or_golden_search_reaches_the_table_limit():
     # The largest pruned searches timed, traced or frozen: the (2,b) rungs
     # and the frontier ladder up to (5,1).
     for n, bound in [(2, 12), (3, 3), (4, 2), (5, 1)]:
-        _Forward(n, bound)
+        assert _Forward(n, bound).later
 
 
 def test_pruned_search_runs_past_the_cross_class_limit():
