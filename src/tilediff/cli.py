@@ -12,38 +12,27 @@ to the argparse parser built from the same table, which prints the help
 or the usage error, so those read exactly as they always have. argparse is
 imported only then.
 
-The library is reached through its submodules' attributes at call time,
-so a call runs only the submodules its subcommand uses.
+Each subcommand's handler is `run(args)` in its own module,
+`commands.<name>`, which `main` imports when it dispatches; so a call
+compiles only its own handler. The handlers reach the library through its
+submodules' attributes at call time, so a call runs only the submodules its
+subcommand uses.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
+from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import diffset, discretize, model, render, search, topology, torus
+# Every document is a fresh tree, so the encoder skips the cycle check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _audit_doc(report: diffset.AuditReport) -> dict:
-    # Every audit stops at the axes stage; the fields a later stage would
-    # fill stay in the document as nulls.
-    return {
-        "stage": report.stage,
-        "witness": report.witness,
-        "witness_pairs": report.witness_pairs,
-        "component_id": None,
-        "curve": None,
-        "gain": None,
-        "class": None,
-        "detail": report.detail,
-    }
+    sys.stdout.write(_ENCODER.encode(doc) + "\n")
 
 
 def _parse_file(path: str, parse):
@@ -58,220 +47,6 @@ def _parse_file(path: str, parse):
         return parse(text)
     except ValueError as exc:
         raise SystemExit(f"error: {path}: {exc}")
-
-
-# A line whose first token before any '#' is ``u``, over the text's lines
-# rejoined with "\n" so that every `str.splitlines` break ends a line.
-# Compiled on the first call by `re`'s cache, so `check` and `search` never
-# pay for it.
-_CONFIG_LINE = r"^[^\S\n]*u(?![^\s#])"
-
-
-def _parse_source(text: str) -> model.TileConfig | torus.EdgeColoring:
-    """Parse a config (text with a ``u`` line) or else a coloring."""
-    if re.search(_CONFIG_LINE, "\n".join(text.splitlines()), re.M):
-        return model.parse_config(text)
-    return torus.parse_coloring(text)
-
-
-def cmd_check(args) -> int:
-    config = _parse_file(args.config, model.parse_config)
-    problems = model.validate(config)
-    ds = diffset.difference_set(config)
-    check = diffset.axes_subset(ds)
-    span = diffset.lattice_span(ds)
-    audit = diffset.impossibility_audit(config, check)
-    if args.json:
-        _emit_json(
-            {
-                "command": "check",
-                "n": config.n,
-                "violations": problems,
-                "difference_set_size": len(ds),
-                "difference_set": ds.sorted_vectors(),
-                "axes_subset": check.on_axes,
-                "axes_witness": check.witness,
-                "span_rank": span.rank,
-                "span_index": span.index,
-                "span_basis": span.basis,
-                "generates_lattice": span.generates_full_lattice,
-                "audit": _audit_doc(audit),
-            }
-        )
-        return 0
-    print(f"n: {config.n}")
-    print(f"difference set: {len(ds)} vectors")
-    if args.vectors:
-        for (x, y) in ds.sorted_vectors():
-            print(f"({x},{y})")
-    if check.on_axes:
-        print("axes subset: true")
-    else:
-        print(f"axes subset: false (witness {check.witness})")
-    gen = "true" if span.generates_full_lattice else "false"
-    index = "inf" if span.index is None else span.index
-    print(f"generates Z^2: {gen} (rank {span.rank}, index {index})")
-    print(f"audit stage: {audit.stage}")
-    return 0
-
-
-def cmd_discretize(args) -> int:
-    boxes = _parse_file(args.boxes, model.parse_boxes)
-    gap = discretize.epsilon_gap(boxes)
-    n = args.n if args.n is not None else gap.n0
-    try:
-        cover = discretize.cover_cells(boxes, n)
-        equal = discretize.discretization_exact(boxes, n)
-        transversal = discretize.reduce_to_transversal(cover) if args.reduce else None
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    if args.json:
-        _emit_json(
-            {
-                "command": "discretize",
-                "gap_squared": model._format_rational(gap.gap_squared),
-                "n0": gap.n0,
-                "n": n,
-                "cell_count": len(cover.cells),
-                "diff_sets_equal": equal,
-                "transversal": None if transversal is None else model.format_config(transversal),
-            }
-        )
-        return 0
-    print(f"gap_squared: {model._format_rational(gap.gap_squared)}")
-    print(f"n0: {gap.n0}")
-    print(f"n: {n}")
-    print(f"cells: {len(cover.cells)}")
-    print(f"difference sets equal: {'true' if equal else 'false'}")
-    if transversal is not None:
-        sys.stdout.write(model.format_config(transversal))
-    return 0
-
-
-def cmd_search(args) -> int:
-    try:
-        spec = search.SearchSpec(
-            n=args.n,
-            bound=args.bound,
-            engine=args.engine,
-            symmetry=args.symmetry,
-            budget=args.budget,
-            jobs=args.jobs,
-            witnesses=args.witnesses,
-        )
-        report = search.run_search(spec)
-    except search.BudgetExceeded as stop:
-        print(stop.progress, file=sys.stderr)
-        raise SystemExit(f"error: {stop}")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    dumped = []
-    for k, config in enumerate(report.valid_configs):
-        path = Path(f"valid-config-{k:03d}.txt")
-        path.write_text(model.format_config(config), encoding="utf-8")
-        dumped.append(str(path))
-    if args.json:
-        _emit_json(
-            {
-                "command": "search",
-                "n": spec.n,
-                "bound": spec.bound,
-                "engine": spec.engine,
-                "symmetry": spec.symmetry,
-                "configs_enumerated": report.configs_enumerated,
-                "nodes_visited": report.nodes_visited,
-                "valid_found": report.valid_found,
-                "witness_counts": report.witness_counts,
-                "valid_config_files": dumped,
-            }
-        )
-    else:
-        print(f"search n={spec.n} bound={spec.bound} engine={spec.engine}")
-        if report.valid_found == 0:
-            print(f"guarantee: no valid configuration with max-norm <= {spec.bound}")
-        else:
-            print("VALID CONFIGURATION FOUND")
-        print(f"configs enumerated: {report.configs_enumerated}")
-        print(f"nodes visited: {report.nodes_visited}")
-        print(f"valid found: {report.valid_found}")
-        top = sorted(report.witness_counts, key=lambda vc: (-vc[1], vc[0]))[:5]
-        for vec, count in top:
-            print(f"witness {vec}: {count}")
-        for path in dumped:
-            print(f"dumped {path}")
-        print(f"wall time: {report.wall_time:.3f}s")
-    return 0 if report.valid_found == 0 else 2
-
-
-def cmd_analyze(args) -> int:
-    source = _parse_file(args.file, _parse_source)
-    if isinstance(source, model.TileConfig):
-        report = diffset.impossibility_audit(source)
-        if args.json:
-            _emit_json({"command": "analyze", "kind": "config", "audit": _audit_doc(report)})
-        else:
-            print(f"audit stage: {report.stage}")
-            print("passed: (none)")
-            print(f"witness: {report.witness}")
-            print(f"detail: {report.detail}")
-        return 0
-    try:
-        comps = topology.components(source, args.mode)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    rows = []
-    for idx, comp in enumerate(comps):
-        curves = topology.boundary_curves(comp)
-        image = topology.pi1_image(comp)
-        rows.append(
-            {
-                "id": idx,
-                "color": comp.color,
-                "size": len(comp.squares),
-                "squares": sorted(comp.squares),
-                "boundary_curves": len(curves),
-                "boundary_classes": [topology.homotopy_class(c) for c in curves],
-                "pi1_rank": image.rank,
-                "pi1_basis": image.basis,
-                "pi1_index": image.index,
-                "pieces": len(topology.interiors_decomposition(comp)),
-            }
-        )
-    if args.json:
-        _emit_json(
-            {
-                "command": "analyze",
-                "kind": "coloring",
-                "n": source.n,
-                "mode": args.mode,
-                "components": rows,
-            }
-        )
-    else:
-        print(f"n={source.n} mode={args.mode} components={len(rows)}")
-        for row in rows:
-            classes = " ".join(str(c) for c in row["boundary_classes"]) or "-"
-            print(
-                f"  [{row['id']}] {row['color']:5s} size={row['size']:3d} "
-                f"pieces={row['pieces']} pi1_rank={row['pi1_rank']} "
-                f"boundary_classes={classes}"
-            )
-    return 0
-
-
-def cmd_render(args) -> int:
-    source = _parse_file(args.file, _parse_source)
-    try:
-        spec = render.RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
-        svg = render.render_svg(source, spec)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    try:
-        Path(args.out).write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write {args.out}: {exc.strerror}")
-    print(f"wrote {args.out}")
-    return 0
 
 
 FLAG = "flag"  # the kind of an option that takes no value: False unless given
@@ -291,12 +66,13 @@ class Arg:
 
 
 class Command:
-    """One subcommand: its help line, the function it runs, its arguments."""
+    """One subcommand: its help line and its arguments. Its handler is
+    `run` in the module `commands.<name>`."""
 
-    __slots__ = ("help", "func", "args")
+    __slots__ = ("help", "args")
 
-    def __init__(self, help, func, args):
-        self.help, self.func, self.args = help, func, args
+    def __init__(self, help, args):
+        self.help, self.args = help, args
 
 
 # The one description of every subcommand's arguments. `build_parser` builds
@@ -304,18 +80,18 @@ class Command:
 # it. The engine and layer names are written out, not read from `search` and
 # `render`, so that the table loads neither; a test checks they agree.
 COMMANDS = {
-    "check": Command("difference set, axes and generation verdicts", cmd_check, (
+    "check": Command("difference set, axes and generation verdicts", (
         Arg((), "config", help="config file"),
         Arg(("--vectors",), "vectors", FLAG, help="list the difference set, one pair per line"),
         Arg(("--json",), "json", FLAG),
     )),
-    "discretize": Command("gap, threshold resolution and covering", cmd_discretize, (
+    "discretize": Command("gap, threshold resolution and covering", (
         Arg((), "boxes", help="box-union file"),
         Arg(("--n",), "n", int, help="resolution (default: n0)"),
         Arg(("--reduce",), "reduce", FLAG, help="emit the transversal config"),
         Arg(("--json",), "json", FLAG),
     )),
-    "search": Command("bounded exhaustive search", cmd_search, (
+    "search": Command("bounded exhaustive search", (
         Arg(("--n",), "n", int, required=True),
         Arg(("--bound",), "bound", int, required=True),
         Arg(("--engine",), "engine", ("plain", "pruned"), "pruned"),
@@ -325,12 +101,12 @@ COMMANDS = {
         Arg(("--symmetry",), "symmetry", FLAG, help="quotient by the x<->y swap"),
         Arg(("--json",), "json", FLAG),
     )),
-    "analyze": Command("component table or config audit", cmd_analyze, (
+    "analyze": Command("component table or config audit", (
         Arg((), "file", help="coloring or config file"),
         Arg(("--mode",), "mode", ("corner", "edge"), "corner"),
         Arg(("--json",), "json", FLAG),
     )),
-    "render": Command("render an SVG diagram", cmd_render, (
+    "render": Command("render an SVG diagram", (
         Arg((), "file", help="coloring or config file"),
         Arg(("-o", "--out"), "out", required=True, help="output SVG path"),
         Arg(("--cell-px",), "cell_px", int, 24),
@@ -367,7 +143,6 @@ def build_parser():
             p.add_argument(
                 *arg.flags, dest=arg.dest, required=arg.required, help=arg.help, **options
             )
-        p.set_defaults(func=command.func)
     return parser
 
 
@@ -422,7 +197,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     if len(positionals) != len(names) or not required <= given:
         return None
     values.update(zip(names, positionals))
-    return SimpleNamespace(command=argv[0], func=command.func, **values)
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
@@ -433,7 +208,10 @@ def main(argv=None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    return args.func(args)
+    # The handler module is imported on the first call that names it; a
+    # repeated call finds it in sys.modules.
+    name = f"{__package__}.commands.{args.command}"
+    return (sys.modules.get(name) or import_module(name)).run(args)
 
 
 if __name__ == "__main__":

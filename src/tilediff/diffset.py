@@ -18,8 +18,8 @@ A `DiffSet` holds generators G and stands for {(0, 0)} | G | -G; for
 `difference_set`, G is the distinct vectors of the forward pairs.
 Membership, the axes verdict and the lattice span read G directly. The
 symmetric closure is built, once per set, only when a caller asks for all
-of its vectors, its size or its sorted list. `DiffSet` is a one-field
-`typing.NamedTuple` subclass that compares and hashes by that closure.
+of its vectors, its size or its sorted list. `DiffSet` subclasses a
+one-field `collections.namedtuple` and compares and hashes by that closure.
 
 Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
 behind one vector on demand, with one more O(n^2) scan of the same table.
@@ -32,14 +32,17 @@ generators, which span the same subgroup as the closure.
 argument. Every configuration breaks it at the first stage, an off-axes
 vector of its difference set, so the audit reads only that set and needs
 nothing from the torus or topology layers. The verdicts `AxesCheck`,
-`LatticeSpan` and `AuditReport` are named tuples.
+`LatticeSpan` and `AuditReport` are named tuples. Every record here is
+built on `collections.namedtuple`, not `typing.NamedTuple`, whose class
+statement compiles each field annotation when the module loads.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .lift import _forward_pairs
 from .model import TileConfig, Vec, validate
@@ -52,8 +55,7 @@ if TYPE_CHECKING:
 WitnessPair = tuple[tuple[int, int], tuple[int, int], Vec]
 
 
-class _DiffSetFields(NamedTuple):
-    generators: frozenset[Vec]
+_DiffSetFields = namedtuple("_DiffSetFields", ("generators",))
 
 
 class DiffSet(_DiffSetFields):
@@ -202,11 +204,10 @@ def geometric_contains(config: TileConfig, v: Vec) -> bool:
                for cx, cy in corners for ex in (-1, 0, 1) for ey in (-1, 0, 1))
 
 
-class AxesCheck(NamedTuple):
+class AxesCheck(namedtuple("AxesCheck", ("on_axes", "witness"), defaults=(None,))):
     """Verdict of the axes-confinement test with a deterministic witness."""
 
-    on_axes: bool
-    witness: Optional[Vec] = None
+    __slots__ = ()  # on_axes: bool; witness: the least off-axes vector, or None
 
 
 def axes_subset(d: DiffSet) -> AxesCheck:
@@ -230,7 +231,7 @@ def axes_subset(d: DiffSet) -> AxesCheck:
     return AxesCheck(False, witness)
 
 
-class LatticeSpan(NamedTuple):
+class LatticeSpan(namedtuple("LatticeSpan", ("rank", "basis", "index"))):
     """Subgroup of Z^2 generated by a vector set, in canonical Hermite form.
 
     rank 2 basis is ((d1, e), (0, d2)) with d1,d2 > 0 and 0 <= e < d2;
@@ -238,9 +239,7 @@ class LatticeSpan(NamedTuple):
     vector has its first nonzero coordinate positive.
     """
 
-    rank: int
-    basis: tuple[Vec, ...]
-    index: Optional[int]
+    __slots__ = ()
 
     @property
     def generates_full_lattice(self) -> bool:
@@ -311,14 +310,11 @@ def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
     return LatticeSpan(2, ((a, b), (0, c)), a * c)
 
 
-class AuditReport(NamedTuple):
+class AuditReport(namedtuple("AuditReport", ("stage", "witness", "witness_pairs", "detail"))):
     """Where a configuration breaks the argument: the axes stage, with the
     off-axes witness, the cell pairs that carry it and a detail line."""
 
-    stage: str
-    witness: Vec
-    witness_pairs: tuple
-    detail: str
+    __slots__ = ()
 
 
 def impossibility_audit(config: TileConfig, check: Optional[AxesCheck] = None) -> AuditReport:

@@ -6,10 +6,13 @@ closed squares of side 1/n inside the unit square by its cell's translate.
 Everything downstream (difference sets, discretization, the torus complex)
 consumes these values.
 
-All types are immutable after construction. `TileConfig` is a
-`typing.NamedTuple`, so it unpacks as ``n, translates = config`` and compares
-equal to the plain tuple ``(n, translates)``; `BoxUnion` is one too, over a
-single ``boxes`` field, and checks its boxes when built.
+All types are immutable after construction. `TileConfig` is a named
+tuple, so it unpacks as ``n, translates = config`` and compares equal to the
+plain tuple ``(n, translates)``; `BoxUnion` is one too, over a single
+``boxes`` field, and checks its boxes when built. Both are built on
+`collections.namedtuple` with empty ``__slots__``: a `typing.NamedTuple`
+class compiles each of its field annotations when it is built, which every
+call that loads this module would pay.
 
 Only the code that builds a rational (`parse_boxes` and `BoxUnion.of`)
 imports `fractions`, so reading and checking configurations never loads it.
@@ -18,9 +21,10 @@ imports `fractions`, so reading and checking configurations never loads it.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -45,15 +49,14 @@ def on_axes(v: Vec) -> bool:
     return v[0] == 0 or v[1] == 0
 
 
-class TileConfig(NamedTuple):
+class TileConfig(namedtuple("TileConfig", ("n", "translates"))):
     """Grid resolution ``n`` plus one translate per cell.
 
     Translates are stored row-major by (i, j) with i the x-index:
     ``translates[i * n + j]`` is the translate of cell (i, j).
     """
 
-    n: int
-    translates: tuple[Vec, ...]
+    __slots__ = ()
 
     def u(self, i: int, j: int) -> Vec:
         return self.translates[i * self.n + j]
@@ -106,8 +109,7 @@ def normalize(config: TileConfig) -> TileConfig:
 Box = tuple["Fraction", "Fraction", "Fraction", "Fraction"]
 
 
-class _BoxUnionFields(NamedTuple):
-    boxes: tuple[Box, ...]
+_BoxUnionFields = namedtuple("_BoxUnionFields", ("boxes",))
 
 
 class BoxUnion(_BoxUnionFields):

@@ -13,12 +13,9 @@ a value on
   - the row y = qy - my, when only |My| = 1;
 and no value at all when both offset sets have several members.
 
-Two engines: `plain` enumerates every full assignment depth first and
-serves as the oracle. It evaluates each forward pair once per prefix, at the
-later of its two cells, except those of the last cell: each node carries the
-least vector of those per value of the last cell, so it evaluates a whole
-leaf level at once. It checks each valid leaf and the first leaf of each
-witness vector against `difference_set`. `pruned` does forward checking
+Two engines: `plain`, in the module `plain`, enumerates every full
+assignment depth first and serves as the oracle; this module imports it
+only for ``--engine plain`` and at n = 1. `pruned` does forward checking
 (Haralick & Elliott 1980) in the static diagonal order of `_search_order`.
 Each free cell keeps a bitmask domain over the value range. Placing a cell
 ANDs the closed-form mask above, the OR of one column and one row mask,
@@ -34,19 +31,19 @@ it.
 
 Both engines read the forward-pair table of `lift` and nothing else of the
 package until they need it, looking `model` and `diffset` up when they run.
-The plain engine (and the pruned one at n = 1, which scans like it) builds
-a `TileConfig` and its difference set at its first leaf. The pruned engine
-builds a `TileConfig` only at a leaf, which the paper's lift never lets it
-reach, or at a cut under `witnesses`. `verify_witnesses` replays records
-through `diffset.geometric_contains`. So a default pruned search runs no
-`model` or `diffset` code.
+The plain engine builds a `TileConfig` and its difference set at its first
+leaf. The pruned engine builds a `TileConfig` only at a leaf, which the
+paper's lift never lets it reach, or at a cut under `witnesses`.
+`verify_witnesses` replays records through `diffset.geometric_contains`.
+So a default pruned search runs no `model`, `diffset` or `plain` code.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from . import diffset, model
 from .lift import _forward_pairs
@@ -57,14 +54,21 @@ if TYPE_CHECKING:
 PLAIN = "plain"
 PRUNED = "pruned"
 
-# Largest size of the tables of `_Forward`, in bytes. Past it a pruned
-# search fails before building them: the per-cell tables grow as n^2, and
-# each axis list of masks as (2b+1)^3 bits.
+# Largest size of the tables of `_Forward`, and of the domains, in bytes.
+# Past it a pruned search fails before building them: the per-cell tables
+# grow as n^2, each axis list of masks as (2b+1)^3 bits, and the domains as
+# n^2 (2b+1)^2 bits.
 TABLE_BYTES_LIMIT = 256 << 20
 # What the n^2-sized tables of a pruned search (forward pairs, placement
 # order, constraint links, domains) take per cell, by tracemalloc at
 # n = 50 to 200.
 _TABLE_BYTES_PER_CELL = 2_200
+# What the live domains and the undo trail of a deep pruned search take, in
+# bits per cell and value of the range: every domain is an int of up to W^2
+# bits, and the trail keeps each one a placement replaced. By tracemalloc at
+# the peak, which a budget of a few thousand nodes reaches: 2.10 to 2.25 at
+# n = 16 to 40 and bound 60 to 150.
+_DOMAIN_BITS_PER_VALUE = 9 / 4
 
 
 class BudgetExceeded(ValueError):
@@ -97,14 +101,11 @@ class BudgetExceeded(ValueError):
                 f"cell {self.first} fully explored {self.explored} of {self.domain} values")
 
 
-class _SearchSpecFields(NamedTuple):
-    n: int
-    bound: int
-    engine: str = PRUNED
-    symmetry: bool = False
-    budget: int = 2_000_000
-    jobs: int = 1
-    witnesses: bool = False
+_SearchSpecFields = namedtuple(
+    "_SearchSpecFields",
+    ("n", "bound", "engine", "symmetry", "budget", "jobs", "witnesses"),
+    defaults=(PRUNED, False, 2_000_000, 1, False),
+)
 
 
 class SearchSpec(_SearchSpecFields):
@@ -125,7 +126,10 @@ class SearchSpec(_SearchSpecFields):
         return self
 
 
-class SearchReport(NamedTuple):
+class SearchReport(namedtuple("SearchReport", (
+    "spec", "configs_enumerated", "nodes_visited", "valid_found", "witness_counts",
+    "witness_records", "valid_configs", "wall_time",
+))):
     """Outcome of one bounded search.
 
     The guarantee stated by a clean report is bounded: no valid configuration
@@ -141,14 +145,10 @@ class SearchReport(NamedTuple):
     output.
     """
 
-    spec: SearchSpec
-    configs_enumerated: int
-    nodes_visited: int
-    valid_found: int
-    witness_counts: tuple[tuple[Vec, int], ...]
-    witness_records: tuple[tuple[TileConfig, Vec], ...]
-    valid_configs: tuple[TileConfig, ...]
-    wall_time: float
+    # spec: SearchSpec; configs_enumerated, nodes_visited, valid_found: int;
+    # witness_counts: ((x, y), count) pairs; witness_records: (TileConfig,
+    # (x, y)) pairs; valid_configs: TileConfigs; wall_time: float seconds.
+    __slots__ = ()
 
 
 class _Partial:
@@ -231,112 +231,6 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
         part.witness_records.append((config, vec))
 
 
-def _least(ux: int, uy: int, shifts: list[Vec], least: Vec = (0, 0)) -> Vec:
-    """The smallest of `least` and the off-axes vectors (ux, uy) + s for s
-    in `shifts`, each signed so that x < 0."""
-    for sx, sy in shifts:
-        x, y = ux + sx, uy + sy
-        if x and y:
-            if x > 0:
-                x, y = -x, -y
-            if (x, y) < least:
-                least = (x, y)
-    return least
-
-
-def _plain_scan(spec: SearchSpec) -> _Partial:
-    """Enumerate every assignment depth first, in `itertools.product` order:
-    cell 1 outermost, values in `_value_range` order.
-
-    A witness is the lexicographically smallest off-axes pair vector,
-    signed so that x < 0, which is `axes_subset`'s rule; (0, 0) stands for
-    none, as every witness is smaller. Each pair of two cells before the
-    last is evaluated once per prefix, at the later of its two cells, and
-    folded into the witness carried down from the parent. The pairs of the
-    last cell are folded per anchor instead: a node carries one entry per
-    value of the last cell, the least vector of its pairs with the cells
-    placed so far, and builds its entries from its parent's with an
-    elementwise `min` over the row of the cell it places, cached per
-    (cell, value). The node before the last cell then evaluates all its
-    leaves at once, each one tally and no pass over its pairs. Every valid
-    leaf, and the first leaf of each distinct witness, is cross-checked
-    against `difference_set` from scratch. The walk keeps its own stack: at
-    bound 0 a search of any n fits the budget, and its depth n^2 would pass
-    Python's recursion limit.
-    """
-    n, symmetry, witnesses = spec.n, spec.symmetry, spec.witnesses
-    last = n * n - 1
-    values = _value_range(spec.bound)
-    backward = values[::-1]  # stacked, so popped in order
-    # The vector of a pair is +-(u(d) - u(other) + o) for its later cell d,
-    # and the witness rule does not see the sign.
-    groups: list[list[tuple[int, int, int]]] = [[] for _ in range(last + 1)]
-    for k, k2, mx, my in _forward_pairs(n):
-        if k >= k2:
-            groups[k].append((k2, mx, my))
-        else:
-            groups[k2].append((k, -mx, -my))
-    rows: dict[tuple[int, Vec], list[Vec]] = {}
-    anchors = {k for k, _, _ in groups[last]} - {last}
-    assigned: list[Vec] = [(0, 0)] * (last + 1)
-    swap = tuple(_swap_position(k, n) for k in range(last + 1)) if symmetry else ()
-    part = _Partial()
-    counts = part.witness_counts
-    leaves = 0
-    # Nodes still to visit, as (depth, value, parent's witness, parent's
-    # last-cell entries, settled). A node is popped after its parent and
-    # before its parent's next sibling, so assigned[:depth] holds its
-    # ancestors' values.
-    stack = [(0, (0, 0), (0, 0), [(0, 0)] * len(values), False)]
-    while stack:
-        depth, value, witness, entries, settled = stack.pop()
-        assigned[depth] = ux, uy = value
-        witness = _least(ux, uy, [(ox - assigned[k][0], oy - assigned[k][1])
-                                  for k, ox, oy in groups[depth]], witness)
-        if symmetry and not settled:
-            state = _lex_state(assigned, depth, swap)
-            if state == _PRUNE:
-                continue
-            settled = state == _CANONICAL
-        if depth in anchors:
-            row = rows.get((depth, value))
-            if row is None:
-                offsets = [(ox - ux, oy - uy) for k, ox, oy in groups[last] if k == depth]
-                row = rows[depth, value] = [_least(x, y, offsets) for x, y in values]
-            entries = [e if e < r else r for e, r in zip(entries, row)]
-        if depth < last - 1:
-            stack.extend((depth + 1, v, witness, entries, settled) for v in backward)
-            continue
-        # The leaves under this node; at n = 1 the root is the only leaf.
-        for v, w in zip(values, entries) if depth < last else [(value, (0, 0))]:
-            if witness < w:
-                w = witness
-            orbit = 2 if symmetry else 1
-            if symmetry and not settled:
-                assigned[last] = v
-                state = _lex_state(assigned, last, swap)
-                if state == _PRUNE:
-                    continue
-                if state == _FIXED:
-                    orbit = 1
-            leaves += 1
-            if w in counts and not witnesses:
-                counts[w] += 1
-                continue
-            assigned[last] = v
-            config = model.TileConfig(n, tuple(assigned))
-            if w not in counts and (diffset.axes_subset(diffset.difference_set(config)).witness
-                                    or (0, 0)) != w:
-                raise AssertionError("plain engine disagrees with difference_set")
-            if w == (0, 0):
-                part.valid_found += orbit
-                part.valid_configs.append(config)
-            else:
-                _record_witness(part, w, config if witnesses else None)
-    part.configs_enumerated = part.nodes_visited = leaves
-    return part
-
-
 @functools.lru_cache(maxsize=64)
 def _constraint_table(n: int):
     """For each position k of `_search_order(n)`, the later positions f
@@ -402,8 +296,10 @@ class _Forward:
     The constructor raises ValueError before building any table when the
     n^2-sized ones would take more than TABLE_BYTES_LIMIT bytes, and `later`
     raises it before building any mask when the axis lists, W masks of up
-    to W^2 bits each, would. A search that `root` decides builds no mask,
-    so its bound is not limited.
+    to W^2 bits each, would. `root` raises it before building any mask or
+    domain when the domains and the trail, up to a few ints of W^2 bits per
+    cell, would. A search that `root` decides builds neither, so its bound
+    is not limited.
     """
 
     def __init__(self, n: int, bound: int):
@@ -455,6 +351,12 @@ class _Forward:
         for f, _, mx, my in self.table[0]:
             if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
                 return [], f
+        domain_bytes = int(len(self.table) * size * _DOMAIN_BITS_PER_VALUE) // 8
+        if domain_bytes > TABLE_BYTES_LIMIT:
+            raise ValueError(
+                f"n={self.n} bound={bound}: the search domains would take "
+                f"{domain_bytes >> 20} MiB, over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
+            )
         links = self.later[0]
         domains = [(1 << size) - 1] * len(self.table)
         domains[0] = 1 << size // 2  # the middle value, (0, 0)
@@ -506,6 +408,8 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     n = spec.n
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
+        from .plain import _plain_scan
+
         return _plain_scan(spec)
     # Locals, read once: the node loop and `cut` run per node.
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
@@ -594,33 +498,15 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     return part
 
 
-# A plain leaf count past this many is reported as a power, "b^e".
-_LONG_COUNT = 10**18
-
-
-def _power_upto(base: int, exponent: int, cap: int) -> int | None:
-    """base**exponent, or None once the product passes `cap`. The product is
-    built one factor at a time, so a count past the budget is refused after
-    about log(cap) multiplications, however large its exponent."""
-    power = 1
-    for _ in range(exponent if base > 1 else 0):
-        power *= base
-        if power > cap:
-            return None
-    return power
-
-
 def run_search(spec: SearchSpec) -> SearchReport:
     """Run the configured engine and assemble the final report."""
     start = time.perf_counter()
-    n = spec.n
-    free = n * n - 1
     if spec.engine == PLAIN:
-        base, exponent = 2 * spec.bound + 1, 2 * free
-        leaves = _power_upto(base, exponent, max(spec.budget, _LONG_COUNT))
-        if leaves is None or leaves > spec.budget:
-            raise BudgetExceeded(spec.budget, leaves=leaves or f"{base}^{exponent}")
-    part = _plain_scan(spec) if spec.engine == PLAIN else _pruned_scan(spec)
+        from .plain import _plain_scan
+
+        part = _plain_scan(spec)
+    else:
+        part = _pruned_scan(spec)
     elapsed = time.perf_counter() - start
     return SearchReport(
         spec=spec,

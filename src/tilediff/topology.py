@@ -24,7 +24,8 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Callable, Iterable
 
 from .model import Vec, vadd, vneg, vsub
 from .diffset import LatticeSpan, lattice_span
@@ -36,14 +37,11 @@ from .diffset import impossibility_audit
 from . import torus
 
 
-class Step(NamedTuple):
+class Step(namedtuple("Step", ("kind", "i", "j", "forward"))):
     """A directed torus edge: horizontal/vertical edge (i, j) traversed
     forward (rightward/upward) or backward."""
 
-    kind: str  # "h" or "v"
-    i: int
-    j: int
-    forward: bool
+    __slots__ = ()  # kind: "h" or "v"; i, j: int; forward: bool
 
     def tail(self, n: int) -> Vec:
         if self.forward:

@@ -484,7 +484,7 @@ def parse_config_oracle(text: str) -> TileConfig:
 
 
 def is_config_source_oracle(text: str) -> bool:
-    """Per-line oracle of the config-or-coloring choice in `cli._parse_source`:
+    """Per-line oracle of the config-or-coloring choice in `commands._parse_source`:
     a text is a config when the first token of some line, before any '#',
     is ``u``."""
     tags = set()

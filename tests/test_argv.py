@@ -5,12 +5,15 @@ every other argv to `build_parser`. On argvs drawn from each subcommand's
 flags, their abbreviations, ``--x=v`` forms, help, ``--``, numbers in
 several spellings, bad choices and stray positionals, the reader's
 namespace must be the one argparse gives, and `main` must print, raise and
-return what the full parser does. The subcommands' functions are replaced
-by one that returns its namespace, so no call reads a file or searches.
+return what the full parser does. The subcommands' handler modules are
+replaced by one whose `run` returns its namespace, so no call reads a file
+or searches.
 """
 
 import contextlib
 import io
+import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -84,18 +87,16 @@ def _outcome(run, argv):
 
 def _full_parser_dispatch(argv):
     args = cli.build_parser().parse_args(argv)
-    return args.func(args)
-
-
-def _namespace(args):
-    return vars(args)
+    return sys.modules[f"tilediff.commands.{args.command}"].run(args)
 
 
 @pytest.fixture
 def echo_commands(monkeypatch):
+    # Each subcommand's handler module returns the namespace it is given;
+    # `main` finds these in sys.modules before it would import the real ones.
     monkeypatch.setenv("COLUMNS", "80")
-    for command in cli.COMMANDS.values():
-        monkeypatch.setattr(command, "func", _namespace)
+    for name in cli.COMMANDS:
+        monkeypatch.setitem(sys.modules, f"tilediff.commands.{name}", SimpleNamespace(run=vars))
 
 
 @settings(

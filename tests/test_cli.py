@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import importlib
 import json
 import random
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import tilediff.cli as cli
+import tilediff.commands as commands
 from tilediff import TileConfig, format_coloring, format_config, search, torus
 from tilediff.cli import build_parser, main
 from tilediff.render import ALL_LAYERS, RenderSpec, render_svg
@@ -107,13 +109,13 @@ def test_integer_past_the_digit_limit_exits_without_traceback(workdir, args):
 def test_source_kind_matches_line_by_line_oracle(monkeypatch):
     """`_parse_source` picks the config parser exactly when the old per-line
     tag scan finds a ``u`` tag, on 4,000 seeded texts."""
-    monkeypatch.setattr(cli.model, "parse_config", lambda text: "config")
-    monkeypatch.setattr(cli.torus, "parse_coloring", lambda text: "coloring")
+    monkeypatch.setattr(commands.model, "parse_config", lambda text: "config")
+    monkeypatch.setattr(commands.torus, "parse_coloring", lambda text: "coloring")
     rng = random.Random(16)
     seen = {"config": 0, "coloring": 0}
     for _ in range(4000):
         text = random_source_text(rng)
-        kind = cli._parse_source(text)
+        kind = commands._parse_source(text)
         assert kind == ("config" if is_config_source_oracle(text) else "coloring"), repr(text)
         seen[kind] += 1
     assert min(seen.values()) >= 1000, seen
@@ -397,7 +399,7 @@ def _outcome(run, argv, capsys):
 
 def _full_parser_dispatch(argv):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return importlib.import_module(f"tilediff.commands.{args.command}").run(args)
 
 
 FRONT_END_ARGVS = [

@@ -81,7 +81,9 @@ def test_every_function_the_benchmark_traces_exists(monkeypatch):
 
 
 # Records the tilediff files whose module body runs while importing the
-# CLI and calling main(ARGV); prints their stems as a JSON list.
+# CLI and calling main(ARGV), which may exit; prints them as a JSON list of
+# dotted names under the package: "cli", "commands.search", and "commands"
+# for the subpackage's __init__. The package's own __init__ is "__init__".
 MODULE_BODIES = """
 import contextlib, io, json, os, sys
 ran = set()
@@ -91,15 +93,21 @@ def profile(frame, event, arg):
         ran.add(code.co_filename)
 sys.setprofile(profile)
 from tilediff.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     main(sys.argv[1:])
 sys.setprofile(None)
 import tilediff
 package = os.path.dirname(os.path.abspath(tilediff.__file__))
-print(json.dumps(sorted(
-    os.path.splitext(os.path.basename(f))[0]
-    for f in ran if os.path.dirname(os.path.abspath(f)) == package
-)))
+names = []
+for f in ran:
+    relative = os.path.relpath(os.path.abspath(f), package)
+    if relative.startswith(os.pardir) or not relative.endswith(".py"):
+        continue
+    parts = relative[:-3].split(os.sep)
+    if parts[-1] == "__init__" and len(parts) > 1:
+        parts.pop()
+    names.append(".".join(parts))
+print(json.dumps(sorted(names)))
 """
 
 
@@ -119,25 +127,36 @@ def _module_bodies(argv, cwd) -> set:
 
 def test_search_runs_only_the_modules_it_uses(tmp_path):
     # The default pruned search at A = I never reaches a leaf, so it builds
-    # no TileConfig and no difference set. The plain engine builds both at
-    # its first leaf, and --witnesses builds a TileConfig for each record.
+    # no TileConfig and no difference set, and it never loads the plain
+    # engine. The plain engine builds both at its first leaf, and the pruned
+    # one hands n = 1 to it; --witnesses builds a TileConfig for each record.
+    # Only the search handler runs.
     argv = ["search", "--n", "2", "--bound", "1", "--json"]
-    used = {"__init__", "cli", "lift", "search"}
+    used = {"__init__", "cli", "commands", "commands.search", "lift", "search"}
     assert _module_bodies(argv, tmp_path) == used
-    assert _module_bodies([*argv, "--engine", "plain"], tmp_path) == used | {"model", "diffset"}
+    assert _module_bodies([*argv, "--engine", "plain"], tmp_path) == used | {
+        "plain", "model", "diffset",
+    }
     assert _module_bodies([*argv, "--witnesses"], tmp_path) == used | {"model"}
+    one = ["search", "--n", "1", "--bound", "1", "--json"]
+    assert _module_bodies(one, tmp_path) == used | {"plain", "model", "diffset"}
 
 
 def test_check_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["check", "zero2.txt", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset", "lift"}
+    assert ran == {"__init__", "cli", "commands", "commands.check", "model", "diffset", "lift"}
 
 
 def test_analyze_on_a_config_runs_only_the_modules_it_uses(tmp_path):
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     ran = _module_bodies(["analyze", "zero2.txt", "--json"], tmp_path)
-    assert ran == {"__init__", "cli", "model", "diffset", "lift"}
+    assert ran == {"__init__", "cli", "commands", "commands.analyze", "model", "diffset", "lift"}
+
+
+def test_help_runs_no_handler(tmp_path):
+    # The full parser prints the help from COMMANDS alone.
+    assert _module_bodies(["search", "--help"], tmp_path) == {"__init__", "cli"}
 
 
 # Prints, as a JSON list, the modules that importing the CLI and calling

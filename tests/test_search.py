@@ -21,16 +21,18 @@ from tilediff import (
     search,
     verify_witnesses,
 )
+from tilediff import plain
 from tilediff.model import TileConfig, normalize, on_axes
+from tilediff.plain import _plain_scan, _power_upto
 from tilediff.search import (
+    _DOMAIN_BITS_PER_VALUE,
+    _TABLE_BYTES_PER_CELL,
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
     _Forward,
     _Partial,
     _constraint_table,
     _narrow,
-    _plain_scan,
-    _power_upto,
     _search_order,
     _value_range,
 )
@@ -241,7 +243,7 @@ def test_plain_scan_builds_one_difference_set_per_distinct_witness(monkeypatch):
 @pytest.mark.parametrize("a, counts", TWISTS.values(), ids=TWISTS)
 def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, monkeypatch):
     pairs, twisted = twisted_lift(a)
-    monkeypatch.setattr(search, "_forward_pairs", pairs)
+    monkeypatch.setattr(plain, "_forward_pairs", pairs)
     monkeypatch.setattr(diffset, "difference_set", twisted)
     for bound, count in zip((1, 2), counts):
         spec = SearchSpec(n=2, bound=bound, engine="plain")
@@ -253,7 +255,7 @@ def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, 
 def test_plain_scan_raises_when_difference_set_disagrees(monkeypatch):
     # The engine folds the A = 0 table, and the cross-check builds the
     # paper's set: the first leaf, all zeros, is valid only for the former.
-    monkeypatch.setattr(search, "_forward_pairs", twisted_lift(TWISTS["zero"][0])[0])
+    monkeypatch.setattr(plain, "_forward_pairs", twisted_lift(TWISTS["zero"][0])[0])
     with pytest.raises(AssertionError, match="disagrees with difference_set"):
         _plain_scan(SearchSpec(n=2, bound=1, engine="plain"))
 
@@ -262,7 +264,7 @@ def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
     # Under A = 0 the x<->y swap is still a symmetry, and some valid
     # configurations are their own swap, so both orbit weights are used.
     pairs, twisted = twisted_lift(TWISTS["zero"][0])
-    monkeypatch.setattr(search, "_forward_pairs", pairs)
+    monkeypatch.setattr(plain, "_forward_pairs", pairs)
     monkeypatch.setattr(diffset, "difference_set", twisted)
     spec = SearchSpec(n=2, bound=1, engine="plain", symmetry=True)
     part = _plain_scan(spec)
@@ -282,6 +284,7 @@ def twist(monkeypatch):
     def install(a):
         pairs, twisted = twisted_lift(a)
         monkeypatch.setattr(search, "_forward_pairs", pairs)
+        monkeypatch.setattr(plain, "_forward_pairs", pairs)
         monkeypatch.setattr(diffset, "difference_set", twisted)
         _constraint_table.cache_clear()
         return twisted
@@ -605,6 +608,47 @@ def test_oversize_n_fails_before_any_table_is_built():
     finally:
         tracemalloc.stop()
     assert peak < TABLE_BYTES_LIMIT // 1000
+
+
+def test_oversize_domains_fail_before_any_mask_or_domain_is_built():
+    # (100,300) passes the n^2 table check (22 MiB) and the mask check
+    # (163 MiB), but its domains and trail, ints of 601^2 bits, would take
+    # about 968 MiB at full depth; it used to die of MemoryError in 1 GB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+            r"^n=100 bound=300: the search domains would take 968 MiB, over the 256 MiB limit$"
+        )):
+            run_search(SearchSpec(n=100, bound=300, budget=100_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < TABLE_BYTES_LIMIT // 8
+
+
+def test_domain_projection_covers_a_deep_search():
+    # At its peak a deep search holds its tables, its masks (3 column and 3
+    # row lists of 161 masks of up to 161^2 bits) and its domains and trail,
+    # which the refusal projects; the budget reaches the full depth.
+    n, bound = 20, 80
+    width = 2 * bound + 1
+    projected = (n * n * _TABLE_BYTES_PER_CELL + 6 * width**3 // 8
+                 + int(n * n * width * width * _DOMAIN_BITS_PER_VALUE) // 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            run_search(SearchSpec(n=n, bound=bound, budget=2_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert projected // 2 < peak < projected
+
+
+def test_pruned_search_at_n_2_takes_any_bound():
+    # The base cell wipes out its diagonal neighbour, which `root` decides
+    # before it projects the domains, here terabytes.
+    report = run_search(SearchSpec(n=2, bound=10**6))
+    assert report.witness_counts == (((-10**6, -10**6), 1),)
 
 
 def test_no_benchmark_or_golden_search_reaches_the_table_limit():
