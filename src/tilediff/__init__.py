@@ -20,7 +20,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
-            "format_config", "normalize", "parse_boxes", "parse_config", "validate",
+            "format_config", "normalize", "parse_boxes", "parse_config",
         ),
         "model",
     ),

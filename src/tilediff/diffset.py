@@ -14,19 +14,15 @@ independent route, and it is the one function here that imports
 `fractions`, when it runs. The routes are property-tested against each
 other and must never disagree.
 
-A `DiffSet` holds generators G and stands for {(0, 0)} | G | -G; for
-`difference_set`, G is the distinct vectors of the forward pairs.
-Membership, the axes verdict and the lattice span read G directly. The
-symmetric closure is built, once per set, only when a caller asks for all
-of its vectors, its size or its sorted list. `DiffSet` subclasses a
-one-field `collections.namedtuple` and compares and hashes by that closure.
+A `DiffSet` is a `frozenset` of the set's vectors, the origin and both
+signs of each included; `difference_set` adds the negations and the origin
+to the distinct vectors of the forward pairs.
 
 Sets hold vectors only. `witness_pairs` recovers the cell pairs and offsets
 behind one vector on demand, with one more O(n^2) scan of the same table.
 
 `lattice_span` reports the subgroup of Z^2 generated by a vector set as a
-canonical triangular (Hermite-form) basis; for a `DiffSet` it reduces the
-generators, which span the same subgroup as the closure.
+canonical triangular (Hermite-form) basis.
 
 `impossibility_audit` reports where a configuration breaks the paper's
 argument. Every configuration breaks it at the first stage, an off-axes
@@ -41,11 +37,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .lift import _forward_pairs
-from .model import TileConfig, Vec, validate
+from .model import TileConfig, Vec
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -55,55 +50,19 @@ if TYPE_CHECKING:
 WitnessPair = tuple[tuple[int, int], tuple[int, int], Vec]
 
 
-_DiffSetFields = namedtuple("_DiffSetFields", ("generators",))
-
-
-class DiffSet(_DiffSetFields):
+class DiffSet(frozenset):
     """Integer points of the difference set of a configuration's plane set.
 
-    The set is symmetric and contains the origin, so it is held by
-    generators G and stands for {(0, 0)} | G | -G. Any G with that closure
-    gives an equal, equally hashed `DiffSet`; `geometric_oracle` passes the
-    full set, which is its own closure. Only vectors are kept;
+    The set is symmetric and contains the origin. Only vectors are kept;
     `witness_pairs` names the cell pairs behind any one of them.
-
-    No ``__slots__``: `vectors` caches the closure in the instance
-    ``__dict__``, which no assignment can reach.
     """
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    __slots__ = ()
 
-    @cached_property
+    @property
     def vectors(self) -> frozenset[Vec]:
-        """The symmetric closure with the origin, built on first read."""
-        gens = self.generators
-        return gens.union([(0, 0)], [(-x, -y) for x, y in gens])
-
-    # tuple's own ==, != and hash would compare the generators.
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DiffSet) and self.vectors == other.vectors
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self.vectors)
-
-    def __contains__(self, v: Vec) -> bool:
-        return v == (0, 0) or v in self.generators or (-v[0], -v[1]) in self.generators
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def sorted_vectors(self) -> list[Vec]:
-        return sorted(self.vectors)
-
-
-def _checked(config: TileConfig) -> None:
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
+        """The set itself."""
+        return self
 
 
 def difference_set(config: TileConfig) -> DiffSet:
@@ -111,16 +70,14 @@ def difference_set(config: TileConfig) -> DiffSet:
 
     On the lifted grid the set is {U(c) - U(c') : c, c' king-adjacent}, and
     it is closed under negation. So it is the origin, the vectors V of the
-    4n^2 forward pairs of `_forward_pairs`, and -V; the `DiffSet` holds the
-    distinct vectors of V as its generators.
+    4n^2 forward pairs of `_forward_pairs`, and -V.
     """
-    _checked(config)
     translates = config.translates
     forward = {
         (translates[k][0] - translates[k2][0] + mx, translates[k][1] - translates[k2][1] + my)
         for k, k2, mx, my in _forward_pairs(config.n)
     }
-    return DiffSet(frozenset(forward))
+    return DiffSet(forward.union([(0, 0)], [(-x, -y) for x, y in forward]))
 
 
 def witness_pairs(config: TileConfig, v: Vec) -> list[WitnessPair]:
@@ -133,7 +90,6 @@ def witness_pairs(config: TileConfig, v: Vec) -> list[WitnessPair]:
     lexicographically. It is empty exactly when v is not in the difference
     set; summed over the set's vectors the lists hold 9*n^2 triples.
     """
-    _checked(config)
     n = config.n
     translates = config.translates
     vx, vy = v
@@ -168,7 +124,6 @@ def geometric_oracle(config: TileConfig) -> DiffSet:
     """
     from fractions import Fraction
 
-    _checked(config)
     n = config.n
     cells = list(config.cells())
     vectors: set[Vec] = set()
@@ -196,7 +151,6 @@ def geometric_contains(config: TileConfig, v: Vec) -> bool:
     {-1, 0, 1}^2, so one set of the n^2 corners answers it in O(9n^2),
     stopping at the first pair found.
     """
-    _checked(config)
     n, (vx, vy) = config.n, v
     corners = {(n * ux + i, n * uy + j)
                for (i, j), (ux, uy) in zip(config.cells(), config.translates)}
@@ -214,18 +168,10 @@ def axes_subset(d: DiffSet) -> AxesCheck:
     """True iff every vector has x=0 or y=0.
 
     On failure the witness is the lexicographically smallest (x, then y)
-    off-axes vector; `witness_pairs` gives the cell pairs behind it. Only
-    the generators are scanned: the closure's off-axes vectors come in pairs
-    g, -g, and the one with x < 0 is the smaller, so the witness is the
-    least of those.
+    off-axes vector; `witness_pairs` gives the cell pairs behind it. In a
+    symmetric set that vector has x < 0.
     """
-    witness: Optional[Vec] = None
-    for x, y in d.generators:
-        if x and y:
-            if x > 0:
-                x, y = -x, -y
-            if witness is None or (x, y) < witness:
-                witness = (x, y)
+    witness = min((v for v in d if v[0] and v[1]), default=None)
     if witness is None:
         return AxesCheck(True)
     return AxesCheck(False, witness)
@@ -258,19 +204,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def lattice_span(vectors: DiffSet | Iterable[Vec]) -> LatticeSpan:
+def lattice_span(vectors: Iterable[Vec]) -> LatticeSpan:
     """Canonical basis of the subgroup of Z^2 generated by the vectors.
 
     The Hermite form is unique, so the vectors are reduced in any order,
     and the reduction stops once both pivots are units: the span is Z^2.
-    A `DiffSet` gives its generators: negations and the origin add nothing
-    to a span, so its closure is never built.
     """
-    vecs = vectors.generators if isinstance(vectors, DiffSet) else set(vectors)
     # Row-reduce into at most two echelon rows: (a, b) with a > 0, then (0, c).
     row1: Optional[Vec] = None  # pivot in x
     row2: Optional[Vec] = None  # pivot in y only
-    for v in vecs:
+    for v in vectors:
         x, y = v
         if x != 0:
             if row1 is None:

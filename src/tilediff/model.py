@@ -9,7 +9,8 @@ consumes these values.
 All types are immutable after construction. `TileConfig` is a named
 tuple, so it unpacks as ``n, translates = config`` and compares equal to the
 plain tuple ``(n, translates)``; `BoxUnion` is one too, over a single
-``boxes`` field, and checks its boxes when built. Both are built on
+``boxes`` field. Each checks its own shape when built and raises
+`ValueError` on a bad one, so no consumer checks it again. Both are built on
 `collections.namedtuple` with empty ``__slots__``: a `typing.NamedTuple`
 class compiles each of its field annotations when it is built, which every
 call that loads this module would pay.
@@ -53,17 +54,23 @@ class TileConfig(namedtuple("TileConfig", ("n", "translates"))):
     """Grid resolution ``n`` plus one translate per cell.
 
     Translates are stored row-major by (i, j) with i the x-index:
-    ``translates[i * n + j]`` is the translate of cell (i, j).
+    ``translates[i * n + j]`` is the translate of cell (i, j). A config
+    with n < 1, or without n^2 translates, raises `ValueError`.
     """
 
     __slots__ = ()
 
+    def __new__(cls, n: int, translates: tuple[Vec, ...]):
+        if n < 1 or len(translates) != n * n:
+            problems = [problem for problem, found in (
+                ("non-positive n", n < 1), ("wrong cell count", len(translates) != n * n)
+            ) if found]
+            raise ValueError("invalid config: " + "; ".join(problems))
+        # As namedtuple's own __new__ does, without its extra call.
+        return tuple.__new__(cls, (n, translates))
+
     def u(self, i: int, j: int) -> Vec:
         return self.translates[i * self.n + j]
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.n >= 1 and len(self.translates) > 0 and self.translates[0] == (0, 0)
 
     def cells(self):
         for i in range(self.n):
@@ -79,24 +86,11 @@ class TileConfig(namedtuple("TileConfig", ("n", "translates"))):
         return TileConfig(n, (u,) * (n * n))
 
 
-def validate(config: TileConfig) -> list[str]:
-    """Check shape invariants; returns a list of violations, empty when ok."""
-    violations = []
-    if config.n < 1:
-        violations.append("non-positive n")
-    if len(config.translates) != config.n * config.n:
-        violations.append("wrong cell count")
-    return violations
-
-
 def normalize(config: TileConfig) -> TileConfig:
     """Shift every translate by -u(0,0) so the base cell's translate is zero.
 
     Difference sets are invariant under this common shift.
     """
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
     base = config.translates[0]
     if base == (0, 0):
         return config
@@ -184,6 +178,23 @@ def _parse_rational(token: str, line_no: int) -> Fraction:
     return Fraction(_parse_int(token, line_no))
 
 
+def _read_header(text: str, noun: str) -> tuple[list[tuple[int, str]], int]:
+    """The content lines of a config or coloring text, and N from its first
+    line ``n <N>``. An empty text, a bad header or N < 1 raises its
+    `FileFormatError`; `noun` names the file kind in the empty-file error."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise FileFormatError(1, f"empty {noun} file")
+    line_no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "n":
+        raise FileFormatError(line_no, f"expected 'n <N>', got {header!r}")
+    n = _parse_int(parts[1], line_no)
+    if n < 1:
+        raise FileFormatError(line_no, "non-positive n")
+    return lines, n
+
+
 def parse_config(text: str) -> TileConfig:
     """Parse the config text format.
 
@@ -219,16 +230,7 @@ def _reject_config(text: str) -> NoReturn:
     """Raise the error of a config text that `parse_config` rejected: the
     first bad line in file order, else the cell count. A token past
     ``int``'s digit limit raises its ``ValueError`` at its line."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FileFormatError(1, "empty config file")
-    line_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise FileFormatError(line_no, f"expected 'n <N>', got {header!r}")
-    n = _parse_int(parts[1], line_no)
-    if n < 1:
-        raise FileFormatError(line_no, "non-positive n")
+    lines, n = _read_header(text, "config")
     seen = set()
     for line_no, line in lines[1:]:
         parts = line.split()

@@ -520,15 +520,14 @@ def run_search(spec: SearchSpec) -> SearchReport:
     )
 
 
-def verify_witnesses(report: SearchReport, records=None) -> bool:
+def verify_witnesses(report: SearchReport) -> bool:
     """Replay recorded witnesses against the geometric box rule.
 
     Each witness vector must be off-axes and, by
     `diffset.geometric_contains`, a member of its configuration's
     geometric difference set; anything else is a stale witness.
     """
-    if records is None:
-        records = report.witness_records
+    records = report.witness_records
     if not records:
         raise ValueError("stale witness: report retained no witness records")
     for config, vec in records:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .model import FileFormatError, TileConfig, Vec, validate, vsub, _content_lines, _parse_int
+from .model import FileFormatError, TileConfig, Vec, vsub, _parse_int, _read_header
 
 WHITE = "white"
 RED = "red"
@@ -71,10 +71,7 @@ def vertex_labels(config: TileConfig) -> VertexLabeling:
     (-1, 0), the top seam row repeats row 0 shifted by (0, -1), and the far
     corner is (-1, -1).
     """
-    problems = validate(config)
-    if problems:
-        raise ValueError("invalid config: " + "; ".join(problems))
-    if not config.is_normalized:
+    if config.translates[0] != (0, 0):
         raise ValueError("config not normalized")
     n = config.n
     return VertexLabeling(n, tuple(
@@ -231,16 +228,7 @@ def square_colors(ec: EdgeColoring) -> Union[SquareClasses, list[SquareViolation
 def parse_coloring(text: str) -> EdgeColoring:
     """Parse the coloring format: ``n <N>`` then one line per torus edge,
     ``h <i> <j> <color>`` or ``v <i> <j> <color>``, all 2n^2 present."""
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FileFormatError(1, "empty coloring file")
-    line_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise FileFormatError(line_no, f"expected 'n <N>', got {header!r}")
-    n = _parse_int(parts[1], line_no)
-    if n < 1:
-        raise FileFormatError(line_no, "non-positive n")
+    lines, n = _read_header(text, "coloring")
     seen: dict[tuple[str, int, int], str] = {}
     for line_no, line in lines[1:]:
         parts = line.split()

@@ -254,8 +254,9 @@ def twisted_lift(a):
 
     def twisted_difference_set(config):
         t = config.translates
-        return DiffSet(frozenset((t[k][0] - t[k2][0] + ax, t[k][1] - t[k2][1] + ay)
-                                 for k, k2, ax, ay in pairs(config.n)))
+        forward = {(t[k][0] - t[k2][0] + ax, t[k][1] - t[k2][1] + ay)
+                   for k, k2, ax, ay in pairs(config.n)}
+        return DiffSet(forward.union([(0, 0)], [(-x, -y) for x, y in forward]))
 
     return pairs, twisted_difference_set
 

@@ -203,23 +203,19 @@ def test_results_unchanged_after_clearing_the_table_cache():
     assert _forward_pairs.cache_info().misses == 5
 
 
-def _as_diffset(vectors):
-    return DiffSet(frozenset(vectors))
-
-
 def test_axes_subset_true_case():
-    check = axes_subset(_as_diffset({(0, 0), (1, 0), (-1, 0)}))
+    check = axes_subset(DiffSet({(0, 0), (1, 0), (-1, 0)}))
     assert check.on_axes and check.witness is None
 
 
 def test_axes_subset_single_off_vector():
-    check = axes_subset(_as_diffset({(0, 0), (1, 1), (-1, -1)}))
+    check = axes_subset(DiffSet({(0, 0), (1, 1), (-1, -1)}))
     assert not check.on_axes
     assert check.witness == (-1, -1)
 
 
 def test_axes_subset_picks_lexicographically_smallest_witness():
-    check = axes_subset(_as_diffset(NINE))
+    check = axes_subset(DiffSet(NINE))
     assert not check.on_axes
     assert check.witness == (-1, -1)
 
@@ -230,20 +226,16 @@ def _brute_axes(vectors) -> tuple[bool, object]:
 
 
 def test_diffset_contract_matches_geometric_oracle():
-    # The forward generators stand for the oracle's full set: equal, equally
-    # hashed, the same size, members and sorted list, and the same axes
-    # verdict and witness as a brute-force minimum over the oracle's vectors.
+    # The offset rule gives the oracle's set: equal, equally hashed, the same
+    # members and sorted list, and the same axes verdict and witness as a
+    # brute-force minimum over the oracle's vectors.
     rng = random.Random(41)
     for n in range(1, 9):
         for bound in (0, 1, 3):
             c = random_config(rng, n, bound)
             ds, oracle = difference_set(c), geometric_oracle(c)
             assert ds == oracle and hash(ds) == hash(oracle), c
-            assert ds.generators <= oracle.vectors
-            assert len(ds) == len(oracle.vectors)
-            assert ds.sorted_vectors() == sorted(oracle.vectors)
-            for v in oracle.vectors:
-                assert v in ds
+            assert sorted(ds) == sorted(oracle.vectors)
             outside = (max(x for x, _ in oracle.vectors) + 1, 0)
             assert outside not in ds and (-outside[0], 0) not in ds
             assert (1, 1 + max(y for _, y in oracle.vectors)) not in ds
@@ -251,44 +243,38 @@ def test_diffset_contract_matches_geometric_oracle():
             assert (check.on_axes, check.witness) == _brute_axes(oracle.vectors), c
 
 
-def test_diffset_is_its_generators_closure():
-    closed = DiffSet(frozenset({(0, 0), (1, 1), (-1, -1)}))
-    assert DiffSet(frozenset({(1, 1)})) == closed
-    assert DiffSet(frozenset({(-1, -1)})) == closed
-    assert hash(DiffSet(frozenset({(1, 1)}))) == hash(closed)
-    assert DiffSet(frozenset({(1, 1)})) != DiffSet(frozenset({(1, 1), (0, 1)}))
-    assert DiffSet(frozenset()).vectors == {(0, 0)}
-    # On any generator set, not just a configuration's, axes_subset agrees
-    # with a brute-force minimum over the closure, on and off the axes.
+def test_axes_subset_matches_brute_force_on_symmetric_sets():
+    # On any symmetric set with the origin, not just a configuration's,
+    # axes_subset agrees with a brute-force minimum, on and off the axes.
     rng = random.Random(43)
     for _ in range(300):
         gens = frozenset(
             (rng.randint(-3, 3), rng.randint(-3, 3) if rng.random() < 0.5 else 0)
             for _ in range(rng.randint(0, 6))
         )
-        ds = DiffSet(gens)
         closure = gens | {(0, 0)} | {(-x, -y) for x, y in gens}
-        assert ds.vectors == closure
-        check = axes_subset(ds)
+        check = axes_subset(DiffSet(closure))
         assert (check.on_axes, check.witness) == _brute_axes(closure), gens
 
 
 def test_diffset_record_keeps_its_repr_closure_equality_and_frozen_fields():
-    ds = DiffSet(frozenset({(1, 0)}))
-    assert repr(ds) == "DiffSet(generators=frozenset({(1, 0)}))"
-    assert ds == DiffSet(generators=frozenset({(1, 0), (-1, 0)}))
-    assert not ds != DiffSet(frozenset({(0, 0), (-1, 0)}))
-    assert ds != (frozenset({(1, 0)}),)
+    # A DiffSet is a frozenset of its vectors, with no instance attributes.
+    ds = DiffSet({(-1, 0), (0, 0), (1, 0)})
+    assert isinstance(ds, frozenset) and ds.vectors is ds
+    assert repr(ds) == f"DiffSet({set(ds)!r})"
+    assert ds == frozenset({(1, 0), (0, 0), (-1, 0)}) and hash(ds) == hash(frozenset(ds))
+    assert ds != DiffSet({(0, 1), (0, 0), (0, -1)})
+    assert len({ds, DiffSet(sorted(ds))}) == 1
+    assert set(vars(DiffSet)) == {"__module__", "__doc__", "__slots__", "vectors"}
     for config in (TileConfig.uniform(2), random_config(random.Random(7), 3, 2)):
         fast, oracle = difference_set(config), geometric_oracle(config)
-        assert fast.generators != oracle.generators
         assert fast == oracle and not fast != oracle
         assert hash(fast) == hash(oracle)
-    for name in ("generators", "vectors"):
+    for name in ("vectors", "x"):
         with pytest.raises(AttributeError):
             setattr(ds, name, frozenset())
-    assert ds.vectors == {(0, 0), (1, 0), (-1, 0)}
-    assert pickle.loads(pickle.dumps(ds)) == ds
+    clone = pickle.loads(pickle.dumps(ds))
+    assert type(clone) is DiffSet and clone == ds
 
 
 def test_lattice_span_of_diffset_reads_generators():
@@ -297,7 +283,7 @@ def test_lattice_span_of_diffset_reads_generators():
     for k in range(300):
         bound = 3 if k % 2 else 10**12
         ds = difference_set(random_config(rng, 1 + k % 10, bound))
-        assert lattice_span(ds) == lattice_span(sorted(ds.vectors))
+        assert lattice_span(ds) == lattice_span(sorted(v for v in ds if v > (0, 0)))
 
 
 def test_lattice_span_of_axes_generators():
@@ -372,7 +358,7 @@ def test_lattice_span_ignores_input_order():
         for _ in range(4):
             rng.shuffle(gens)
             assert lattice_span(gens) == span, gens
-        assert lattice_span(_as_diffset(gens)) == span
+        assert lattice_span(DiffSet(gens)) == span
         minors = 0
         for (x1, y1), (x2, y2) in itertools.combinations(gens, 2):
             minors = math.gcd(minors, x1 * y2 - x2 * y1)
@@ -448,7 +434,7 @@ def test_lattice_span_early_exit_matches_full_reduction():
             gens = []
         expected = _lattice_span_without_exit(gens)
         assert lattice_span(gens) == expected, gens
-        assert lattice_span(_as_diffset(gens)) == expected, gens
+        assert lattice_span(DiffSet(gens)) == expected, gens
         if kind == "index>1":
             assert expected.index != 1
         kinds[kind] += 1

@@ -14,7 +14,6 @@ from tilediff import (
     normalize,
     parse_boxes,
     parse_config,
-    validate,
 )
 from tilediff.model import BoxUnion, FileFormatError
 
@@ -43,19 +42,6 @@ def test_normalize_idempotent():
         shifted = TileConfig(config.n, tuple((x + 2, y - 5) for (x, y) in config.translates))
         once = normalize(shifted)
         assert normalize(once) == once
-
-
-def test_validate_ok():
-    assert validate(TileConfig.uniform(2)) == []
-
-
-def test_validate_wrong_cell_count():
-    assert validate(TileConfig(2, ((0, 0),) * 3)) == ["wrong cell count"]
-
-
-def test_validate_non_positive_n():
-    violations = validate(TileConfig(0, ()))
-    assert "non-positive n" in violations
 
 
 def test_difference_set_translation_invariant():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,7 +20,7 @@ from conftest import PACKAGE_ROOT
 EXPORTS = {
     "model": (
         "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
-        "format_config", "normalize", "parse_boxes", "parse_config", "validate",
+        "format_config", "normalize", "parse_boxes", "parse_config",
     ),
     "diffset": (
         "AuditReport", "AxesCheck", "DiffSet", "LatticeSpan", "axes_subset",
@@ -66,18 +67,53 @@ def test_star_import_gives_every_export():
             assert namespace[name] is getattr(getattr(tilediff, module), name), name
 
 
+def _load_bench(name: str, monkeypatch):
+    """Load bench/NAME.py by path as the module NAME, the name its siblings
+    import it by; its dataclasses look it up in sys.modules too."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_function_the_benchmark_traces_exists(monkeypatch):
     # bench/tracing.py looks each traced function up by module and name, so a
     # deleted or renamed one would stop every traced benchmark run.
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
-    spec.loader.exec_module(tracing)
+    tracing = _load_bench("tracing", monkeypatch)
     assert tracing.TRACED
     for module, name, _, _ in tracing.TRACED:
         module_object = importlib.import_module(f"tilediff.{module}")
         assert callable(getattr(module_object, name, None)), f"{module}.{name}"
+
+
+def test_the_benchmark_checkers_accept_real_outputs(monkeypatch, tmp_path, capsys):
+    # bench/checks.py reads geometric_oracle(...).vectors, TileConfig.from_map,
+    # run_search, SearchSpec and verify_witnesses; a change to any of them
+    # would fail every job of its workload.
+    workloads = _load_bench("workloads", monkeypatch)
+    checks = _load_bench("checks", monkeypatch)
+    from tilediff.cli import main
+
+    def outcome(job):
+        code = main(list(job.argv))
+        return SimpleNamespace(code=code, stdout=capsys.readouterr().out)
+
+    monkeypatch.chdir(tmp_path)
+    check = workloads.build("check", 1)
+    # One job below the oracle's limit at each end, and one above it.
+    jobs = [next(job for job in check.jobs if job.meta["n"] == n) for n in (4, 8, 10)]
+    assert jobs[1].meta["n"] <= checks.ORACLE_MAX_N < jobs[2].meta["n"]
+    for job in jobs:
+        (tmp_path / job.argv[1]).write_text(check.files[job.argv[1]])
+        assert checks.check_check(job, outcome(job)) is None, job.name
+    checker = checks.SearchChecker()
+    jobs = [job for job in workloads.build("search", 1).jobs
+            if job.name.startswith("witnesses-") or job.name == "plain-2-1"]
+    assert len(jobs) == 4
+    for job in jobs:
+        assert checker(job, outcome(job)) is None, job.name
 
 
 # Records the tilediff files whose module body runs while importing the

@@ -450,7 +450,7 @@ def test_tampered_witness_detected():
     report = run_search(SearchSpec(n=1, bound=1, engine="plain", witnesses=True))
     (config, _vec) = report.witness_records[0]
     with pytest.raises(ValueError, match="stale witness"):
-        verify_witnesses(report, records=((config, (0, 1)),))
+        verify_witnesses(report._replace(witness_records=((config, (0, 1)),)))
 
 
 def test_reports_are_deterministic():
