@@ -153,6 +153,19 @@ def test_box_union_validation():
     assert str(raised.value) == "inverted box (1,0,0,1)"
 
 
+def test_diffset_equality_and_hash_by_closure():
+    # A DiffSet holds its whole symmetric closure, so two are equal, and
+    # hash alike, exactly when their closures are the same vectors.
+    closure = DiffSet([(1, 0), (0, 0), (-1, 0)])
+    same = DiffSet(frozenset({(-1, 0), (0, 0), (1, 0)}))
+    assert closure == same and not closure != same
+    assert hash(closure) == hash(same)
+    assert closure != DiffSet(frozenset({(1, 0)}))
+    assert closure != DiffSet({(0, -1), (0, 0), (0, 1)})
+    assert closure != (frozenset({(-1, 0), (0, 0), (1, 0)}),)
+    assert len({closure, same}) == 1
+
+
 def test_records_are_read_only():
     with pytest.raises(AttributeError):
         difference_set(TileConfig.uniform(2)).x = 1
