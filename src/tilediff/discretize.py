@@ -17,7 +17,7 @@ the covering's integer difference set equals that of K exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .model import Box, BoxUnion, TileConfig, Vec, normalize
@@ -29,21 +29,18 @@ from .diffset import _integer_points_in_box
 COVER_CELLS_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class GapResult:
-    """Squared minimum distance from outside integer points to K-K, and the
-    smallest resolution n0 with n0^2 > 32 / gap_squared."""
+class GapResult(namedtuple("GapResult", ("gap_squared", "n0"))):
+    """The exact squared distance `gap_squared` (a `Fraction`) from the
+    integer points outside K-K to K-K, and the smallest resolution n0 with
+    n0^2 > 32 / gap_squared."""
 
-    gap_squared: Fraction
-    n0: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CellCover:
+class CellCover(namedtuple("CellCover", ("n", "cells"))):
     """Resolution n plus the cells (j1, j2) whose closed 1/n-square meets K."""
 
-    n: int
-    cells: frozenset[Vec]
+    __slots__ = ()
 
 
 def minkowski_diff(k: BoxUnion) -> BoxUnion:
@@ -55,54 +52,48 @@ def minkowski_diff(k: BoxUnion) -> BoxUnion:
     return BoxUnion(tuple(sorted(boxes)))
 
 
-def _point_box_dist_sq(x: int, y: int, box: Box) -> Fraction:
+def _ring(box: tuple[int, int, int, int], scale: int):
+    """(x, y, d2) for each integer point outside a box scaled by `scale` and
+    within 2 of it per axis: the point scaled too, and its squared distance."""
     x0, y0, x1, y1 = box
-    dx = max(x0 - x, 0, x - x1)
-    dy = max(y0 - y, 0, y - y1)
-    return dx * dx + dy * dy
-
-
-def _dist_sq_to_union(x: int, y: int, k: BoxUnion) -> Fraction:
-    return min(_point_box_dist_sq(x, y, b) for b in k.boxes)
-
-
-def _smallest_n_with_square_above(bound: Fraction) -> int:
-    """Smallest positive integer n with n^2 > bound, by exact comparison."""
-    n = math.isqrt(max(0, math.floor(bound))) + 1
-    while Fraction(n * n) <= bound:
-        n += 1
-    while n > 1 and Fraction((n - 1) * (n - 1)) > bound:
-        n -= 1
-    return n
+    ys = range(-(-y0 // scale) - 2, y1 // scale + 3)
+    # Inside the box's x range, only the rows below and above it are outside.
+    beside = [*range(ys.start, -(-y0 // scale)), *range(y1 // scale + 1, ys.stop)]
+    for zx in range(-(-x0 // scale) - 2, x1 // scale + 3):
+        x = zx * scale
+        dx = max(x0 - x, 0, x - x1)
+        for zy in beside if dx == 0 else ys:
+            y = zy * scale
+            yield x, y, dx * dx + max(y0 - y, 0, y - y1) ** 2
 
 
 def epsilon_gap(k: BoxUnion) -> GapResult:
     """Exact squared gap between K-K and the integer points outside it.
 
-    Candidates are confined to the bounding box of K-K inflated by 2: just
-    beyond the bounding box there is always an integer point outside K-K at
-    squared distance <= 5/4 (step one unit past the extreme coordinate,
-    round the other coordinate of an extreme point of K-K), while any point
-    beyond the inflated window is farther than 2 from the whole set.
+    Every coordinate of K-K is scaled by L, the lcm of its denominators, so
+    every squared distance is an int over L^2. An integer point outside K-K
+    lies at squared distance <= 5/4 from it: step one unit past the largest
+    x of K-K and round y. So the nearest outside point is within
+    sqrt(5/4) < 2 of its nearest box on each axis, which puts it in that
+    box's ring (`_ring`). The gap is therefore the least squared distance
+    from a box to a point of its ring that lies in no box, and only the
+    rings are scanned: a cost that grows with the boxes' perimeters, not
+    with the area of K-K, in constant memory. Only a point nearer its box
+    than the best so far is tested against the other boxes.
     """
-    diff = minkowski_diff(k)
-    x0, y0, x1, y1 = diff.bounding_box()
-    best: Fraction | None = None
-    for zx in range(math.ceil(x0) - 2, math.floor(x1) + 3):
-        for zy in range(math.ceil(y0) - 2, math.floor(y1) + 3):
-            if diff.contains_point(Fraction(zx), Fraction(zy)):
-                continue
-            d2 = _dist_sq_to_union(zx, zy, diff)
-            if d2 == 0:
-                # A point outside every closed box is at positive distance.
-                raise AssertionError(f"integer point ({zx},{zy}) outside K-K at distance 0")
-            if best is None or d2 < best:
+    diff = minkowski_diff(k).boxes
+    scale = math.lcm(*(c.denominator for box in diff for c in box))
+    boxes = [tuple(c.numerator * (scale // c.denominator) for c in box) for box in diff]
+    # Above the 5/4 bound, so an outside point always beats it.
+    best = 2 * scale * scale
+    for box in boxes:
+        for x, y, d2 in _ring(box, scale):
+            if d2 < best and not any(
+                x0 <= x <= x1 and y0 <= y <= y1 for (x0, y0, x1, y1) in boxes
+            ):
                 best = d2
-    if best is None:
-        # The window reaches floor(x1) + 2 > x1, past every box of K-K.
-        raise AssertionError("no integer point outside K-K in window")
-    n0 = _smallest_n_with_square_above(32 / best)
-    return GapResult(best, n0)
+    # n^2 > 32 L^2 / best exactly when n^2 > floor(32 L^2 / best).
+    return GapResult(Fraction(best, scale * scale), math.isqrt(32 * scale * scale // best) + 1)
 
 
 def _cell_ranges(k: BoxUnion, n: int):

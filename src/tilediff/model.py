@@ -9,11 +9,12 @@ consumes these values.
 All types are immutable after construction. `TileConfig` is a named
 tuple, so it unpacks as ``n, translates = config`` and compares equal to the
 plain tuple ``(n, translates)``; `BoxUnion` is one too, over a single
-``boxes`` field. Each checks its own shape when built and raises
-`ValueError` on a bad one, so no consumer checks it again. Both are built on
-`collections.namedtuple` with empty ``__slots__``: a `typing.NamedTuple`
-class compiles each of its field annotations when it is built, which every
-call that loads this module would pay.
+``boxes`` field. Each checks its own shape when built, by ``_replace`` and
+``_make`` too, and raises `ValueError` on a bad one, so no consumer checks
+it again. Both are built on `collections.namedtuple` with empty
+``__slots__``: a `typing.NamedTuple` class compiles each of its field
+annotations when it is built, which every call that loads this module
+would pay.
 
 Only the code that builds a rational (`parse_boxes` and `BoxUnion.of`)
 imports `fractions`, so reading and checking configurations never loads it.
@@ -68,6 +69,11 @@ class TileConfig(namedtuple("TileConfig", ("n", "translates"))):
             raise ValueError("invalid config: " + "; ".join(problems))
         # As namedtuple's own __new__ does, without its extra call.
         return tuple.__new__(cls, (n, translates))
+
+    # namedtuple's own _make, which _replace calls, skips __new__'s check.
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def u(self, i: int, j: int) -> Vec:
         return self.translates[i * self.n + j]
@@ -130,12 +136,9 @@ class BoxUnion(_BoxUnionFields):
 
         return BoxUnion(tuple(tuple(Fraction(c) for c in b) for b in boxes))
 
-    def bounding_box(self) -> Box:
-        xs0, ys0, xs1, ys1 = zip(*self.boxes)
-        return (min(xs0), min(ys0), max(xs1), max(ys1))
-
-    def contains_point(self, x: Fraction, y: Fraction) -> bool:
-        return any(x0 <= x <= x1 and y0 <= y <= y1 for (x0, y0, x1, y1) in self.boxes)
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class FileFormatError(ValueError):

@@ -125,6 +125,11 @@ class SearchSpec(_SearchSpecFields):
             raise ValueError("budget and jobs must be positive")
         return self
 
+    # namedtuple's own _make, which _replace calls, skips __new__'s check.
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
 
 class SearchReport(namedtuple("SearchReport", (
     "spec", "configs_enumerated", "nodes_visited", "valid_found", "witness_counts",

@@ -1,8 +1,10 @@
 """Discretization: difference of box unions, gap, covers, transversals."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,10 @@ from tilediff import (
     minkowski_diff,
     reduce_to_transversal,
     discretization_exact,
+    format_boxes,
+    parse_boxes,
 )
+from tilediff.cli import main
 from tilediff.discretize import CellCover, _cover_boxes, integer_points_of_union
 
 from conftest import cover_integer_diff_points_oracle
@@ -25,6 +30,7 @@ UNIT = BoxUnion.of((0, 0, 1, 1))
 HALF = BoxUnion.of((0, 0, F(1, 2), F(1, 2)))
 POINT = BoxUnion.of((0, 0, 0, 0))
 TWO_BOXES = BoxUnion.of((0, 0, 1, 1), (2, 0, 3, 1))
+GOLDEN_BOXES = Path(__file__).parent / "golden" / "discretize"
 
 
 def test_minkowski_diff_unit_square():
@@ -44,20 +50,21 @@ def test_minkowski_diff_point():
     assert minkowski_diff(POINT).boxes == ((0, 0, 0, 0),)
 
 
-def _gap_by_enumeration(k, radius=3):
-    """Independent oracle: scan all integer points with coordinates in
-    [-radius, radius], take the least squared distance to K-K from outside."""
-    diff = minkowski_diff(k)
+def _gap_by_enumeration(k):
+    """Independent oracle: scan every integer point of the bounding window of
+    K-K inflated by 2, in Fractions, and take the least nonzero squared
+    distance to K-K; a point at distance zero is inside."""
+    diff = minkowski_diff(k).boxes
+    xs0, ys0, xs1, ys1 = zip(*diff)
     best = None
-    for x in range(-radius, radius + 1):
-        for y in range(-radius, radius + 1):
-            if diff.contains_point(F(x), F(y)):
-                continue
+    for x in range(math.ceil(min(xs0)) - 2, math.floor(max(xs1)) + 3):
+        for y in range(math.ceil(min(ys0)) - 2, math.floor(max(ys1)) + 3):
             d2 = min(
                 max(x0 - x, 0, x - x1) ** 2 + max(y0 - y, 0, y - y1) ** 2
-                for (x0, y0, x1, y1) in diff.boxes
+                for (x0, y0, x1, y1) in diff
             )
-            best = d2 if best is None else min(best, d2)
+            if d2 and (best is None or d2 < best):
+                best = d2
     return best
 
 
@@ -78,6 +85,45 @@ def test_n0_is_smallest_with_square_above_threshold():
         n0 = result.n0
         assert n0 * n0 * result.gap_squared > 32
         assert (n0 - 1) * (n0 - 1) * result.gap_squared <= 32
+
+
+def _random_grid_union(rng):
+    """1-4 closed boxes, each with its corners on a 1/d grid in [-2, 4] for
+    its own d from 1 to 7; a side is zero about one time in seven."""
+    boxes = []
+    for _ in range(rng.randint(1, 4)):
+        d = rng.randint(1, 7)
+        xs = sorted(F(rng.randint(-2 * d, 4 * d), d) for _ in range(2))
+        ys = sorted(F(rng.randint(-2 * d, 4 * d), d) for _ in range(2))
+        if rng.random() < 0.15:
+            xs[1] = xs[0]
+        if rng.random() < 0.15:
+            ys[1] = ys[0]
+        boxes.append((xs[0], ys[0], xs[1], ys[1]))
+    return BoxUnion(tuple(boxes))
+
+
+def test_ring_scan_matches_the_window_scan():
+    rng = random.Random(2718)
+    unions = [parse_boxes(path.read_text()) for path in sorted(GOLDEN_BOXES.glob("*.boxes"))]
+    unions += [_random_grid_union(rng) for _ in range(300)]
+    for k in unions:
+        result = epsilon_gap(k)
+        assert result.gap_squared == _gap_by_enumeration(k), k.boxes
+        assert result.n0 ** 2 * result.gap_squared > 32 >= (result.n0 - 1) ** 2 * result.gap_squared
+
+
+def test_a_large_box_fails_fast_at_the_cover_limit(tmp_path, monkeypatch):
+    # K-K is 6000 wide: the ring scan takes its perimeter, not its area.
+    big = BoxUnion.of((0, 0, 3000, 3000))
+    assert epsilon_gap(big) == (1, 6)
+    (tmp_path / "big.boxes").write_text(format_boxes(big))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(["discretize", "big.boxes"])
+    assert raised.value.code == (
+        "error: n=6: the cover would take 324072004 cells, over the limit of 1000000"
+    )
 
 
 def test_cover_cells_unit_square_n6():

@@ -212,16 +212,20 @@ print(json.dumps(sorted(set(sys.modules) - before)))
     ["search", "--n", "2", "--bound", "1", "--json"],
     ["check", "zero2.txt", "--json"],
     ["analyze", "zero2.txt", "--json"],
+    ["discretize", "unit.boxes", "--json"],
 ])
 def test_search_check_and_analyze_never_import_dataclasses(argv, tmp_path):
     # Building a dataclass execs generated source; the records on these
     # paths are named tuples and plain classes. Only code that builds a
-    # Fraction imports `fractions` (and with it `decimal` and `numbers`).
-    # A well-formed call is read without argparse (and its `gettext`).
+    # Fraction imports `fractions` (and with it `decimal` and `numbers`):
+    # of these calls, discretize alone. A well-formed call is read without
+    # argparse (and its `gettext`).
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
+    (tmp_path / "unit.boxes").write_text("box 0 0 1 1\n")
     added = _run_json(MODULES_ADDED, argv, tmp_path)
     assert "tilediff.cli" in added
-    for module in ("dataclasses", "fractions", "argparse", "gettext"):
+    assert ("fractions" in added) is (argv[0] == "discretize")
+    for module in ("dataclasses", "argparse", "gettext"):
         assert module not in added, module
 
 

@@ -119,6 +119,13 @@ def test_search_spec_validation(kwargs, message):
     with pytest.raises(ValueError) as raised:
         SearchSpec(**kwargs)
     assert str(raised.value) == message
+    # _replace and _make check the fields as the constructor does.
+    with pytest.raises(ValueError) as raised:
+        SearchSpec(2, 1)._replace(**kwargs)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        SearchSpec._make((SearchSpec(2, 1)._asdict() | kwargs).values())
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("n, translates, message", [
@@ -132,6 +139,11 @@ def test_tile_config_validation(n, translates, message):
     assert str(raised.value) == f"invalid config: {message}"
     with pytest.raises(ValueError):
         TileConfig(n=n, translates=translates)
+    with pytest.raises(ValueError) as raised:
+        TileConfig.uniform(2)._replace(n=n, translates=translates)
+    assert str(raised.value) == f"invalid config: {message}"
+    with pytest.raises(ValueError):
+        TileConfig._make((n, translates))
 
 
 def test_search_spec_positional_and_replace():
@@ -151,6 +163,10 @@ def test_box_union_validation():
     with pytest.raises(ValueError) as raised:
         BoxUnion(((one, zero, zero, one),))
     assert str(raised.value) == "inverted box (1,0,0,1)"
+    with pytest.raises(ValueError, match="^empty box union$"):
+        BoxUnion.of((0, 0, 1, 1))._replace(boxes=())
+    with pytest.raises(ValueError, match=r"^inverted box \(1,0,0,1\)$"):
+        BoxUnion._make([((one, zero, zero, one),)])
 
 
 def test_diffset_equality_and_hash_by_closure():
