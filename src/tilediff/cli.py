@@ -21,17 +21,22 @@ subcommand uses.
 
 from __future__ import annotations
 
-import json
 import sys
 from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-# Every document is a fresh tree, so the encoder skips the cycle check.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_ENCODER = None
 
 
 def _emit_json(doc: dict) -> None:
+    # The first document imports `json`, so a text-mode call never does.
+    # Every document is a fresh tree, so the encoder skips the cycle check.
+    global _ENCODER
+    if _ENCODER is None:
+        import json
+
+        _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
     sys.stdout.write(_ENCODER.encode(doc) + "\n")
 
 
@@ -67,12 +72,18 @@ class Arg:
 
 class Command:
     """One subcommand: its help line and its arguments. Its handler is
-    `run` in the module `commands.<name>`."""
+    `run` in the module `commands.<name>`. The arguments are indexed once,
+    for `_read_argv`: the options by flag, the options' defaults (False for
+    a FLAG), the positionals' names in order, and the required dests."""
 
-    __slots__ = ("help", "args")
+    __slots__ = ("help", "args", "options", "defaults", "positionals", "required")
 
     def __init__(self, help, args):
         self.help, self.args = help, args
+        self.options = {flag: arg for arg in args for flag in arg.flags}
+        self.defaults = {arg.dest: False if arg.kind is FLAG else arg.default for arg in args if arg.flags}
+        self.positionals = [arg.dest for arg in args if not arg.flags]
+        self.required = {arg.dest for arg in args if arg.required}
 
 
 # The one description of every subcommand's arguments. `build_parser` builds
@@ -164,8 +175,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     command = COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {flag: arg for arg in command.args for flag in arg.flags}
-    values = {arg.dest: False if arg.kind is FLAG else arg.default for arg in command.args if arg.flags}
+    options, values = command.options, command.defaults.copy()
     given, positionals = set(), []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -192,11 +202,9 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         elif arg.kind is not str and value not in arg.kind:
             return None
         values[arg.dest] = value
-    names = [arg.dest for arg in command.args if not arg.flags]
-    required = {arg.dest for arg in command.args if arg.required}
-    if len(positionals) != len(names) or not required <= given:
+    if len(positionals) != len(command.positionals) or not command.required <= given:
         return None
-    values.update(zip(names, positionals))
+    values.update(zip(command.positionals, positionals))
     return SimpleNamespace(command=argv[0], **values)
 
 

@@ -109,20 +109,48 @@ def _cell_ranges(k: BoxUnion, n: int):
         )
 
 
-def cover_cells(k: BoxUnion, n: int) -> CellCover:
-    """Cells whose closed 1/n-square intersects K (closed-box test, exact).
-
-    Raises ValueError, before listing any cell, when the boxes' cell ranges
-    hold more than COVER_CELLS_LIMIT cells together."""
+def _cover_ranges(k: BoxUnion, n: int) -> list:
+    """The cell ranges of `_cell_ranges`. Raises ValueError when n < 1, or
+    when they hold more than COVER_CELLS_LIMIT cells together."""
     if n < 1:
         raise ValueError("non-positive n")
     ranges = list(_cell_ranges(k, n))
     count = sum((jx_hi - jx_lo + 1) * (jy_hi - jy_lo + 1) for jx_lo, jx_hi, jy_lo, jy_hi in ranges)
     if count > COVER_CELLS_LIMIT:
         raise ValueError(f"n={n}: the cover would take {count} cells, over the limit of {COVER_CELLS_LIMIT}")
+    return ranges
+
+
+def _check_cover_size(k: BoxUnion, n: int | None) -> None:
+    """Raise ValueError when the n-cover of K, or without n the n0-cover,
+    would take more than COVER_CELLS_LIMIT cells; cheap enough to run
+    before `epsilon_gap`, which is not.
+
+    n0 is at least 6: the gap is at most 5/4 (see `epsilon_gap`), and 6 is
+    the least n with n^2 > 32 / (5/4). The cells of a box of width w at
+    resolution n span at least floor(n w) + 1 columns, a count that never
+    falls as n grows. So the sum over the boxes of
+    (floor(6 w) + 1)(floor(6 h) + 1) is a lower bound on the cover at every
+    n0, and a sum over the limit refuses them all."""
+    if n is not None:
+        _cover_ranges(k, n)
+        return
+    least = sum((math.floor(6 * (x1 - x0)) + 1) * (math.floor(6 * (y1 - y0)) + 1)
+                for x0, y0, x1, y1 in k.boxes)
+    if least > COVER_CELLS_LIMIT:
+        raise ValueError(
+            f"n>=6: the cover would take at least {least} cells, over the limit of {COVER_CELLS_LIMIT}"
+        )
+
+
+def cover_cells(k: BoxUnion, n: int) -> CellCover:
+    """Cells whose closed 1/n-square intersects K (closed-box test, exact).
+
+    Raises ValueError, before listing any cell, when n < 1 or the boxes'
+    cell ranges hold more than COVER_CELLS_LIMIT cells together."""
     cells = {
         (j1, j2)
-        for (jx_lo, jx_hi, jy_lo, jy_hi) in ranges
+        for (jx_lo, jx_hi, jy_lo, jy_hi) in _cover_ranges(k, n)
         for j1 in range(jx_lo, jx_hi + 1)
         for j2 in range(jy_lo, jy_hi + 1)
     }

@@ -113,17 +113,19 @@ class SearchSpec(_SearchSpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1:
+    def __new__(cls, n, bound, engine, symmetry, budget, jobs, witnesses):
+        if n < 1:
             raise ValueError("non-positive n")
-        if self.bound < 0:
+        if bound < 0:
             raise ValueError("negative bound")
-        if self.engine not in (PLAIN, PRUNED):
-            raise ValueError(f"unknown engine {self.engine!r}")
-        if self.budget < 1 or self.jobs < 1:
+        if engine not in (PLAIN, PRUNED):
+            raise ValueError(f"unknown engine {engine!r}")
+        if budget < 1 or jobs < 1:
             raise ValueError("budget and jobs must be positive")
-        return self
+        # As namedtuple's own __new__ does, without its extra call.
+        return tuple.__new__(cls, (n, bound, engine, symmetry, budget, jobs, witnesses))
+
+    __new__.__defaults__ = _SearchSpecFields.__new__.__defaults__  # the fields' defaults
 
     # namedtuple's own _make, which _replace calls, skips __new__'s check.
     @classmethod
@@ -238,15 +240,19 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
 
 @functools.lru_cache(maxsize=64)
 def _constraint_table(n: int):
-    """For each position k of `_search_order(n)`, the later positions f
-    whose cells touch the cell at k on the torus, as (f, offsets, mx, my):
+    """The links of the cells at the positions of `_search_order(n)`, as
+    (later, earlier, mxs, mys). later[k] lists, for each later position f
+    whose cell touches the cell at k on the torus, (f, offsets, mx, my):
     offsets are the admissible offsets m of p_f - p_k, for the cells p_f
     and p_k at those positions (|p_f - p_k - m*n| <= 1 per axis), sorted
     with mx outermost, and mx (my) is their single x (y) offset, or None
-    when there are several.
+    when there are several. earlier[f] lists (k, offsets) for each earlier
+    k touching f, in that order. mxs and mys hold every single x and y
+    offset of a link.
 
-    The table depends on n alone, so it is built once per n and shared, as
-    `_forward_pairs` is; it is all tuples, so no caller can change it.
+    The tables depend on n alone, so they are built once per n and shared,
+    as `_forward_pairs` is; they are all tuples and frozensets, so no
+    caller can change them.
 
     Read in O(n^2) from the forward king pairs (c, c2, m) of
     `_forward_pairs`: m is an offset of p_c - p_c2. With the cells at
@@ -263,8 +269,8 @@ def _constraint_table(n: int):
             grouped[k2].setdefault(k, []).append((mx, my))
         elif k < k2:
             grouped[k].setdefault(k2, []).append((-mx, -my))
-    table = []
-    for links in grouped:
+    later, earlier = [], [[] for _ in grouped]
+    for k, links in enumerate(grouped):
         row = []
         for f in sorted(links):
             offsets = tuple(sorted(links[f]))
@@ -272,8 +278,10 @@ def _constraint_table(n: int):
             # entries hold the smallest and largest mx and my.
             (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
             row.append((f, offsets, mx if mx == mx_last else None, my if my == my_last else None))
-        table.append(tuple(row))
-    return tuple(table)
+            earlier[f].append((k, offsets))
+        later.append(tuple(row))
+    mxs, mys = (frozenset(link[axis] for row in later for link in row) - {None} for axis in (2, 3))
+    return tuple(later), tuple(map(tuple, earlier)), mxs, mys
 
 
 class _Forward:
@@ -282,10 +290,11 @@ class _Forward:
     Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
     _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
     int whose bit i is set when value i is still allowed. Cells are named by
-    their position in `_search_order(n)`. later[k] lists (f, xs, ys) for
-    each later cell f touching k: cell k holding value i = (ix, iy) allows
-    the domain xs[ix] | ys[iy] of f. earlier[f] lists (k, offsets) for each
-    earlier cell k touching f, in that order.
+    their position in `_search_order(n)`. `table`, `earlier`, `mxs` and
+    `mys` are the per-n tables of `_constraint_table`, shared by every scan
+    at n; only the masks depend on the bound. later[k] lists (f, xs, ys)
+    for each later cell f touching k: cell k holding value i = (ix, iy)
+    allows the domain xs[ix] | ys[iy] of f.
 
     The masks are kept per axis. Against k at (qx, qy), a single x offset
     mx allows the column x = qx - mx, one block of W bits, and a single y
@@ -317,13 +326,7 @@ class _Forward:
         self.n = n
         self.bound = bound
         self.width = 2 * bound + 1
-        self.table = table = _constraint_table(n)
-        self.mxs = {mx for links in table for _, _, mx, _ in links} - {None}
-        self.mys = {my for links in table for _, _, _, my in links} - {None}
-        self.earlier = [[] for _ in table]
-        for k, links in enumerate(table):
-            for f, offsets, _, _ in links:
-                self.earlier[f].append((k, offsets))
+        self.table, self.earlier, self.mxs, self.mys = _constraint_table(n)
 
     @functools.cached_property
     def later(self) -> list[list[tuple[int, list[int], list[int]]]]:
@@ -406,10 +409,10 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
 
     The walk keeps one live domain list and a trail of the (cell, old
     domain) changes `_narrow` made. Each depth notes the trail's length
-    when it is entered and undoes the trail back to that mark before it
-    places its next value, so the state is O(n^2) however deep the search
-    goes. The walk keeps its own stack, so a search deeper than Python's
-    recursion limit stops at its budget."""
+    when it is entered and, before it places its next value, undoes the
+    changes past that mark, newest first, and cuts them off; so the state
+    is O(n^2) however deep the search goes. The walk keeps its own stack,
+    so a search deeper than Python's recursion limit stops at its budget."""
     n = spec.n
     if n == 1:
         # No free cells: the plain scan evaluates the single configuration.
@@ -460,9 +463,10 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             if nodes > budget:
                 raise BudgetExceeded(budget, order[depth])
             mark = marks[depth]
-            while len(trail) > mark:
-                f, old = trail.pop()
-                domains[f] = old
+            if len(trail) > mark:
+                for f, old in reversed(trail[mark:]):
+                    domains[f] = old
+                del trail[mark:]
             wiped = _narrow(domains, later[depth], ix, iy, trail)
             if wiped >= 0:
                 cut(depth, wiped)

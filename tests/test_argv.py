@@ -130,3 +130,33 @@ def test_reader_takes_well_formed_calls_and_declines_the_rest(echo_commands):
         ["analyze", "a.txt", "--mode", "nope"],
     ):
         assert cli._read_argv(argv) is None, argv
+
+
+def test_each_command_indexes_its_arguments():
+    # The index `_read_argv` reads is built once per command from its args:
+    # each flag names its Arg, each option has its default (False for a
+    # FLAG) in the order of the args, the positionals keep their order, and
+    # exactly the required args are in the required set.
+    for name, command in cli.COMMANDS.items():
+        options = [arg for arg in command.args if arg.flags]
+        assert len(command.options) == sum(len(arg.flags) for arg in options), name
+        for arg in options:
+            assert all(command.options[flag] is arg for flag in arg.flags), name
+            default = command.defaults[arg.dest]
+            assert (default is False) if arg.kind is cli.FLAG else (default == arg.default), name
+        assert list(command.defaults) == [arg.dest for arg in options], name
+        assert command.positionals == [arg.dest for arg in command.args if not arg.flags], name
+        assert command.required == {arg.dest for arg in command.args if arg.required}, name
+
+
+def test_reader_calls_never_share_or_change_the_defaults():
+    defaults = dict(cli.COMMANDS["search"].defaults)
+    plain = cli._read_argv(["search", "--n", "2", "--bound", "1", "--engine", "plain", "--symmetry", "--json"])
+    pruned = cli._read_argv(["search", "--n", "3", "--bound", "2"])
+    assert (plain.n, plain.engine, plain.symmetry, plain.json) == (2, "plain", True, True)
+    assert (pruned.n, pruned.engine, pruned.symmetry, pruned.json) == (3, "pruned", False, False)
+    plain.budget = 5
+    assert pruned.budget == 2_000_000
+    assert cli.COMMANDS["search"].defaults == defaults
+    again = cli._read_argv(["search", "--n", "3", "--bound", "2"])
+    assert vars(again) == vars(pruned)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -22,7 +23,9 @@ from tilediff import (
     parse_boxes,
 )
 from tilediff.cli import main
-from tilediff.discretize import CellCover, _cover_boxes, integer_points_of_union
+from tilediff.discretize import (
+    CellCover, _cell_ranges, _check_cover_size, _cover_boxes, integer_points_of_union,
+)
 
 from conftest import cover_integer_diff_points_oracle
 
@@ -115,6 +118,8 @@ def test_ring_scan_matches_the_window_scan():
 
 def test_a_large_box_fails_fast_at_the_cover_limit(tmp_path, monkeypatch):
     # K-K is 6000 wide: the ring scan takes its perimeter, not its area.
+    # The call refuses the cover before it finds the gap: at every n >= 6,
+    # the least n0, it takes at least 18001^2 cells.
     big = BoxUnion.of((0, 0, 3000, 3000))
     assert epsilon_gap(big) == (1, 6)
     (tmp_path / "big.boxes").write_text(format_boxes(big))
@@ -122,8 +127,47 @@ def test_a_large_box_fails_fast_at_the_cover_limit(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as raised:
         main(["discretize", "big.boxes"])
     assert raised.value.code == (
-        "error: n=6: the cover would take 324072004 cells, over the limit of 1000000"
+        "error: n>=6: the cover would take at least 324036001 cells, over the limit of 1000000"
     )
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([], "error: n>=6: the cover would take at least 6000001 cells, over the limit of 1000000"),
+    (["--n", "6"], "error: n=6: the cover would take 12000004 cells, over the limit of 1000000"),
+])
+def test_a_long_box_is_refused_before_its_gap_is_found(extra, message, tmp_path, monkeypatch):
+    # The ring of a 2,000,000-long difference box takes seconds to scan; the
+    # cover limit is checked first, from the box ranges alone.
+    (tmp_path / "long.boxes").write_text("box 0 0 1000000 0\n")
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as raised:
+        main(["discretize", "long.boxes", *extra])
+    assert time.perf_counter() - start < 1
+    assert raised.value.code == message
+
+
+def test_the_least_cover_bounds_every_cover_past_n_six(monkeypatch):
+    # Without --n the cover is refused when its size at n = 6, counted at
+    # floor(6 w) + 1 columns and floor(6 h) + 1 rows per box, is over the
+    # limit. That count never exceeds the cover's at any n >= 6, so a
+    # cover the limit admits is never refused.
+    rng = random.Random(61)
+    unions = [parse_boxes(path.read_text()) for path in sorted(GOLDEN_BOXES.glob("*.boxes"))]
+    unions += [_random_grid_union(rng) for _ in range(100)]
+    for k in unions:
+        least = sum((math.floor(6 * (x1 - x0)) + 1) * (math.floor(6 * (y1 - y0)) + 1)
+                    for x0, y0, x1, y1 in k.boxes)
+        for n in range(6, 13):
+            count = sum((jx_hi - jx_lo + 1) * (jy_hi - jy_lo + 1)
+                        for jx_lo, jx_hi, jy_lo, jy_hi in _cell_ranges(k, n))
+            assert least <= count, (k.boxes, n)
+            monkeypatch.setattr(discretize, "COVER_CELLS_LIMIT", count)
+            _check_cover_size(k, None)
+            _check_cover_size(k, n)
+        monkeypatch.setattr(discretize, "COVER_CELLS_LIMIT", least - 1)
+        with pytest.raises(ValueError, match=rf"^n>=6: .* at least {least} cells, over the limit"):
+            _check_cover_size(k, None)
 
 
 def test_cover_cells_unit_square_n6():

@@ -233,3 +233,30 @@ def test_topology_still_binds_the_audit():
     # The benchmark's tracer (bench/tracing.py) looks the audit up as
     # tilediff.topology.impossibility_audit and wraps every binding of it.
     assert tilediff.topology.impossibility_audit is tilediff.diffset.impossibility_audit
+
+
+# Prints, as a JSON pair, whether `json` was loaded before the CLI was
+# imported, and whether it was after main(ARGV) returned; `json` itself is
+# imported only once both have been read.
+JSON_LOADED = """
+import contextlib, io, sys
+before = "json" in sys.modules
+from tilediff.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+after = "json" in sys.modules
+import json
+print(json.dumps([before, after]))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["search", "--n", "2", "--bound", "1"], False),
+    (["check", "zero2.txt"], False),
+    (["search", "--n", "2", "--bound", "1", "--json"], True),
+])
+def test_only_a_json_document_imports_json(argv, loads, tmp_path):
+    # The encoder is built by the first document written, so a text-mode
+    # call saves the import of `json` and its submodules.
+    (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
+    assert _run_json(JSON_LOADED, argv, tmp_path) == [False, loads]

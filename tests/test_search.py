@@ -34,6 +34,7 @@ from tilediff.search import (
     _constraint_table,
     _narrow,
     _search_order,
+    _search_position,
     _value_range,
 )
 
@@ -361,6 +362,25 @@ def test_pruned_scan_counts_the_valid_configurations_of_a_twisted_lift(
         assert len(set(report.valid_configs)) == count
 
 
+def test_per_n_tables_cannot_go_stale_under_a_twist(twist):
+    # The pruned engine keeps every per-n table in the caches of
+    # `_constraint_table`, `_search_order` and `_search_position`, and only
+    # the first depends on the lift; installing a twist clears it. So an
+    # untwisted (3,1) search leaves nothing that a twisted one reads: the
+    # twisted run equals one on freshly cleared caches. Clearing first
+    # keeps the test independent of the order the tests run in.
+    _constraint_table.cache_clear()
+    spec = SearchSpec(n=3, bound=1)
+    assert run_search(spec).valid_found == 0
+    twist(TWISTS["diag10"][0])
+    after = run_search(spec)
+    for cached in (_constraint_table, _search_order, _search_position):
+        cached.cache_clear()
+    fresh = run_search(spec)
+    assert after._replace(wall_time=0) == fresh._replace(wall_time=0)
+    assert after.valid_found == 6_639
+
+
 def test_plain_two_grid_bound_zero():
     report = run_search(SearchSpec(n=2, bound=0, engine="plain"))
     assert report.configs_enumerated == 1
@@ -564,23 +584,37 @@ def _admissible_links(n):
 
 
 def test_links_from_forward_pairs_match_offset_rule():
-    # The O(n^2) table read from the forward pairs equals the n^4 pair loop
-    # entry for entry, order included.
+    # The O(n^2) tables read from the forward pairs equal the n^4 pair loop
+    # entry for entry, order included; earlier, mxs and mys are read back
+    # from the same links.
     for n in range(1, 8):
-        table = _constraint_table(n)
-        assert table == tuple(_admissible_links(n)), n
-        for links in table:
+        later, earlier, mxs, mys = _constraint_table(n)
+        expected = _admissible_links(n)
+        assert later == tuple(expected), n
+        for links in later:
             fs = [f for f, _, _, _ in links]
             assert fs == sorted(set(fs)), n
+        assert earlier == tuple(
+            tuple((k, offsets) for k, links in enumerate(expected) for f2, offsets, _, _ in links
+                  if f2 == f)
+            for f in range(n * n)
+        ), n
+        assert mxs == {mx for links in expected for _, _, mx, _ in links} - {None}, n
+        assert mys == {my for links in expected for _, _, _, my in links} - {None}, n
 
 
 def test_constraint_table_is_cached_and_read_only():
     for n in range(1, 8):
-        table = _constraint_table(n)
-        assert table is _constraint_table(n)
-        assert table == _constraint_table.__wrapped__(n), n
-        assert type(table) is tuple
-        for links in table:
+        tables = _constraint_table(n)
+        assert tables is _constraint_table(n)
+        assert tables == _constraint_table.__wrapped__(n), n
+        later, earlier, mxs, mys = tables
+        assert type(tables) is type(later) is type(earlier) is tuple
+        assert type(mxs) is type(mys) is frozenset
+        for links in later:
+            assert type(links) is tuple
+            assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
+        for links in earlier:
             assert type(links) is tuple
             assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
 
