@@ -14,9 +14,9 @@ a value on
 and no value at all when both offset sets have several members.
 
 Two engines: `plain`, in the module `plain`, enumerates every full
-assignment depth first and serves as the oracle; this module imports it
+assignment depth first and serves as the oracle; `run_search` imports it
 only for ``--engine plain`` and at n = 1. `pruned` does forward checking
-(Haralick & Elliott 1980) in the static diagonal order of `_search_order`.
+(Haralick & Elliott 1980) in the static diagonal order of `_tables`.
 Each free cell keeps a bitmask domain over the value range. Placing a cell
 ANDs the closed-form mask above, the OR of one column and one row mask,
 into the domain of every later cell it touches, and a domain that empties
@@ -60,8 +60,8 @@ PRUNED = "pruned"
 # n^2 (2b+1)^2 bits.
 TABLE_BYTES_LIMIT = 256 << 20
 # What the n^2-sized tables of a pruned search (forward pairs, placement
-# order, constraint links, domains) take per cell, by tracemalloc at
-# n = 50 to 200.
+# order and swap, constraint links, domains) take per cell, by tracemalloc
+# at n = 50 to 200.
 _TABLE_BYTES_PER_CELL = 2_200
 # What the live domains and the undo trail of a deep pruned search take, in
 # bits per cell and value of the range: every domain is an int of up to W^2
@@ -84,14 +84,15 @@ class BudgetExceeded(ValueError):
     index.
     """
 
-    def __init__(self, nodes: int, cell: int = 0, leaves: int = 0):
+    def __init__(self, nodes: int, cell: int = 0, leaves: int = 0,
+                 first: int = 0, explored: int = 0, domain: int = 0):
         super().__init__("budget exceeded")
         self.nodes = nodes
         self.cell = cell
         self.leaves = leaves
-        self.first = 0
-        self.explored = 0
-        self.domain = 0
+        self.first = first
+        self.explored = explored
+        self.domain = domain
 
     @property
     def progress(self) -> str:
@@ -187,25 +188,6 @@ def _swap_position(k: int, n: int) -> int:
     return j * n + i
 
 
-@functools.lru_cache(maxsize=64)
-def _search_order(n: int) -> tuple[int, ...]:
-    """The row-major cells in the pruned engine's placement order: by
-    diagonal (i + j) mod n, then by i, so the base cell (0, 0) comes first.
-
-    Each diagonal is a closed king loop around the torus, so placing one
-    diagonal after another closes loops, and wipes out domains, sooner than
-    row-major order does. Cached per n, like `_forward_pairs`.
-    """
-    return tuple(sorted(range(n * n), key=lambda k: ((k // n + k % n) % n, k // n)))
-
-
-@functools.lru_cache(maxsize=64)
-def _search_position(n: int) -> tuple[int, ...]:
-    """The inverse of `_search_order(n)`: the position of each row-major
-    cell in the placement order."""
-    return tuple(sorted(range(n * n), key=_search_order(n).__getitem__))
-
-
 # Lexicographic-leader scan outcomes for the x<->y swap quotient.
 _PRUNE, _UNDECIDED, _CANONICAL, _FIXED = range(4)
 
@@ -238,31 +220,42 @@ def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
         part.witness_records.append((config, vec))
 
 
+_Tables = namedtuple("_Tables", ("order", "position", "swap", "later", "earlier", "mxs", "mys"))
+
+
 @functools.lru_cache(maxsize=64)
-def _constraint_table(n: int):
-    """The links of the cells at the positions of `_search_order(n)`, as
-    (later, earlier, mxs, mys). later[k] lists, for each later position f
-    whose cell touches the cell at k on the torus, (f, offsets, mx, my):
-    offsets are the admissible offsets m of p_f - p_k, for the cells p_f
-    and p_k at those positions (|p_f - p_k - m*n| <= 1 per axis), sorted
-    with mx outermost, and mx (my) is their single x (y) offset, or None
-    when there are several. earlier[f] lists (k, offsets) for each earlier
-    k touching f, in that order. mxs and mys hold every single x and y
-    offset of a link.
+def _tables(n: int) -> _Tables:
+    """The tables of the pruned engine that depend on n alone, built once
+    per n and shared, as `_forward_pairs` is; they are all tuples and
+    frozensets, so no caller can change them.
 
-    The tables depend on n alone, so they are built once per n and shared,
-    as `_forward_pairs` is; they are all tuples and frozensets, so no
-    caller can change them.
+    order lists the row-major cells in placement order: by diagonal
+    (i + j) mod n, then by i, so the base cell (0, 0) comes first. Each
+    diagonal is a closed king loop around the torus, so placing one
+    diagonal after another closes loops, and wipes out domains, sooner than
+    row-major order does. position is its inverse, the position of each
+    row-major cell, and swap[p] the position of the x<->y mirror of the
+    cell at position p.
 
-    Read in O(n^2) from the forward king pairs (c, c2, m) of
+    The links name cells by position. later[k] lists, for each later
+    position f whose cell touches the cell at k on the torus, (f, offsets,
+    mx, my): offsets are the admissible offsets m of p_f - p_k, for the
+    cells p_f and p_k at those positions (|p_f - p_k - m*n| <= 1 per axis),
+    sorted with mx outermost, and mx (my) is their single x (y) offset, or
+    None when there are several. earlier[f] lists (k, offsets) for each
+    earlier k touching f, in that order. mxs and mys hold every single x
+    and y offset of a link.
+
+    The links are read in O(n^2) from the forward king pairs (c, c2, m) of
     `_forward_pairs`: m is an offset of p_c - p_c2. With the cells at
     positions k and k2, a pair with k2 < k gives the link k2 -> k with
     offset m, one with k < k2 gives the link k -> k2 with offset -m, and
     each offset of each linked pair comes from exactly one forward pair.
     Self-pairs (n = 1) link nothing.
     """
-    position = _search_position(n)
-    grouped: list[dict[int, list[Vec]]] = [{} for _ in range(n * n)]
+    order = tuple(sorted(range(n * n), key=lambda k: ((k // n + k % n) % n, k // n)))
+    position = tuple(sorted(range(n * n), key=order.__getitem__))
+    grouped: list[dict[int, list[Vec]]] = [{} for _ in order]
     for c, c2, mx, my in _forward_pairs(n):
         k, k2 = position[c], position[c2]
         if k2 < k:
@@ -281,7 +274,8 @@ def _constraint_table(n: int):
             earlier[f].append((k, offsets))
         later.append(tuple(row))
     mxs, mys = (frozenset(link[axis] for row in later for link in row) - {None} for axis in (2, 3))
-    return tuple(later), tuple(map(tuple, earlier)), mxs, mys
+    swap = tuple(position[_swap_position(c, n)] for c in order)
+    return _Tables(order, position, swap, tuple(later), tuple(map(tuple, earlier)), mxs, mys)
 
 
 class _Forward:
@@ -290,11 +284,10 @@ class _Forward:
     Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
     _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
     int whose bit i is set when value i is still allowed. Cells are named by
-    their position in `_search_order(n)`. `table`, `earlier`, `mxs` and
-    `mys` are the per-n tables of `_constraint_table`, shared by every scan
-    at n; only the masks depend on the bound. later[k] lists (f, xs, ys)
-    for each later cell f touching k: cell k holding value i = (ix, iy)
-    allows the domain xs[ix] | ys[iy] of f.
+    their position in the placement order. `tables` is the record of
+    `_tables(n)`, shared by every scan at n; only the masks depend on the
+    bound. later[k] lists (f, xs, ys) for each later cell f touching k: cell
+    k holding value i = (ix, iy) allows the domain xs[ix] | ys[iy] of f.
 
     The masks are kept per axis. Against k at (qx, qy), a single x offset
     mx allows the column x = qx - mx, one block of W bits, and a single y
@@ -326,12 +319,12 @@ class _Forward:
         self.n = n
         self.bound = bound
         self.width = 2 * bound + 1
-        self.table, self.earlier, self.mxs, self.mys = _constraint_table(n)
+        self.tables = _tables(n)
 
     @functools.cached_property
     def later(self) -> list[list[tuple[int, list[int], list[int]]]]:
-        width = self.width
-        size = (len(self.mxs) + len(self.mys)) * width ** 3 // 8
+        width, tables = self.width, self.tables
+        size = (len(tables.mxs) + len(tables.mys)) * width ** 3 // 8
         if size > TABLE_BYTES_LIMIT:
             raise ValueError(
                 f"n={self.n} bound={self.bound}: the pruning tables would take "
@@ -341,11 +334,11 @@ class _Forward:
         comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
         span, zeros = range(width), [0] * width
         xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
-              for mx in self.mxs}
+              for mx in tables.mxs}
         ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span]
-              for my in self.mys}
+              for my in tables.mys}
         return [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, _, mx, my in links]
-                for links in self.table]
+                for links in tables.later]
 
     def root(self) -> tuple[list[int], int]:
         """The domains with the base cell placed at (0, 0), and the first
@@ -355,18 +348,18 @@ class _Forward:
         exactly when neither the link's single mx nor its single my lies in
         [-bound, bound]: the table decides that without any mask, and then
         no domain is built and the list is empty."""
-        bound, size = self.bound, self.width * self.width
-        for f, _, mx, my in self.table[0]:
+        bound, size, table = self.bound, self.width * self.width, self.tables.later
+        for f, _, mx, my in table[0]:
             if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
                 return [], f
-        domain_bytes = int(len(self.table) * size * _DOMAIN_BITS_PER_VALUE) // 8
+        domain_bytes = int(len(table) * size * _DOMAIN_BITS_PER_VALUE) // 8
         if domain_bytes > TABLE_BYTES_LIMIT:
             raise ValueError(
                 f"n={self.n} bound={bound}: the search domains would take "
                 f"{domain_bytes >> 20} MiB, over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
             )
         links = self.later[0]
-        domains = [(1 << size) - 1] * len(self.table)
+        domains = [(1 << size) - 1] * len(table)
         domains[0] = 1 << size // 2  # the middle value, (0, 0)
         return domains, _narrow(domains, links, bound, bound, [])
 
@@ -374,7 +367,7 @@ class _Forward:
         """The off-axes vector that excludes the lowest value (-bound, -bound)
         from the domain of f, given cells 0..depth placed as in `assigned`."""
         vx = vy = -self.bound
-        for k, offsets in self.earlier[f]:
+        for k, offsets in self.tables.earlier[f]:
             if k > depth:
                 break
             qx, qy = assigned[k]
@@ -403,9 +396,10 @@ def _narrow(domains: list[int], links, ix: int, iy: int, trail: list) -> int:
 
 
 def _pruned_scan(spec: SearchSpec) -> _Partial:
-    """Forward-checking search in `_search_order`, each cell trying its
-    values in `_value_range` order. Depth d places the cell at position d,
-    and the configurations it reports are read back into row-major order.
+    """Forward-checking search at n >= 2 in the order of `_tables`, each
+    cell trying its values in `_value_range` order. Depth d places the cell
+    at position d, and the configurations it reports are read back into
+    row-major order.
 
     The walk keeps one live domain list and a trail of the (cell, old
     domain) changes `_narrow` made. Each depth notes the trail's length
@@ -414,17 +408,12 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     is O(n^2) however deep the search goes. The walk keeps its own stack,
     so a search deeper than Python's recursion limit stops at its budget."""
     n = spec.n
-    if n == 1:
-        # No free cells: the plain scan evaluates the single configuration.
-        from .plain import _plain_scan
-
-        return _plain_scan(spec)
     # Locals, read once: the node loop and `cut` run per node.
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
     part = _Partial()
     fwd = _Forward(n, bound)
     last = n * n - 1
-    order, position = _search_order(n), _search_position(n)
+    order, position, swap = fwd.tables.order, fwd.tables.position, fwd.tables.swap
     assigned: list[Vec] = [(0, 0)] * (last + 1)
 
     def cut(depth: int, f: int):
@@ -440,7 +429,6 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return part
     later, width = fwd.later, fwd.width
-    swap = tuple(position[_swap_position(c, n)] for c in order) if symmetry else ()
     # Per depth d: the trail's length when d was entered, the values cell d
     # has still to try, and whether the swap order was settled above d.
     trail: list[tuple[int, int]] = []
@@ -449,60 +437,54 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     settled = [False] * (last + 1)
     remaining[1] = domains[1]
     depth, nodes = 1, 0
-    try:
-        while depth:
-            domain = remaining[depth]
-            if not domain:
-                depth -= 1
+    while depth:
+        domain = remaining[depth]
+        if not domain:
+            depth -= 1
+            continue
+        low = domain & -domain
+        remaining[depth] = domain ^ low
+        ix, iy = divmod(low.bit_length() - 1, width)
+        nodes += 1
+        assigned[depth] = (ix - bound, iy - bound)
+        if nodes > budget:
+            # Cell 1 tries its values in index order, and no placement
+            # narrows it, so domains[1] is still its root domain: the values
+            # it has fully searched are those neither left nor under way.
+            domain = domains[1].bit_count()
+            raise BudgetExceeded(budget, order[depth], first=order[1], domain=domain,
+                                 explored=domain - remaining[1].bit_count() - 1)
+        mark = marks[depth]
+        if len(trail) > mark:
+            for f, old in reversed(trail[mark:]):
+                domains[f] = old
+            del trail[mark:]
+        wiped = _narrow(domains, later[depth], ix, iy, trail)
+        if wiped >= 0:
+            cut(depth, wiped)
+            continue
+        orbit = 2 if symmetry else 1
+        sub_settled = settled[depth]
+        if symmetry and not sub_settled:
+            state = _lex_state(assigned, depth, swap)
+            if state == _PRUNE:
                 continue
-            low = domain & -domain
-            remaining[depth] = domain ^ low
-            ix, iy = divmod(low.bit_length() - 1, width)
-            nodes += 1
-            assigned[depth] = (ix - bound, iy - bound)
-            if nodes > budget:
-                raise BudgetExceeded(budget, order[depth])
-            mark = marks[depth]
-            if len(trail) > mark:
-                for f, old in reversed(trail[mark:]):
-                    domains[f] = old
-                del trail[mark:]
-            wiped = _narrow(domains, later[depth], ix, iy, trail)
-            if wiped >= 0:
-                cut(depth, wiped)
-                continue
-            orbit = 2 if symmetry else 1
-            sub_settled = settled[depth]
-            if symmetry and not sub_settled:
-                state = _lex_state(assigned, depth, swap)
-                if state == _PRUNE:
-                    continue
-                if state == _CANONICAL:
-                    sub_settled = True
-                elif state == _FIXED:
-                    orbit = 1  # self-symmetric leaf; scans always settle at leaves
-            if depth == last:
-                config = model.TileConfig(n, tuple(assigned[k] for k in position))
-                # Adjacent pairs carry every difference vector, so a reached
-                # leaf must be valid; cross-check against the full set.
-                if not diffset.axes_subset(diffset.difference_set(config)).on_axes:
-                    raise AssertionError("pruned engine reached an invalid leaf")
-                part.configs_enumerated += 1
-                part.valid_found += orbit
-                part.valid_configs.append(config)
-            else:
-                depth += 1
-                marks[depth], remaining[depth], settled[depth] = len(trail), domains[depth], sub_settled
-    except BudgetExceeded as stop:
-        # The first free cell tries its values in index order, and
-        # assigned[1] holds the one under way when the budget ran out. No
-        # placement narrows cell 1, so domains[1] is still its root domain.
-        qx, qy = assigned[1]
-        under_way = (qx + bound) * width + qy + bound
-        stop.first = order[1]
-        stop.explored = (domains[1] & (1 << under_way) - 1).bit_count()
-        stop.domain = domains[1].bit_count()
-        raise
+            if state == _CANONICAL:
+                sub_settled = True
+            elif state == _FIXED:
+                orbit = 1  # self-symmetric leaf; scans always settle at leaves
+        if depth == last:
+            config = model.TileConfig(n, tuple(assigned[k] for k in position))
+            # Adjacent pairs carry every difference vector, so a reached
+            # leaf must be valid; cross-check against the full set.
+            if not diffset.axes_subset(diffset.difference_set(config)).on_axes:
+                raise AssertionError("pruned engine reached an invalid leaf")
+            part.configs_enumerated += 1
+            part.valid_found += orbit
+            part.valid_configs.append(config)
+        else:
+            depth += 1
+            marks[depth], remaining[depth], settled[depth] = len(trail), domains[depth], sub_settled
     part.nodes_visited = nodes
     return part
 
@@ -510,7 +492,9 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
 def run_search(spec: SearchSpec) -> SearchReport:
     """Run the configured engine and assemble the final report."""
     start = time.perf_counter()
-    if spec.engine == PLAIN:
+    if spec.engine == PLAIN or spec.n == 1:
+        # At n = 1 no cell is free: the plain scan evaluates the single
+        # configuration.
         from .plain import _plain_scan
 
         part = _plain_scan(spec)

@@ -37,8 +37,8 @@ from tilediff.search import (
     BudgetExceeded,
     _Partial,
     _record_witness,
-    _search_order,
     _swap_position,
+    _tables,
     _value_range,
 )
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, EdgeLabeling
@@ -149,7 +149,7 @@ def allowed_mask(bound, n, placed, f):
 
 def pruned_scan_oracle(spec):
     """From-scratch oracle of the pruned engine at n >= 2: forward checking
-    in `_search_order(n)`, with each domain narrowed by the brute-force
+    in the order of `_tables(n)`, with each domain narrowed by the brute-force
     `allowed_mask` of every placed cell and no closed-form mask.
 
     It walks recursively, trying each cell's values in `_value_range` order.
@@ -161,7 +161,7 @@ def pruned_scan_oracle(spec):
     compares greater than its x<->y swap. Past `budget` nodes it raises
     `BudgetExceeded` with the fields of the engine's progress line."""
     n, bound = spec.n, spec.bound
-    order = _search_order(n)
+    order = _tables(n).order
     last = n * n - 1
     values = _value_range(bound)
     swap = [order.index(_swap_position(c, n)) for c in order]
@@ -203,11 +203,9 @@ def pruned_scan_oracle(spec):
             nodes += 1
             assigned[depth] = value
             if nodes > spec.budget:
-                stop = BudgetExceeded(spec.budget, order[depth])
-                stop.first = order[1]
-                stop.domain = root[1].bit_count()
-                stop.explored = sum(root[1] >> j & 1 for j in range(values.index(assigned[1])))
-                raise stop
+                raise BudgetExceeded(
+                    spec.budget, order[depth], first=order[1], domain=root[1].bit_count(),
+                    explored=sum(root[1] >> j & 1 for j in range(values.index(assigned[1]))))
             child = domains[:]
             wiped = narrow(child, depth)
             if wiped >= 0:

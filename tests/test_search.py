@@ -31,10 +31,8 @@ from tilediff.search import (
     BudgetExceeded,
     _Forward,
     _Partial,
-    _constraint_table,
     _narrow,
-    _search_order,
-    _search_position,
+    _tables,
     _value_range,
 )
 
@@ -279,7 +277,7 @@ def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
 def twist(monkeypatch):
     """Install the twisted lift of a matrix A in both engines: the
     forward-pair table, the difference set the leaves are checked against,
-    and the pruned engine's constraint table, which is rebuilt from the
+    and the pruned engine's per-n tables, which are rebuilt from the
     patched pairs and again after the test."""
 
     def install(a):
@@ -287,11 +285,11 @@ def twist(monkeypatch):
         monkeypatch.setattr(search, "_forward_pairs", pairs)
         monkeypatch.setattr(plain, "_forward_pairs", pairs)
         monkeypatch.setattr(diffset, "difference_set", twisted)
-        _constraint_table.cache_clear()
+        _tables.cache_clear()
         return twisted
 
     yield install
-    _constraint_table.cache_clear()
+    _tables.cache_clear()
 
 
 def _with_swaps(configs):
@@ -363,19 +361,17 @@ def test_pruned_scan_counts_the_valid_configurations_of_a_twisted_lift(
 
 
 def test_per_n_tables_cannot_go_stale_under_a_twist(twist):
-    # The pruned engine keeps every per-n table in the caches of
-    # `_constraint_table`, `_search_order` and `_search_position`, and only
-    # the first depends on the lift; installing a twist clears it. So an
-    # untwisted (3,1) search leaves nothing that a twisted one reads: the
-    # twisted run equals one on freshly cleared caches. Clearing first
-    # keeps the test independent of the order the tests run in.
-    _constraint_table.cache_clear()
+    # The pruned engine keeps every per-n table in the one cache of
+    # `_tables`, whose links depend on the lift; installing a twist clears
+    # it. So an untwisted (3,1) search leaves nothing that a twisted one
+    # reads: the twisted run equals one on a freshly cleared cache. Clearing
+    # first keeps the test independent of the order the tests run in.
+    _tables.cache_clear()
     spec = SearchSpec(n=3, bound=1)
     assert run_search(spec).valid_found == 0
     twist(TWISTS["diag10"][0])
     after = run_search(spec)
-    for cached in (_constraint_table, _search_order, _search_position):
-        cached.cache_clear()
+    _tables.cache_clear()
     fresh = run_search(spec)
     assert after._replace(wall_time=0) == fresh._replace(wall_time=0)
     assert after.valid_found == 6_639
@@ -483,32 +479,38 @@ def test_reports_are_deterministic():
         assert getattr(a, field) == getattr(b, field)
 
 
-def test_parallel_matches_sequential():
-    base = SearchSpec(n=2, bound=2, engine="pruned", witnesses=True)
-    seq = run_search(base)
-    par = run_search(SearchSpec(n=2, bound=2, engine="pruned", witnesses=True, jobs=3))
-    for field in ("configs_enumerated", "nodes_visited", "valid_found",
-                  "witness_counts", "witness_records", "valid_configs"):
-        assert getattr(seq, field) == getattr(par, field)
+def test_jobs_leave_the_report_unchanged():
+    # `jobs` is validated, but no scan reads it: a jobs=3 report equals the
+    # jobs=1 one, at n = 2 and at n = 3 under `symmetry`.
+    for spec in (SearchSpec(n=2, bound=2, witnesses=True),
+                 SearchSpec(n=3, bound=2, witnesses=True, symmetry=True)):
+        seq = run_search(spec)
+        par = run_search(spec._replace(jobs=3))
+        for field in ("configs_enumerated", "nodes_visited", "valid_found",
+                      "witness_counts", "witness_records", "valid_configs"):
+            assert getattr(seq, field) == getattr(par, field)
 
 
-def test_parallel_split_over_surviving_first_values():
+def test_first_free_cell_root_domain_is_the_base_cells_cross():
     # The first free cell, (1,2) at n = 3, keeps only the values that the
     # base cell allows: the cross x = 0 or y = -1 at (3,2), since the pair
-    # wraps in y. A jobs=3 report equals the sequential one.
+    # wraps in y.
     domains, wiped = _Forward(3, 2).root()
     assert wiped < 0
-    assert _search_order(3)[1] == 5
+    assert _tables(3).order[1] == 5
     assert domains[1] == allowed_mask(2, 3, {0: (0, 0)}, 5)
     first = [v for i, v in enumerate(_value_range(2)) if domains[1] >> i & 1]
     assert first == [v for v in _value_range(2) if v[0] == 0 or v[1] == -1]
-    spec = SearchSpec(n=3, bound=2, engine="pruned", witnesses=True, symmetry=True)
-    seq = run_search(spec)
-    par = run_search(SearchSpec(n=3, bound=2, engine="pruned", witnesses=True,
-                                symmetry=True, jobs=3))
-    for field in ("configs_enumerated", "nodes_visited", "valid_found",
-                  "witness_counts", "witness_records", "valid_configs"):
-        assert getattr(seq, field) == getattr(par, field)
+
+
+def test_n_1_runs_the_plain_scan_under_either_engine():
+    # At n = 1 no cell is free, and `run_search` sends both engines to the
+    # plain scan: every field but the spec and the time agrees.
+    for bound, symmetry, witnesses in itertools.product(range(4), (False, True), (False, True)):
+        spec = SearchSpec(n=1, bound=bound, symmetry=symmetry, witnesses=witnesses)
+        pruned = run_search(spec)
+        plain = run_search(spec._replace(engine="plain"))
+        assert pruned._replace(spec=None, wall_time=0) == plain._replace(spec=None, wall_time=0)
 
 
 def test_symmetry_maps_preserve_axes_verdict():
@@ -566,7 +568,7 @@ def test_pruned_leaves_match_plain_validity_semantics():
 def _admissible_links(n):
     """Brute force: the constraint table from the offset rule on every pair
     of positions k < f of the search order."""
-    order = _search_order(n)
+    order = _tables(n).order
     table = []
     for k, ck in enumerate(order):
         links = []
@@ -588,7 +590,7 @@ def test_links_from_forward_pairs_match_offset_rule():
     # entry for entry, order included; earlier, mxs and mys are read back
     # from the same links.
     for n in range(1, 8):
-        later, earlier, mxs, mys = _constraint_table(n)
+        _, _, _, later, earlier, mxs, mys = _tables(n)
         expected = _admissible_links(n)
         assert later == tuple(expected), n
         for links in later:
@@ -605,18 +607,41 @@ def test_links_from_forward_pairs_match_offset_rule():
 
 def test_constraint_table_is_cached_and_read_only():
     for n in range(1, 8):
-        tables = _constraint_table(n)
-        assert tables is _constraint_table(n)
-        assert tables == _constraint_table.__wrapped__(n), n
-        later, earlier, mxs, mys = tables
-        assert type(tables) is type(later) is type(earlier) is tuple
+        tables = _tables(n)
+        assert tables is _tables(n)
+        assert tables == _tables.__wrapped__(n), n
+        order, position, swap, later, earlier, mxs, mys = tables
+        assert type(order) is type(position) is type(swap) is tuple
+        assert type(later) is type(earlier) is tuple
         assert type(mxs) is type(mys) is frozenset
+        assert [position[c] for c in order] == list(range(n * n)), n
         for links in later:
             assert type(links) is tuple
             assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
         for links in earlier:
             assert type(links) is tuple
             assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
+
+
+def test_swap_table_mirrors_each_position():
+    # swap[p] is the position of the x<->y mirror of the cell at p, found
+    # here by search; it is an involution fixing exactly the diagonal cells.
+    for n in range(1, 8):
+        tables = _tables(n)
+        order, swap = tables.order, tables.swap
+        assert swap == tuple(order.index(c % n * n + c // n) for c in order), n
+        assert all(swap[swap[p]] == p for p in range(n * n)), n
+        fixed = {p for p in range(n * n) if swap[p] == p}
+        assert fixed == {p for p, c in enumerate(order) if c // n == c % n}, n
+
+
+def test_a_second_symmetry_search_builds_no_per_n_table():
+    spec = SearchSpec(n=3, bound=1, symmetry=True)
+    first = run_search(spec)
+    misses = _tables.cache_info().misses
+    second = run_search(spec)
+    assert _tables.cache_info().misses == misses
+    assert first._replace(wall_time=0) == second._replace(wall_time=0)
 
 
 def test_oversize_tables_fail_before_any_mask_is_built():
@@ -716,7 +741,7 @@ def test_budget_stop_counts_cell_one_values_as_the_budget_grows():
     # The first free cell's domain is what the base cell at (0, 0) allows;
     # a larger budget never finishes fewer of its values, and the last node
     # leaves only the last value unfinished.
-    first = _search_order(3)[1]
+    first = _tables(3).order[1]
     domain = allowed_mask(1, 3, {0: (0, 0)}, first).bit_count()
     total = run_search(SearchSpec(n=3, bound=1)).nodes_visited
     explored = []
@@ -741,7 +766,7 @@ def test_closed_form_masks_match_brute_force():
     for n, bound in cases:
         fwd = _Forward(n, bound)
         values = _value_range(bound)
-        order = _search_order(n)
+        order = _tables(n).order
         for k, ck in enumerate(order):
             links = {f: (xs, ys) for f, xs, ys in fwd.later[k]}
             for f in range(k + 1, n * n):
@@ -764,7 +789,7 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
         for bound in range(4):
             fwd = _Forward(n, bound)
             values = _value_range(bound)
-            order = _search_order(n)
+            order = _tables(n).order
             for _ in range(12):
                 domains, wiped = fwd.root()
                 root = domains[:]
@@ -811,12 +836,12 @@ def test_pruned_four_grid_bound_two_finishes_in_default_budget():
 def test_search_order_runs_diagonal_by_diagonal():
     # Sorted by ((i + j) mod n, i): the base cell first, each diagonal a
     # closed king loop, and one tuple per n.
-    assert _search_order(1) == (0,)
-    assert _search_order(2) == (0, 3, 1, 2)
-    assert _search_order(3) == (0, 5, 7, 1, 3, 8, 2, 4, 6)
+    assert _tables(1).order == (0,)
+    assert _tables(2).order == (0, 3, 1, 2)
+    assert _tables(3).order == (0, 5, 7, 1, 3, 8, 2, 4, 6)
     for n in range(1, 9):
-        order = _search_order(n)
-        assert order is _search_order(n)
+        order = _tables(n).order
+        assert order is _tables(n).order
         assert sorted(order) == list(range(n * n))
         keys = [((c // n + c % n) % n, c // n) for c in order]
         assert keys == sorted(keys)
