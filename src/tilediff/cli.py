@@ -42,12 +42,15 @@ def _emit_json(doc: dict) -> None:
 
 def _parse_file(path: str, parse):
     """Read the file at `path` and parse its text with `parse`. An unreadable
-    or malformed file exits with ``error: ...``; so does a number past
-    `int`'s digit limit, which the parsers raise as a plain ValueError."""
+    or malformed file exits with ``error: ...``, as does a file that is not
+    UTF-8; so does a number past `int`'s digit limit, which the parsers
+    raise as a plain ValueError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit(f"error: cannot read {path}: {exc}")
     try:
         return parse(text)
     except ValueError as exc:

@@ -272,7 +272,7 @@ def parse_boxes(text: str) -> BoxUnion:
             raise FileFormatError(line_no, f"expected 'box <x0> <y0> <x1> <y1>', got {line!r}")
         x0, y0, x1, y1 = (_parse_rational(p, line_no) for p in parts[1:])
         if x0 > x1 or y0 > y1:
-            raise FileFormatError(line_no, f"inverted box on line {line_no}")
+            raise FileFormatError(line_no, f"inverted box ({x0},{y0},{x1},{y1})")
         boxes.append((x0, y0, x1, y1))
     if not boxes:
         raise FileFormatError(1, "no boxes")

@@ -16,6 +16,7 @@ starts, without building the count when it is long.
 
 from __future__ import annotations
 
+import time
 from typing import TYPE_CHECKING
 
 from . import diffset, model
@@ -25,15 +26,14 @@ from .search import (
     _FIXED,
     _PRUNE,
     BudgetExceeded,
+    SearchReport,
     _lex_state,
-    _Partial,
-    _record_witness,
     _swap_position,
     _value_range,
 )
 
 if TYPE_CHECKING:
-    from .model import Vec
+    from .model import TileConfig, Vec
     from .search import SearchSpec
 
 # A plain leaf count past this many is reported as a power, "b^e".
@@ -65,7 +65,7 @@ def _least(ux: int, uy: int, shifts: list[Vec], least: Vec = (0, 0)) -> Vec:
     return least
 
 
-def _plain_scan(spec: SearchSpec) -> _Partial:
+def _plain_scan(spec: SearchSpec, start: float) -> SearchReport:
     """Enumerate every assignment depth first, in `itertools.product` order:
     cell 1 outermost, values in `_value_range` order.
 
@@ -85,8 +85,9 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
     bound 0 a search of any n fits the budget, and its depth n^2 would pass
     Python's recursion limit.
 
-    Raises BudgetExceeded, before any leaf, when the leaves would pass the
-    budget.
+    The report's wall_time counts from `start`, a `time.perf_counter`
+    reading. Raises BudgetExceeded, before any leaf, when the leaves would
+    pass the budget.
     """
     n, symmetry, witnesses = spec.n, spec.symmetry, spec.witnesses
     last = n * n - 1
@@ -108,9 +109,10 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
     anchors = {k for k, _, _ in groups[last]} - {last}
     assigned: list[Vec] = [(0, 0)] * (last + 1)
     swap = tuple(_swap_position(k, n) for k in range(last + 1)) if symmetry else ()
-    part = _Partial()
-    counts = part.witness_counts
-    leaves = 0
+    counts: dict[Vec, int] = {}
+    records: list[tuple[TileConfig, Vec]] = []
+    valid_configs: list[TileConfig] = []
+    leaves = valid = 0
     # Nodes still to visit, as (depth, value, parent's witness, parent's
     # last-cell entries, settled). A node is popped after its parent and
     # before its parent's next sibling, so assigned[:depth] holds its
@@ -157,9 +159,11 @@ def _plain_scan(spec: SearchSpec) -> _Partial:
                                     or (0, 0)) != w:
                 raise AssertionError("plain engine disagrees with difference_set")
             if w == (0, 0):
-                part.valid_found += orbit
-                part.valid_configs.append(config)
+                valid += orbit
+                valid_configs.append(config)
             else:
-                _record_witness(part, w, config if witnesses else None)
-    part.configs_enumerated = part.nodes_visited = leaves
-    return part
+                counts[w] = counts.get(w, 0) + 1
+                if witnesses:
+                    records.append((config, w))
+    return SearchReport(spec, leaves, leaves, valid, tuple(sorted(counts.items())),
+                        tuple(records), tuple(valid_configs), time.perf_counter() - start)

@@ -25,9 +25,11 @@ configuration, and the engines agree exactly. The pruned engine keeps one
 live domain list and undoes its changes from a trail when it backtracks,
 so its state grows as n^2.
 
-Both engines run in one process and stop on the first node past the
-budget. `jobs` is accepted and validated, but the report does not depend on
-it.
+Both engines run in one process and return the `SearchReport` itself;
+`run_search` picks the engine and passes it the start time. The pruned
+engine stops on the first node past the budget; the plain engine refuses
+the search before its first leaf when its leaf count passes the budget.
+`jobs` is accepted and validated, but the report does not depend on it.
 
 Both engines read the forward-pair table of `lift` and nothing else of the
 package until they need it, looking `model` and `diffset` up when they run.
@@ -159,26 +161,6 @@ class SearchReport(namedtuple("SearchReport", (
     __slots__ = ()
 
 
-class _Partial:
-    """The counts and records of one scan, mutated as it walks."""
-
-    def __init__(self):
-        self.configs_enumerated = 0
-        self.nodes_visited = 0
-        self.valid_found = 0
-        self.witness_counts: dict = {}
-        self.witness_records: list = []
-        self.valid_configs: list = []
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Partial):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"_Partial({vars(self)})"
-
-
 def _value_range(bound: int) -> list[Vec]:
     return [(ux, uy) for ux in range(-bound, bound + 1) for uy in range(-bound, bound + 1)]
 
@@ -212,12 +194,6 @@ def _lex_state(values: list, depth: int, swap: tuple[int, ...]) -> int:
         if mine > theirs:
             return _PRUNE
     return _FIXED
-
-
-def _record_witness(part: _Partial, vec: Vec, config: TileConfig | None):
-    part.witness_counts[vec] = part.witness_counts.get(vec, 0) + 1
-    if config is not None:
-        part.witness_records.append((config, vec))
 
 
 _Tables = namedtuple("_Tables", ("order", "position", "swap", "later", "earlier", "mxs", "mys"))
@@ -395,11 +371,12 @@ def _narrow(domains: list[int], links, ix: int, iy: int, trail: list) -> int:
     return -1
 
 
-def _pruned_scan(spec: SearchSpec) -> _Partial:
+def _pruned_scan(spec: SearchSpec, start: float) -> SearchReport:
     """Forward-checking search at n >= 2 in the order of `_tables`, each
     cell trying its values in `_value_range` order. Depth d places the cell
     at position d, and the configurations it reports are read back into
-    row-major order.
+    row-major order. The report's wall_time counts from `start`, a
+    `time.perf_counter` reading.
 
     The walk keeps one live domain list and a trail of the (cell, old
     domain) changes `_narrow` made. Each depth notes the trail's length
@@ -410,24 +387,26 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     n = spec.n
     # Locals, read once: the node loop and `cut` run per node.
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
-    part = _Partial()
+    counts: dict[Vec, int] = {}
+    records: list[tuple[TileConfig, Vec]] = []
     fwd = _Forward(n, bound)
     last = n * n - 1
     order, position, swap = fwd.tables.order, fwd.tables.position, fwd.tables.swap
     assigned: list[Vec] = [(0, 0)] * (last + 1)
 
     def cut(depth: int, f: int):
-        config = None
+        vec = fwd.witness(assigned, depth, f)
+        counts[vec] = counts.get(vec, 0) + 1
         if witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
             translates[f] = (-bound, -bound)
-            config = model.TileConfig(n, tuple(translates[k] for k in position))
-        _record_witness(part, fwd.witness(assigned, depth, f), config)
+            records.append((model.TileConfig(n, tuple(translates[k] for k in position)), vec))
 
     domains, wiped = fwd.root()
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
-        return part
+        return SearchReport(spec, 0, 0, 0, tuple(counts.items()), tuple(records), (),
+                            time.perf_counter() - start)
     later, width = fwd.later, fwd.width
     # Per depth d: the trail's length when d was entered, the values cell d
     # has still to try, and whether the swap order was settled above d.
@@ -436,7 +415,9 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
     remaining = [0] * (last + 1)
     settled = [False] * (last + 1)
     remaining[1] = domains[1]
-    depth, nodes = 1, 0
+    # Every leaf reached is valid, so the leaves are the valid configurations.
+    valid_configs: list[TileConfig] = []
+    depth, nodes, valid = 1, 0, 0
     while depth:
         domain = remaining[depth]
         if not domain:
@@ -479,38 +460,25 @@ def _pruned_scan(spec: SearchSpec) -> _Partial:
             # leaf must be valid; cross-check against the full set.
             if not diffset.axes_subset(diffset.difference_set(config)).on_axes:
                 raise AssertionError("pruned engine reached an invalid leaf")
-            part.configs_enumerated += 1
-            part.valid_found += orbit
-            part.valid_configs.append(config)
+            valid += orbit
+            valid_configs.append(config)
         else:
             depth += 1
             marks[depth], remaining[depth], settled[depth] = len(trail), domains[depth], sub_settled
-    part.nodes_visited = nodes
-    return part
+    return SearchReport(spec, len(valid_configs), nodes, valid, tuple(sorted(counts.items())),
+                        tuple(records), tuple(valid_configs), time.perf_counter() - start)
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
-    """Run the configured engine and assemble the final report."""
+    """Run the configured engine; the report's wall_time counts from here."""
     start = time.perf_counter()
     if spec.engine == PLAIN or spec.n == 1:
         # At n = 1 no cell is free: the plain scan evaluates the single
         # configuration.
         from .plain import _plain_scan
 
-        part = _plain_scan(spec)
-    else:
-        part = _pruned_scan(spec)
-    elapsed = time.perf_counter() - start
-    return SearchReport(
-        spec=spec,
-        configs_enumerated=part.configs_enumerated,
-        nodes_visited=part.nodes_visited,
-        valid_found=part.valid_found,
-        witness_counts=tuple(sorted(part.witness_counts.items())),
-        witness_records=tuple(part.witness_records),
-        valid_configs=tuple(part.valid_configs),
-        wall_time=elapsed,
-    )
+        return _plain_scan(spec, start)
+    return _pruned_scan(spec, start)
 
 
 def verify_witnesses(report: SearchReport) -> bool:

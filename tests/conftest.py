@@ -35,8 +35,7 @@ from tilediff.lift import _forward_pairs
 from tilediff.model import on_axes
 from tilediff.search import (
     BudgetExceeded,
-    _Partial,
-    _record_witness,
+    SearchReport,
     _swap_position,
     _tables,
     _value_range,
@@ -52,8 +51,8 @@ from tilediff.topology import Curve, Step
 PACKAGE_ROOT = Path(tilediff.__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd):
-    """Run ``python -m tilediff.cli ARGS`` in ``cwd``, importing the same
+def run_cli(args, cwd, module="tilediff.cli"):
+    """Run ``python -m MODULE ARGS`` in ``cwd``, importing the same
     ``tilediff`` as the test process; output is captured as text."""
     inherited = os.environ.get("PYTHONPATH")
     env = {
@@ -61,7 +60,7 @@ def run_cli(args, cwd):
         "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE_ROOT), inherited])),
     }
     return subprocess.run(
-        [sys.executable, "-m", "tilediff.cli", *args],
+        [sys.executable, "-m", module, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -86,10 +85,12 @@ def plain_scan_oracle(spec, difference_set=difference_set):
     `itertools.product` order, each one a `TileConfig` whose axes verdict
     comes from `axes_subset(difference_set(config))`. Under `symmetry` it
     keeps the assignments no greater than their x<->y swap, counting a
-    valid one twice unless it is its own swap."""
+    valid one twice unless it is its own swap. The report's wall_time is
+    0.0."""
     n = spec.n
     total_cells = n * n
-    part = _Partial()
+    leaves = valid = 0
+    counts, records, valid_configs = {}, [], []
     for assignment in itertools.product(_value_range(spec.bound), repeat=total_cells - 1):
         translates = ((0, 0),) + assignment
         orbit = 1
@@ -101,16 +102,18 @@ def plain_scan_oracle(spec, difference_set=difference_set):
             if translates > swapped:
                 continue
             orbit = 1 if translates == swapped else 2
-        part.configs_enumerated += 1
-        part.nodes_visited += 1
+        leaves += 1
         config = TileConfig(n, translates)
         check = axes_subset(difference_set(config))
         if check.on_axes:
-            part.valid_found += orbit
-            part.valid_configs.append(config)
+            valid += orbit
+            valid_configs.append(config)
         else:
-            _record_witness(part, check.witness, config if spec.witnesses else None)
-    return part
+            counts[check.witness] = counts.get(check.witness, 0) + 1
+            if spec.witnesses:
+                records.append((config, check.witness))
+    return SearchReport(spec, leaves, leaves, valid, tuple(sorted(counts.items())),
+                        tuple(records), tuple(valid_configs), 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,15 +162,16 @@ def pruned_scan_oracle(spec):
     that put it off the axes. Under `symmetry` a subtree is dropped when the
     longest prefix of positions whose mirror positions are placed too
     compares greater than its x<->y swap. Past `budget` nodes it raises
-    `BudgetExceeded` with the fields of the engine's progress line."""
+    `BudgetExceeded` with the fields of the engine's progress line. The
+    report's wall_time is 0.0."""
     n, bound = spec.n, spec.bound
     order = _tables(n).order
     last = n * n - 1
     values = _value_range(bound)
     swap = [order.index(_swap_position(c, n)) for c in order]
     assigned = [(0, 0)] * (last + 1)  # by position
-    part = _Partial()
-    nodes = 0
+    counts, records, valid_configs = {}, [], []
+    nodes = valid = 0
 
     def narrow(domains, depth):
         for f in range(depth + 1, last + 1):
@@ -187,7 +191,9 @@ def pruned_scan_oracle(spec):
         cells = {order[k]: assigned[k] for k in range(depth + 1)}
         cells[order[f]] = (-bound, -bound)
         config = TileConfig(n, tuple(cells.get(c, (0, 0)) for c in range(last + 1)))
-        _record_witness(part, vector, config if spec.witnesses else None)
+        counts[vector] = counts.get(vector, 0) + 1
+        if spec.witnesses:
+            records.append((config, vector))
 
     def swap_order(depth):
         known = next((p for p in range(last + 1) if p > depth or swap[p] > depth), last + 1)
@@ -196,7 +202,7 @@ def pruned_scan_oracle(spec):
         return (mine > theirs) - (mine < theirs), known > last
 
     def visit(depth, domains, settled):
-        nonlocal nodes
+        nonlocal nodes, valid
         for i, value in enumerate(values):
             if not domains[depth] >> i & 1:
                 continue
@@ -224,9 +230,8 @@ def pruned_scan_oracle(spec):
                 continue
             config = TileConfig(n, tuple(assigned[order.index(c)] for c in range(last + 1)))
             assert axes_subset(difference_set(config)).on_axes
-            part.configs_enumerated += 1
-            part.valid_found += orbit
-            part.valid_configs.append(config)
+            valid += orbit
+            valid_configs.append(config)
 
     root = [(1 << len(values)) - 1] * (last + 1)
     root[0] = 1 << values.index((0, 0))
@@ -235,8 +240,8 @@ def pruned_scan_oracle(spec):
         cut(0, wiped)
     else:
         visit(1, root, False)
-    part.nodes_visited = nodes
-    return part
+    return SearchReport(spec, len(valid_configs), nodes, valid, tuple(sorted(counts.items())),
+                        tuple(records), tuple(valid_configs), 0.0)
 
 
 def twisted_lift(a):

@@ -4,6 +4,7 @@ import importlib
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,8 @@ from conftest import (
     run_cli,
     uniform_coloring,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -104,6 +107,29 @@ def test_integer_past_the_digit_limit_exits_without_traceback(workdir, args):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {args[1]}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "bad.txt"], ["analyze", "bad.txt"], ["render", "bad.txt", "-o", "bad.svg"],
+     ["discretize", "bad.boxes"]],
+    ids=lambda args: args[0],
+)
+def test_file_that_is_not_utf8_exits_without_traceback(workdir, args):
+    (workdir / "bad.txt").write_bytes(b"n 1\nu 0 0 \xff 0\n")
+    (workdir / "bad.boxes").write_bytes(b"box 0 0 \xff 1\n")
+    result = run_cli(args, workdir)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(
+        f"error: cannot read {args[1]}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+def test_python_m_tilediff_runs_the_cli(tmp_path):
+    result = run_cli(["search", "--n", "2", "--bound", "3", "--json"], tmp_path, module="tilediff")
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "search" / "pruned-n2-b3.json").read_text()
 
 
 def test_source_kind_matches_line_by_line_oracle(monkeypatch):

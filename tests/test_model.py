@@ -222,8 +222,11 @@ def test_boxes_roundtrip():
 
 
 def test_boxes_reject_inverted():
-    with pytest.raises(FileFormatError):
-        parse_boxes("box 1 0 0 1\n")
+    # Worded as BoxUnion words it, after the line number the error carries.
+    with pytest.raises(FileFormatError, match=r"^line 1: inverted box \(1,1,0,0\)$"):
+        parse_boxes("box 1 1 0 0\n")
+    with pytest.raises(FileFormatError, match=r"^line 2: inverted box \(1/2,0,0,1\)$"):
+        parse_boxes("box 0 0 1 1\nbox 1/2 0 0 1\n")
 
 
 def test_box_union_rejects_empty():

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -30,7 +31,6 @@ from tilediff.search import (
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
     _Forward,
-    _Partial,
     _narrow,
     _tables,
     _value_range,
@@ -167,17 +167,30 @@ def test_search_report_record_keeps_its_repr_equality_and_frozen_fields():
             setattr(report, name, getattr(report, name))
 
 
-def test_scan_partials_compare_by_their_counts_and_records():
-    first, second = _Partial(), _Partial()
-    assert first == second
-    first.witness_counts[(-1, -1)] = 1
-    assert first != second
-    second.witness_counts[(-1, -1)] = 1
-    second.valid_configs.append(TileConfig.uniform(1))
-    assert first != second
-    first.valid_configs.append(TileConfig.uniform(1))
-    assert first == second
-    assert first != object()
+def untimed(scan, spec):
+    """The report of the engine `scan` on `spec`, with the wall_time the
+    oracles give, 0.0."""
+    return scan(spec, time.perf_counter())._replace(wall_time=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    SearchSpec(n=2, bound=1, engine="plain"),
+    SearchSpec(n=2, bound=1, engine="plain", symmetry=True, witnesses=True),
+    SearchSpec(n=1, bound=2),
+    SearchSpec(n=2, bound=1),
+    SearchSpec(n=3, bound=2),
+    SearchSpec(n=3, bound=2, symmetry=True),
+    SearchSpec(n=3, bound=1, witnesses=True),
+], ids=["plain", "plain-symmetry-witnesses", "n1", "root", "pruned", "symmetry", "witnesses"])
+def test_run_search_returns_the_scans_report_with_its_wall_time(spec, monkeypatch):
+    # One clock reading before the scan and one as it builds its report:
+    # run_search adds nothing to the scan's report but that wall_time.
+    monkeypatch.setattr(time, "perf_counter", iter([10.0, 12.5]).__next__)
+    report = run_search(spec)
+    assert report.spec is spec and report.wall_time == 2.5
+    scan = _plain_scan if spec.engine == "plain" or spec.n == 1 else search._pruned_scan
+    monkeypatch.setattr(time, "perf_counter", iter([12.5]).__next__)
+    assert scan(spec, 10.0) == report
 
 
 def test_verify_without_records_is_stale():
@@ -223,7 +236,7 @@ def test_plain_scan_matches_from_scratch_oracle(n, bound, symmetry, witnesses):
     # Field for field: counts, witness tallies, records in order, valid
     # configs. (40, 0) is one leaf 1,600 cells deep.
     spec = SearchSpec(n=n, bound=bound, engine="plain", symmetry=symmetry, witnesses=witnesses)
-    assert _plain_scan(spec) == plain_scan_oracle(spec)
+    assert untimed(_plain_scan, spec) == plain_scan_oracle(spec)
 
 
 def test_plain_scan_builds_one_difference_set_per_distinct_witness(monkeypatch):
@@ -246,9 +259,9 @@ def test_plain_scan_finds_the_valid_configurations_of_a_twisted_lift(a, counts, 
     monkeypatch.setattr(diffset, "difference_set", twisted)
     for bound, count in zip((1, 2), counts):
         spec = SearchSpec(n=2, bound=bound, engine="plain")
-        part = _plain_scan(spec)
-        assert part.valid_found == len(part.valid_configs) == count
-        assert part == plain_scan_oracle(spec, twisted)
+        report = untimed(_plain_scan, spec)
+        assert report.valid_found == len(report.valid_configs) == count
+        assert report == plain_scan_oracle(spec, twisted)
 
 
 def test_plain_scan_raises_when_difference_set_disagrees(monkeypatch):
@@ -256,7 +269,7 @@ def test_plain_scan_raises_when_difference_set_disagrees(monkeypatch):
     # paper's set: the first leaf, all zeros, is valid only for the former.
     monkeypatch.setattr(plain, "_forward_pairs", twisted_lift(TWISTS["zero"][0])[0])
     with pytest.raises(AssertionError, match="disagrees with difference_set"):
-        _plain_scan(SearchSpec(n=2, bound=1, engine="plain"))
+        _plain_scan(SearchSpec(n=2, bound=1, engine="plain"), time.perf_counter())
 
 
 def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
@@ -266,11 +279,11 @@ def test_plain_symmetry_weights_valid_orbits_of_a_twisted_lift(monkeypatch):
     monkeypatch.setattr(plain, "_forward_pairs", pairs)
     monkeypatch.setattr(diffset, "difference_set", twisted)
     spec = SearchSpec(n=2, bound=1, engine="plain", symmetry=True)
-    part = _plain_scan(spec)
-    assert part.valid_found == 53
-    fixed = [c for c in part.valid_configs if swap_xy(c) == c]
-    assert 0 < len(fixed) < len(part.valid_configs)
-    assert part == plain_scan_oracle(spec, twisted)
+    report = untimed(_plain_scan, spec)
+    assert report.valid_found == 53
+    fixed = [c for c in report.valid_configs if swap_xy(c) == c]
+    assert 0 < len(fixed) < len(report.valid_configs)
+    assert report == plain_scan_oracle(spec, twisted)
 
 
 @pytest.fixture
@@ -861,20 +874,20 @@ def test_pruned_node_counts(n, bound, symmetry, nodes):
 @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
 @pytest.mark.parametrize("n, bound", [(n, b) for n in (2, 3, 4) for b in (0, 1, 2)])
 def test_pruned_scan_matches_forward_checking_oracle(n, bound, symmetry):
-    # Field for field, records in order; the counts do not depend on
-    # whether the records are kept; and a search stopped halfway says the
-    # same progress line.
+    # The whole report, records in order; without records it is the same
+    # report but for them; and a search stopped halfway says the same
+    # progress line.
     spec = SearchSpec(n=n, bound=bound, symmetry=symmetry, witnesses=True)
     expected = pruned_scan_oracle(spec)
-    assert search._pruned_scan(spec) == expected
-    counts = search._pruned_scan(spec._replace(witnesses=False))
-    assert (counts.nodes_visited, counts.witness_counts) == (
-        expected.nodes_visited, expected.witness_counts)
+    assert untimed(search._pruned_scan, spec) == expected
+    unrecorded = spec._replace(witnesses=False)
+    assert untimed(search._pruned_scan, unrecorded) == expected._replace(
+        spec=unrecorded, witness_records=())
     if expected.nodes_visited < 2:
         return
     halfway = spec._replace(budget=expected.nodes_visited // 2, witnesses=False)
     with pytest.raises(BudgetExceeded) as stop:
-        search._pruned_scan(halfway)
+        search._pruned_scan(halfway, time.perf_counter())
     with pytest.raises(BudgetExceeded) as oracle_stop:
         pruned_scan_oracle(halfway)
     assert stop.value.progress == oracle_stop.value.progress
