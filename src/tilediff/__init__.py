@@ -42,7 +42,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "OffAxesEdges",
-            "SquareClasses", "SquareViolation", "VertexLabeling", "color_edges",
+            "SquareClasses", "VertexLabeling", "color_edges",
             "edge_labels", "format_coloring", "parse_coloring", "square_colors",
             "vertex_labels",
         ),

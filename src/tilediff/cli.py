@@ -16,7 +16,8 @@ Each subcommand's handler is `run(args)` in its own module,
 `commands.<name>`, which `main` imports when it dispatches; so a call
 compiles only its own handler. The handlers reach the library through its
 submodules' attributes at call time, so a call runs only the submodules its
-subcommand uses.
+subcommand uses. The library reports bad input by raising ValueError, and
+`_dispatch` alone turns that into the ``error: ...`` line and exit 1.
 """
 
 from __future__ import annotations
@@ -219,10 +220,21 @@ def main(argv=None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    return _dispatch(args)
+
+
+def _dispatch(args: SimpleNamespace) -> int:
+    """Run the handler of `args.command` and return its exit code. A
+    ValueError from the library, whatever its source, ends the call here
+    with one ``error: ...`` line and exit 1."""
     # The handler module is imported on the first call that names it; a
     # repeated call finds it in sys.modules.
     name = f"{__package__}.commands.{args.command}"
-    return (sys.modules.get(name) or import_module(name)).run(args)
+    handler = sys.modules.get(name) or import_module(name)
+    try:
+        return handler.run(args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -2,29 +2,14 @@
 
 `cli.main` imports only the module of the subcommand it runs, so a call
 compiles and runs no other handler's code. This package holds what several
-handlers share: the audit document and the config-or-coloring reader.
+handlers share: the config-or-coloring reader.
 """
 
 from __future__ import annotations
 
 import re
 
-from .. import diffset, model, torus
-
-
-def _audit_doc(report: diffset.AuditReport) -> dict:
-    # Every audit stops at the axes stage; the fields a later stage would
-    # fill stay in the document as nulls.
-    return {
-        "stage": report.stage,
-        "witness": report.witness,
-        "witness_pairs": report.witness_pairs,
-        "component_id": None,
-        "curve": None,
-        "gain": None,
-        "class": None,
-        "detail": report.detail,
-    }
+from .. import model, torus
 
 
 # A line whose first token before any '#' is ``u``, over the text's lines

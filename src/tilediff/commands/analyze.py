@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .. import diffset, model, topology
 from ..cli import _emit_json, _parse_file
-from . import _audit_doc, _parse_source
+from . import _parse_source
 
 
 def run(args) -> int:
@@ -12,19 +12,14 @@ def run(args) -> int:
     if isinstance(source, model.TileConfig):
         report = diffset.impossibility_audit(source)
         if args.json:
-            _emit_json({"command": "analyze", "kind": "config", "audit": _audit_doc(report)})
+            _emit_json({"command": "analyze", "kind": "config", "audit": report._asdict()})
         else:
             print(f"audit stage: {report.stage}")
-            print("passed: (none)")
             print(f"witness: {report.witness}")
             print(f"detail: {report.detail}")
         return 0
-    try:
-        comps = topology.components(source, args.mode)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
     rows = []
-    for idx, comp in enumerate(comps):
+    for idx, comp in enumerate(topology.components(source, args.mode)):
         curves = topology.boundary_curves(comp)
         image = topology.pi1_image(comp)
         rows.append(

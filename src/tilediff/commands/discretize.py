@@ -10,16 +10,13 @@ from ..cli import _emit_json, _parse_file
 
 def run(args) -> int:
     boxes = _parse_file(args.boxes, model.parse_boxes)
-    try:
-        # An oversize cover is refused before the gap, the slow step, is found.
-        discretize._check_cover_size(boxes, args.n)
-        gap = discretize.epsilon_gap(boxes)
-        n = args.n if args.n is not None else gap.n0
-        cover = discretize.cover_cells(boxes, n)
-        equal = discretize.discretization_exact(boxes, n)
-        transversal = discretize.reduce_to_transversal(cover) if args.reduce else None
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    # An oversize cover is refused before the gap, the slow step, is found.
+    discretize._check_cover_size(boxes, args.n)
+    gap = discretize.epsilon_gap(boxes)
+    n = args.n if args.n is not None else gap.n0
+    cover = discretize.cover_cells(boxes, n)
+    equal = discretize.discretization_exact(boxes, n)
+    transversal = discretize.reduce_to_transversal(cover) if args.reduce else None
     if args.json:
         _emit_json(
             {

@@ -11,11 +11,8 @@ from . import _parse_source
 
 def run(args) -> int:
     source = _parse_file(args.file, _parse_source)
-    try:
-        spec = render.RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
-        svg = render.render_svg(source, spec)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    spec = render.RenderSpec(cell_px=args.cell_px, show=frozenset(args.show.split(",")))
+    svg = render.render_svg(source, spec)
     try:
         Path(args.out).write_text(svg, encoding="utf-8")
     except OSError as exc:

@@ -10,22 +10,20 @@ from ..cli import _emit_json
 
 
 def run(args) -> int:
+    spec = search.SearchSpec(
+        n=args.n,
+        bound=args.bound,
+        engine=args.engine,
+        symmetry=args.symmetry,
+        budget=args.budget,
+        jobs=args.jobs,
+        witnesses=args.witnesses,
+    )
     try:
-        spec = search.SearchSpec(
-            n=args.n,
-            bound=args.bound,
-            engine=args.engine,
-            symmetry=args.symmetry,
-            budget=args.budget,
-            jobs=args.jobs,
-            witnesses=args.witnesses,
-        )
         report = search.run_search(spec)
     except search.BudgetExceeded as stop:
         print(stop.progress, file=sys.stderr)
         raise SystemExit(f"error: {stop}")
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
     dumped = []
     for k, config in enumerate(report.valid_configs):
         path = Path(f"valid-config-{k:03d}.txt")

@@ -95,7 +95,8 @@ def _plain_scan(spec: SearchSpec, start: float) -> SearchReport:
     count = _power_upto(base, exponent, max(spec.budget, _LONG_COUNT))
     if count is None or count > spec.budget:
         raise BudgetExceeded(spec.budget, leaves=count or f"{base}^{exponent}")
-    values = _value_range(spec.bound)
+    # At n = 1 the base cell is the only cell, so no value is ever placed.
+    values = _value_range(spec.bound) if last else []
     backward = values[::-1]  # stacked, so popped in order
     # The vector of a pair is +-(u(d) - u(other) + o) for its later cell d,
     # and the witness rule does not see the sign.

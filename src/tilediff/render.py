@@ -25,10 +25,9 @@ from .torus import (
     EdgeColoring,
     classify_value,
     edge_labels,
-    square_colors,
     vertex_labels,
 )
-from .topology import components_of_classes
+from .topology import components
 
 ALL_LAYERS = ("edges", "colors", "components", "labels")
 
@@ -66,9 +65,10 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
     else:
         n, h, v = source.n, source.h, source.v
         if "components" in spec.show:
-            classified = square_colors(source)
-            if not isinstance(classified, list):
-                comps = components_of_classes(classified, "corner")
+            try:
+                comps = components(source, "corner")
+            except ValueError:
+                pass  # a coloring that breaks the square rules has none
 
     px = spec.cell_px
     margin = px

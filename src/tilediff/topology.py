@@ -147,12 +147,9 @@ def components_of_classes(sc: torus.SquareClasses, mode: str = "corner") -> list
 
 
 def components(ec: torus.EdgeColoring, mode: str = "corner") -> list[Component]:
-    """Components of an edge coloring; requires the square rules to hold."""
-    sq = torus.square_colors(ec)
-    if isinstance(sq, list):
-        detail = "; ".join(f"{v.square}: {v.reason}" for v in sq[:4])
-        raise ValueError(f"coloring invalid: {detail}")
-    return components_of_classes(sq, mode)
+    """Components of an edge coloring; raises ValueError, as
+    `torus.square_colors` does, when the square rules fail."""
+    return components_of_classes(torus.square_colors(ec), mode)
 
 
 def boundary_steps(component: Component) -> list[Step]:

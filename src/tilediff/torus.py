@@ -166,12 +166,6 @@ def square_edge_colors(ec: EdgeColoring, i: int, j: int) -> tuple[str, str, str,
 
 
 @dataclass(frozen=True)
-class SquareViolation:
-    square: tuple[int, int]
-    reason: str
-
-
-@dataclass(frozen=True)
 class SquareClasses:
     """Per-square class in {red, blue, white}; classes[i][j] for square (i, j).
 
@@ -196,15 +190,17 @@ class SquareClasses:
         return SquareClasses(n, tuple((color,) * n for _ in range(n)))
 
 
-def square_colors(ec: EdgeColoring) -> Union[SquareClasses, list[SquareViolation]]:
-    """Classify every square, or report the squares breaking the local rules.
+def square_colors(ec: EdgeColoring) -> SquareClasses:
+    """Classify every square.
 
-    Violations: a square with both red and blue edges, or with exactly one
-    red edge, or exactly one blue edge (impossible for colorings derived
-    from a cocycle, whose signed sums vanish on every square).
+    Raises ValueError, naming the first four "(i, j): reason" violations,
+    when some square breaks the local rules: a square with both red and
+    blue edges, or with exactly one red edge, or exactly one blue edge
+    (impossible for colorings derived from a cocycle, whose signed sums
+    vanish on every square).
     """
     n = ec.n
-    violations: list[SquareViolation] = []
+    violations: list[str] = []
     classes: list[list[str]] = []
     for i in range(n):
         row = []
@@ -213,15 +209,15 @@ def square_colors(ec: EdgeColoring) -> Union[SquareClasses, list[SquareViolation
             reds = edges.count(RED)
             blues = edges.count(BLUE)
             if reds and blues:
-                violations.append(SquareViolation((i, j), "red and blue edges"))
+                violations.append(f"{(i, j)}: red and blue edges")
             if reds == 1:
-                violations.append(SquareViolation((i, j), "exactly one red edge"))
+                violations.append(f"{(i, j)}: exactly one red edge")
             if blues == 1:
-                violations.append(SquareViolation((i, j), "exactly one blue edge"))
+                violations.append(f"{(i, j)}: exactly one blue edge")
             row.append(RED if reds else (BLUE if blues else WHITE))
         classes.append(tuple(row))
     if violations:
-        return violations
+        raise ValueError(f"coloring invalid: {'; '.join(violations[:4])}")
     return SquareClasses(n, tuple(classes))
 
 

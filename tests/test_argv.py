@@ -86,8 +86,7 @@ def _outcome(run, argv):
 
 
 def _full_parser_dispatch(argv):
-    args = cli.build_parser().parse_args(argv)
-    return sys.modules[f"tilediff.commands.{args.command}"].run(args)
+    return cli._dispatch(cli.build_parser().parse_args(argv))
 
 
 @pytest.fixture

@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
-import importlib
 import json
 import random
 import sys
@@ -107,6 +106,25 @@ def test_integer_past_the_digit_limit_exits_without_traceback(workdir, args):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {args[1]}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "wide.txt"], ["check", "wide.txt", "--json"], ["analyze", "wide.txt"],
+     ["analyze", "wide.txt", "--json"]],
+    ids=" ".join,
+)
+def test_difference_past_the_digit_limit_exits_without_traceback(workdir, args):
+    # Each translate has 4,300 digits, within int's limit, but the
+    # difference of the cells at +-(10^4300 - 1) has 4,301, so writing the
+    # witness out raises ValueError inside the handler.
+    far = "9" * 4300
+    (workdir / "wide.txt").write_text(f"n 2\nu 0 0 0 0\nu 1 0 {far} 0\nu 0 1 -{far} 0\nu 1 1 0 0\n")
+    result = run_cli(args, workdir)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -424,8 +442,7 @@ def _outcome(run, argv, capsys):
 
 
 def _full_parser_dispatch(argv):
-    args = build_parser().parse_args(argv)
-    return importlib.import_module(f"tilediff.commands.{args.command}").run(args)
+    return cli._dispatch(build_parser().parse_args(argv))
 
 
 FRONT_END_ARGVS = [
@@ -439,6 +456,7 @@ FRONT_END_ARGVS = [
     ["search", "--n", "2", "--bound", "1", "--engine", "nope"],
     ["check", "--", "single.txt"],
     ["check", "single.txt", "--json"],
+    ["search", "--n", "0", "--bound", "1"],
 ]
 
 

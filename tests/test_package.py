@@ -33,7 +33,7 @@ EXPORTS = {
     ),
     "torus": (
         "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "OffAxesEdges",
-        "SquareClasses", "SquareViolation", "VertexLabeling", "color_edges",
+        "SquareClasses", "VertexLabeling", "color_edges",
         "edge_labels", "format_coloring", "parse_coloring", "square_colors",
         "vertex_labels",
     ),

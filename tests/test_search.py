@@ -526,6 +526,22 @@ def test_n_1_runs_the_plain_scan_under_either_engine():
         assert pruned._replace(spec=None, wall_time=0) == plain._replace(spec=None, wall_time=0)
 
 
+def test_n_1_search_at_a_large_bound_lists_no_values():
+    # The base cell is the only cell, so the bound changes only the spec:
+    # (1,300) reports what (1,3) does, and never lists its 601^2 values.
+    for symmetry, witnesses in itertools.product((False, True), (False, True)):
+        small = run_search(SearchSpec(n=1, bound=3, symmetry=symmetry, witnesses=witnesses))
+        spec = small.spec._replace(bound=300)
+        tracemalloc.start()
+        try:
+            large = run_search(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert large._replace(wall_time=0) == small._replace(spec=spec, wall_time=0)
+        assert peak < 64 * 1024, (symmetry, witnesses, peak)
+
+
 def test_symmetry_maps_preserve_axes_verdict():
     rng = random.Random(55)
     for _ in range(40):

@@ -20,7 +20,6 @@ from tilediff.torus import (
     WHITE,
     EdgeColoring,
     OffAxesEdges,
-    SquareClasses,
     VertexLabeling,
     square_edge_colors,
 )
@@ -136,15 +135,13 @@ def test_color_edges_off_axes_report():
 
 def test_square_colors_single_cell_violation():
     coloring = color_edges(edge_labels(vertex_labels(TileConfig.uniform(1))))
-    result = square_colors(coloring)
-    assert isinstance(result, list)
-    assert result[0].square == (0, 0)
-    assert result[0].reason == "red and blue edges"
+    with pytest.raises(ValueError) as exc:
+        square_colors(coloring)
+    assert str(exc.value) == "coloring invalid: (0, 0): red and blue edges"
 
 
 def test_square_colors_all_white():
     result = square_colors(uniform_coloring(3))
-    assert isinstance(result, SquareClasses)
     assert all(result.at(i, j) == WHITE for i in range(3) for j in range(3))
 
 
@@ -156,18 +153,29 @@ def test_square_colors_shared_edges_propagate_to_neighbours():
     h[0][0] = RED
     h[0][1] = RED
     ec = EdgeColoring(3, tuple(map(tuple, h)), tuple((WHITE,) * 3 for _ in range(3)))
-    result = square_colors(ec)
-    assert isinstance(result, list)
-    assert {(v.square, v.reason) for v in result} == {
-        ((0, 1), "exactly one red edge"),
-        ((0, 2), "exactly one red edge"),
-    }
+    with pytest.raises(ValueError) as exc:
+        square_colors(ec)
+    assert str(exc.value) == (
+        "coloring invalid: (0, 1): exactly one red edge; (0, 2): exactly one red edge"
+    )
+
+
+def test_square_colors_names_the_first_four_violations():
+    # A red row of bottom edges leaves one red edge on each square below
+    # and above it: six violations, in square order, of which four are named.
+    h = tuple((RED, WHITE, WHITE) for _ in range(3))
+    ec = EdgeColoring(3, h, tuple((WHITE,) * 3 for _ in range(3)))
+    with pytest.raises(ValueError) as exc:
+        square_colors(ec)
+    assert str(exc.value) == (
+        "coloring invalid: (0, 0): exactly one red edge; (0, 2): exactly one red edge; "
+        "(1, 0): exactly one red edge; (1, 2): exactly one red edge"
+    )
 
 
 def test_square_colors_band_is_legal():
     ec = band_coloring(4, rows=(1, 2))
     result = square_colors(ec)
-    assert isinstance(result, SquareClasses)
     for i in range(4):
         for j in range(4):
             assert result.at(i, j) == (RED if j in (1, 2) else WHITE)
@@ -176,7 +184,6 @@ def test_square_colors_band_is_legal():
 def test_square_colors_block_is_legal():
     ec = block_coloring(5, corners=[(0, 0), (3, 3)])
     result = square_colors(ec)
-    assert isinstance(result, SquareClasses)
     reds = {(i, j) for i in range(5) for j in range(5) if result.at(i, j) == RED}
     assert reds == {(0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (3, 4), (4, 3), (4, 4)}
 
@@ -191,9 +198,9 @@ def test_mixed_red_blue_square_flagged():
     v = [[WHITE] * 2 for _ in range(2)]
     h[0][0] = h[0][1] = RED
     v[0][0] = v[1][0] = BLUE
-    result = square_colors(EdgeColoring(2, tuple(map(tuple, h)), tuple(map(tuple, v))))
-    assert isinstance(result, list)
-    assert any(viol.reason == "red and blue edges" for viol in result)
+    with pytest.raises(ValueError) as exc:
+        square_colors(EdgeColoring(2, tuple(map(tuple, h)), tuple(map(tuple, v))))
+    assert str(exc.value) == "coloring invalid: (0, 0): red and blue edges"
 
 
 def test_every_config_breaks_somewhere_in_the_chain():
@@ -208,8 +215,9 @@ def test_every_config_breaks_somewhere_in_the_chain():
         colored = color_edges(el)
         if isinstance(colored, OffAxesEdges):
             continue
-        squares = square_colors(colored)
-        if isinstance(squares, list):
+        try:
+            square_colors(colored)
+        except ValueError:
             continue
         ds = difference_set(config)
         assert any(v[0] != 0 and v[1] != 0 for v in ds.vectors)
