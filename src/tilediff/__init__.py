@@ -41,10 +41,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "OffAxesEdges",
-            "SquareClasses", "VertexLabeling", "color_edges",
-            "edge_labels", "format_coloring", "parse_coloring", "square_colors",
-            "vertex_labels",
+            "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "SquareClasses",
+            "VertexLabeling", "color_edges", "edge_labels", "format_coloring",
+            "parse_coloring", "square_colors", "vertex_labels",
         ),
         "torus",
     ),

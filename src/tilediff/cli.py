@@ -22,6 +22,7 @@ subcommand uses. The library reports bad input by raising ValueError, and
 
 from __future__ import annotations
 
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -220,7 +221,14 @@ def main(argv=None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
-    return _dispatch(args)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: exit 1, quietly
+        # Send the unwritten output to devnull, or the last flush raises again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _dispatch(args: SimpleNamespace) -> int:

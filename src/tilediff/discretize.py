@@ -200,7 +200,7 @@ def reduce_to_transversal(cover: CellCover) -> TileConfig:
     """
     n = cover.n
     chosen: dict[tuple[int, int], Vec] = {}
-    for (j1, j2) in sorted(cover.cells):
+    for (j1, j2) in cover.cells:
         res = (j1 % n, j2 % n)
         u = (j1 // n, j2 // n)
         if res not in chosen or u < chosen[res]:

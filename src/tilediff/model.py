@@ -34,16 +34,8 @@ if TYPE_CHECKING:
 Vec = tuple[int, int]
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return (a[0] + b[0], a[1] + b[1])
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return (a[0] - b[0], a[1] - b[1])
-
-
-def vneg(a: Vec) -> Vec:
-    return (-a[0], -a[1])
 
 
 def on_axes(v: Vec) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .model import TileConfig, normalize
+from .model import TileConfig
 from .torus import (
     BLUE,
     RED,
@@ -58,7 +58,7 @@ def render_svg(source: Union[TileConfig, EdgeColoring], spec: RenderSpec) -> str
     labeling = None
     comps = []  # shaded by the components layer
     if isinstance(source, TileConfig):
-        labeling = edge_labels(vertex_labels(normalize(source)))
+        labeling = edge_labels(vertex_labels(source))
         n = labeling.n
         h = [[classify_value(value) for value in row] for row in labeling.h]
         v = [[classify_value(value) for value in row] for row in labeling.v]

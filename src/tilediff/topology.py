@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from collections import namedtuple
 from typing import Callable, Iterable
 
-from .model import Vec, vadd, vneg, vsub
+from .model import Vec, vsub
 from .diffset import LatticeSpan, lattice_span
 
 # The audit lives in `diffset`, so a program that only checks configurations
@@ -60,8 +60,8 @@ class Step(namedtuple("Step", ("kind", "i", "j", "forward"))):
 
     @property
     def direction(self) -> Vec:
-        d = (1, 0) if self.kind == "h" else (0, 1)
-        return d if self.forward else vneg(d)
+        step = 1 if self.forward else -1
+        return (step, 0) if self.kind == "h" else (0, step)
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def pi1_image(component: Component) -> LatticeSpan:
             if dst not in inside:
                 continue
             # ri, rj lie in [-1, n]; floor division is the wrap carry.
-            shifted = vadd(lift[src], (ri // n, rj // n))
+            shifted = (lift[src][0] + ri // n, lift[src][1] + rj // n)
             if dst not in lift:
                 lift[dst] = shifted
                 stack.append(dst)

@@ -15,7 +15,7 @@ configuration) are first-class and file-loadable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .model import FileFormatError, TileConfig, Vec, vsub, _parse_int, _read_header
 
@@ -33,9 +33,6 @@ class VertexLabeling:
 
     n: int
     labels: Grid
-
-    def at(self, i: int, j: int) -> Vec:
-        return self.labels[i][j]
 
 
 @dataclass(frozen=True)
@@ -55,24 +52,17 @@ class EdgeColoring:
     h: tuple[tuple[str, ...], ...]
     v: tuple[tuple[str, ...], ...]
 
-    def h_at(self, i: int, j: int) -> str:
-        return self.h[i % self.n][j % self.n]
-
-    def v_at(self, i: int, j: int) -> str:
-        return self.v[i % self.n][j % self.n]
-
 
 def vertex_labels(config: TileConfig) -> VertexLabeling:
-    """Extended vertex labels of a normalized configuration.
+    """Extended vertex labels of a configuration.
 
     Vertex (i, j) of the (n+1) x (n+1) grid is cell c = (i mod n, j mod n)
     moved by e = (i div n, j div n), so it carries the lift
     U(c + n*e) = u(c) - e: the right seam column repeats column 0 shifted by
     (-1, 0), the top seam row repeats row 0 shifted by (0, -1), and the far
-    corner is (-1, -1).
+    corner is u(0, 0) - (1, 1). Any translates will do: a common shift of
+    them moves every label and no edge value.
     """
-    if config.translates[0] != (0, 0):
-        raise ValueError("config not normalized")
     n = config.n
     return VertexLabeling(n, tuple(
         tuple(vsub(config.u(i % n, j % n), (i // n, j // n)) for j in range(n + 1))
@@ -87,34 +77,24 @@ def edge_labels(vl: VertexLabeling) -> EdgeLabeling:
     right column duplicate row 0 / column 0); they hold automatically for
     labelings built by `vertex_labels` and guard hand-made inputs.
     """
-    n = vl.n
+    n, labels = vl.n, vl.labels
     for i in range(n):
-        bottom = vsub(vl.at(i + 1, 0), vl.at(i, 0))
-        top = vsub(vl.at(i + 1, n), vl.at(i, n))
+        bottom = vsub(labels[i + 1][0], labels[i][0])
+        top = vsub(labels[i + 1][n], labels[i][n])
         if bottom != top:
             raise ValueError(f"seam mismatch: horizontal edge {i}")
     for j in range(n):
-        left = vsub(vl.at(0, j + 1), vl.at(0, j))
-        right = vsub(vl.at(n, j + 1), vl.at(n, j))
+        left = vsub(labels[0][j + 1], labels[0][j])
+        right = vsub(labels[n][j + 1], labels[n][j])
         if left != right:
             raise ValueError(f"seam mismatch: vertical edge {j}")
     h = tuple(
-        tuple(vsub(vl.at(i + 1, j), vl.at(i, j)) for j in range(n)) for i in range(n)
+        tuple(vsub(labels[i + 1][j], labels[i][j]) for j in range(n)) for i in range(n)
     )
     v = tuple(
-        tuple(vsub(vl.at(i, j + 1), vl.at(i, j)) for j in range(n)) for i in range(n)
+        tuple(vsub(labels[i][j + 1], labels[i][j]) for j in range(n)) for i in range(n)
     )
     return EdgeLabeling(n, h, v)
-
-
-@dataclass(frozen=True)
-class OffAxesEdges:
-    """Returned by `color_edges` when some edge value is off both axes; the
-    three-way coloring is undefined there and the axes condition is already
-    violated. Edges are (kind, i, j, value)."""
-
-    n: int
-    edges: tuple[tuple[str, int, int, Vec], ...]
 
 
 def classify_value(value: Vec) -> Optional[str]:
@@ -128,41 +108,22 @@ def classify_value(value: Vec) -> Optional[str]:
     return None
 
 
-def color_edges(el: EdgeLabeling) -> Union[EdgeColoring, OffAxesEdges]:
-    n = el.n
-    off: list[tuple[str, int, int, Vec]] = []
-    h_colors = []
-    v_colors = []
-    for i in range(n):
-        h_row = []
-        v_row = []
-        for j in range(n):
-            ch = classify_value(el.h[i][j])
-            if ch is None:
-                off.append(("h", i, j, el.h[i][j]))
-                ch = WHITE
-            cv = classify_value(el.v[i][j])
-            if cv is None:
-                off.append(("v", i, j, el.v[i][j]))
-                cv = WHITE
-            h_row.append(ch)
-            v_row.append(cv)
-        h_colors.append(tuple(h_row))
-        v_colors.append(tuple(v_row))
+def color_edges(el: EdgeLabeling) -> EdgeColoring:
+    """Color every edge by its value. Raises ValueError, naming the first
+    four "h (i, j): (x, y)" entries (horizontal edges first), when some
+    value is off both axes and so has no color."""
+    h = tuple(tuple(map(classify_value, row)) for row in el.h)
+    v = tuple(tuple(map(classify_value, row)) for row in el.v)
+    off = [
+        f"{kind} {(i, j)}: {values[i][j]}"
+        for kind, colors, values in (("h", h, el.h), ("v", v, el.v))
+        for i, row in enumerate(colors)
+        for j, color in enumerate(row)
+        if color is None
+    ]
     if off:
-        return OffAxesEdges(n, tuple(off))
-    return EdgeColoring(n, tuple(h_colors), tuple(v_colors))
-
-
-def square_edge_colors(ec: EdgeColoring, i: int, j: int) -> tuple[str, str, str, str]:
-    """Colors of the four edges of torus square (i, j): bottom, top, left,
-    right. For n=1 the two slots of each direction name the same edge."""
-    return (
-        ec.h_at(i, j),
-        ec.h_at(i, j + 1),
-        ec.v_at(i, j),
-        ec.v_at(i + 1, j),
-    )
+        raise ValueError(f"edge values off the axes: {'; '.join(off[:4])}")
+    return EdgeColoring(el.n, h, v)
 
 
 @dataclass(frozen=True)
@@ -176,19 +137,6 @@ class SquareClasses:
     n: int
     classes: tuple[tuple[str, ...], ...]
 
-    def at(self, i: int, j: int) -> str:
-        return self.classes[i % self.n][j % self.n]
-
-    @staticmethod
-    def from_map(n: int, mapping: dict[tuple[int, int], str]) -> "SquareClasses":
-        return SquareClasses(
-            n, tuple(tuple(mapping[(i, j)] for j in range(n)) for i in range(n))
-        )
-
-    @staticmethod
-    def uniform(n: int, color: str = WHITE) -> "SquareClasses":
-        return SquareClasses(n, tuple((color,) * n for _ in range(n)))
-
 
 def square_colors(ec: EdgeColoring) -> SquareClasses:
     """Classify every square.
@@ -199,13 +147,14 @@ def square_colors(ec: EdgeColoring) -> SquareClasses:
     (impossible for colorings derived from a cocycle, whose signed sums
     vanish on every square).
     """
-    n = ec.n
+    n, h, v = ec.n, ec.h, ec.v
     violations: list[str] = []
     classes: list[list[str]] = []
     for i in range(n):
         row = []
         for j in range(n):
-            edges = square_edge_colors(ec, i, j)
+            # Bottom, top, left, right; at n = 1 a direction's two are one edge.
+            edges = (h[i][j], h[i][(j + 1) % n], v[i][j], v[(i + 1) % n][j])
             reds = edges.count(RED)
             blues = edges.count(BLUE)
             if reds and blues:
@@ -249,8 +198,7 @@ def parse_coloring(text: str) -> EdgeColoring:
 
 def format_coloring(ec: EdgeColoring) -> str:
     out = [f"n {ec.n}"]
-    for kind in ("h", "v"):
-        grid = ec.h if kind == "h" else ec.v
+    for kind, grid in (("h", ec.h), ("v", ec.v)):
         for i in range(ec.n):
             for j in range(ec.n):
                 out.append(f"{kind} {i} {j} {grid[i][j]}")

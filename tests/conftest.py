@@ -51,9 +51,10 @@ from tilediff.topology import Curve, Step
 PACKAGE_ROOT = Path(tilediff.__file__).resolve().parents[1]
 
 
-def run_cli(args, cwd, module="tilediff.cli"):
+def run_cli(args, cwd, module="tilediff.cli", stdout=subprocess.PIPE):
     """Run ``python -m MODULE ARGS`` in ``cwd``, importing the same
-    ``tilediff`` as the test process; output is captured as text."""
+    ``tilediff`` as the test process; stderr, and stdout unless another
+    target is given, are captured as text."""
     inherited = os.environ.get("PYTHONPATH")
     env = {
         **os.environ,
@@ -61,7 +62,8 @@ def run_cli(args, cwd, module="tilediff.cli"):
     }
     return subprocess.run(
         [sys.executable, "-m", module, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         cwd=cwd,
         env=env,

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -142,6 +143,25 @@ def test_file_that_is_not_utf8_exits_without_traceback(workdir, args):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(
         f"error: cannot read {args[1]}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", str(GOLDEN / "check" / "n19-random.txt"), "--vectors"],
+     ["search", "--n", "2", "--bound", "3", "--json"]],
+    ids=lambda args: args[0],
+)
+def test_a_closed_stdout_ends_the_call_quietly(tmp_path, args):
+    # The read end is closed before the call starts, so its first write to
+    # stdout, or the last flush, always fails with a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_cli(args, tmp_path, module="tilediff", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == ""
 
 
 def test_python_m_tilediff_runs_the_cli(tmp_path):

@@ -32,7 +32,7 @@ EXPORTS = {
         "reduce_to_transversal", "discretization_exact",
     ),
     "torus": (
-        "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "OffAxesEdges",
+        "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling",
         "SquareClasses", "VertexLabeling", "color_edges",
         "edge_labels", "format_coloring", "parse_coloring", "square_colors",
         "vertex_labels",

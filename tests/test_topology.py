@@ -25,7 +25,6 @@ from tilediff import (
     impossibility_audit,
     vertex_labels,
 )
-from tilediff.model import vadd
 from tilediff.torus import BLUE, RED, WHITE, EdgeColoring, SquareClasses, square_colors
 from tilediff.topology import boundary_steps
 
@@ -46,12 +45,9 @@ from conftest import (
 
 
 def _classes_with(n, colored, color=RED):
-    mapping = {
-        (i, j): (color if (i, j) in colored else WHITE)
-        for i in range(n)
-        for j in range(n)
-    }
-    return SquareClasses.from_map(n, mapping)
+    return SquareClasses(n, tuple(
+        tuple(color if (i, j) in colored else WHITE for j in range(n)) for i in range(n)
+    ))
 
 
 def test_curve_and_component_validation():
@@ -98,7 +94,7 @@ def test_components_partition_property():
             for c in comps:
                 assert not (c.squares & seen)
                 seen |= c.squares
-                assert all(sc.at(i, j) == c.color for (i, j) in c.squares)
+                assert all(sc.classes[i][j] == c.color for (i, j) in c.squares)
             assert len(seen) == n * n
 
 
@@ -370,7 +366,6 @@ def test_gain_color_confinement_on_legal_labeled_torus():
     from tilediff.torus import color_edges
 
     coloring = color_edges(el)
-    assert isinstance(coloring, EdgeColoring)
     square_colors(coloring)  # raises ValueError unless the square rules hold
     for _ in range(200):
         curve = random_closed_curve(rng, n, length=rng.randint(2, 16))
@@ -428,7 +423,9 @@ def test_audit_with_a_given_axes_check_matches_its_own():
     for _ in range(80):
         config = random_config(rng, rng.randint(1, 6), 3)
         base = (rng.randint(-4, 4), rng.randint(-4, 4))
-        shifted = TileConfig(config.n, tuple(vadd(u, base) for u in config.translates))
+        shifted = TileConfig(
+            config.n, tuple((x + base[0], y + base[1]) for x, y in config.translates)
+        )
         report = impossibility_audit(normalize(shifted))
         check = axes_subset(difference_set(shifted))
         assert impossibility_audit(normalize(shifted), check) == report

@@ -1,6 +1,7 @@
 """Torus square complex: vertex labels, cocycle, coloring, square rules."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,18 +11,19 @@ from tilediff import (
     difference_set,
     edge_labels,
     format_coloring,
+    normalize,
     parse_coloring,
+    parse_config,
     square_colors,
     vertex_labels,
 )
+from tilediff.render import ALL_LAYERS, RenderSpec, render_svg
 from tilediff.torus import (
     BLUE,
     RED,
     WHITE,
     EdgeColoring,
-    OffAxesEdges,
     VertexLabeling,
-    square_edge_colors,
 )
 
 from conftest import (
@@ -38,24 +40,28 @@ from conftest import (
 
 def test_vertex_labels_single_cell_table():
     vl = vertex_labels(TileConfig.uniform(1))
-    assert vl.at(0, 0) == (0, 0)
-    assert vl.at(1, 0) == (-1, 0)
-    assert vl.at(0, 1) == (0, -1)
-    assert vl.at(1, 1) == (-1, -1)
+    assert vl.labels == (((0, 0), (0, -1)), ((-1, 0), (-1, -1)))
 
 
 def test_vertex_labels_uniform_two():
     vl = vertex_labels(TileConfig.uniform(2))
     for j in range(2):
-        assert vl.at(2, j) == (-1, 0)
+        assert vl.labels[2][j] == (-1, 0)
     for i in range(2):
-        assert vl.at(i, 2) == (0, -1)
-    assert vl.at(2, 2) == (-1, -1)
+        assert vl.labels[i][2] == (0, -1)
+    assert vl.labels[2][2] == (-1, -1)
 
 
-def test_vertex_labels_requires_normalized():
-    with pytest.raises(ValueError, match="config not normalized"):
-        vertex_labels(TileConfig.uniform(2, (1, 0)))
+def test_a_shifted_config_labels_and_renders_as_its_normal_form():
+    # The base translate is (2, -1); a common shift moves every vertex
+    # label, and so leaves their differences, the edge values, as they are.
+    path = Path(__file__).parent / "golden" / "check" / "n3-three-pairs-shifted.txt"
+    config = parse_config(path.read_text())
+    assert config.translates[0] == (2, -1)
+    normal = normalize(config)
+    assert edge_labels(vertex_labels(config)) == edge_labels(vertex_labels(normal))
+    spec = RenderSpec(show=frozenset(ALL_LAYERS))
+    assert render_svg(config, spec) == render_svg(normal, spec)
 
 
 def test_edge_labels_single_cell():
@@ -104,7 +110,6 @@ def test_edge_values_lie_in_difference_set():
 
 def test_color_edges_single_cell():
     coloring = color_edges(edge_labels(vertex_labels(TileConfig.uniform(1))))
-    assert isinstance(coloring, EdgeColoring)
     assert coloring.h[0][0] == RED
     assert coloring.v[0][0] == BLUE
 
@@ -115,22 +120,21 @@ def test_color_edges_all_zero_synthetic():
     zero = ((0, 0),)
     el = EdgeLabeling(1, (zero,), (zero,))
     coloring = color_edges(el)
-    assert isinstance(coloring, EdgeColoring)
     assert coloring.h[0][0] == WHITE and coloring.v[0][0] == WHITE
 
 
-def test_color_edges_off_axes_report():
+def test_color_edges_names_the_first_four_off_axes_edges():
+    # Six edge values are off the axes: h (0, 0), (0, 1), (1, 0) and
+    # v (0, 0), (0, 1), (1, 0). The horizontal ones come first.
     config = TileConfig.from_map(
-        2, {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0), (1, 1): (1, 1)}
+        2, {(0, 0): (0, 0), (0, 1): (1, 2), (1, 0): (2, 1), (1, 1): (0, 0)}
     )
-    result = color_edges(edge_labels(vertex_labels(config)))
-    assert isinstance(result, OffAxesEdges)
-    assert set(result.edges) == {
-        ("h", 0, 1, (1, 1)),
-        ("h", 1, 1, (-2, -1)),
-        ("v", 1, 0, (1, 1)),
-        ("v", 1, 1, (-1, -2)),
-    }
+    with pytest.raises(ValueError) as exc:
+        color_edges(edge_labels(vertex_labels(config)))
+    assert str(exc.value) == (
+        "edge values off the axes: h (0, 0): (2, 1); h (0, 1): (-1, -2); "
+        "h (1, 0): (-3, -1); v (0, 0): (1, 2)"
+    )
 
 
 def test_square_colors_single_cell_violation():
@@ -142,7 +146,7 @@ def test_square_colors_single_cell_violation():
 
 def test_square_colors_all_white():
     result = square_colors(uniform_coloring(3))
-    assert all(result.at(i, j) == WHITE for i in range(3) for j in range(3))
+    assert result.classes == ((WHITE,) * 3,) * 3
 
 
 def test_square_colors_shared_edges_propagate_to_neighbours():
@@ -178,19 +182,22 @@ def test_square_colors_band_is_legal():
     result = square_colors(ec)
     for i in range(4):
         for j in range(4):
-            assert result.at(i, j) == (RED if j in (1, 2) else WHITE)
+            assert result.classes[i][j] == (RED if j in (1, 2) else WHITE)
 
 
 def test_square_colors_block_is_legal():
     ec = block_coloring(5, corners=[(0, 0), (3, 3)])
     result = square_colors(ec)
-    reds = {(i, j) for i in range(5) for j in range(5) if result.at(i, j) == RED}
+    reds = {(i, j) for i in range(5) for j in range(5) if result.classes[i][j] == RED}
     assert reds == {(0, 0), (0, 1), (1, 0), (1, 1), (3, 3), (3, 4), (4, 3), (4, 4)}
 
 
-def test_square_edge_colors_n1_uses_slots():
-    ec = uniform_coloring(1, h_color=RED, v_color=BLUE)
-    assert square_edge_colors(ec, 0, 0) == (RED, RED, BLUE, BLUE)
+def test_square_colors_n1_counts_each_edge_in_both_slots():
+    # At n = 1 the square's bottom and top are the one h edge, and its left
+    # and right the one v edge: a red h edge is two red sides, not one.
+    for h_color, v_color, color in ((RED, WHITE, RED), (WHITE, BLUE, BLUE)):
+        ec = uniform_coloring(1, h_color=h_color, v_color=v_color)
+        assert square_colors(ec).classes == ((color,),)
 
 
 def test_mixed_red_blue_square_flagged():
@@ -212,12 +219,9 @@ def test_every_config_breaks_somewhere_in_the_chain():
     for _ in range(60):
         config = random_config(rng, rng.randint(1, 4), 2)
         el = edge_labels(vertex_labels(config))
-        colored = color_edges(el)
-        if isinstance(colored, OffAxesEdges):
-            continue
         try:
-            square_colors(colored)
-        except ValueError:
+            square_colors(color_edges(el))
+        except ValueError:  # an off-axes edge value, or a broken square
             continue
         ds = difference_set(config)
         assert any(v[0] != 0 and v[1] != 0 for v in ds.vectors)
