@@ -19,8 +19,8 @@ import sys as _sys
 _EXPORTS = {
     **dict.fromkeys(
         (
-            "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
-            "format_config", "normalize", "parse_boxes", "parse_config",
+            "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_config",
+            "normalize", "parse_boxes", "parse_config",
         ),
         "model",
     ),
@@ -42,7 +42,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling", "SquareClasses",
-            "VertexLabeling", "color_edges", "edge_labels", "format_coloring",
+            "VertexLabeling", "color_edges", "edge_labels",
             "parse_coloring", "square_colors", "vertex_labels",
         ),
         "torus",

@@ -139,7 +139,6 @@ class FileFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-        self.reason = message
 
 
 def _content_lines(text: str):
@@ -269,10 +268,3 @@ def parse_boxes(text: str) -> BoxUnion:
     if not boxes:
         raise FileFormatError(1, "no boxes")
     return BoxUnion(tuple(boxes))
-
-
-def format_boxes(k: BoxUnion) -> str:
-    out = []
-    for (x0, y0, x1, y1) in k.boxes:
-        out.append("box " + " ".join(_format_rational(c) for c in (x0, y0, x1, y1)))
-    return "\n".join(out) + "\n"

@@ -56,7 +56,7 @@ if TYPE_CHECKING:
 PLAIN = "plain"
 PRUNED = "pruned"
 
-# Largest size of the tables of `_Forward`, and of the domains, in bytes.
+# Largest size of the search tables, the masks and the domains, in bytes.
 # Past it a pruned search fails before building them: the per-cell tables
 # grow as n^2, each axis list of masks as (2b+1)^3 bits, and the domains as
 # n^2 (2b+1)^2 bits.
@@ -196,14 +196,14 @@ def _lex_state(values: list, depth: int, swap: tuple[int, ...]) -> int:
     return _FIXED
 
 
-_Tables = namedtuple("_Tables", ("order", "position", "swap", "later", "earlier", "mxs", "mys"))
+_Tables = namedtuple("_Tables", ("order", "position", "swap", "later", "earlier"))
 
 
 @functools.lru_cache(maxsize=64)
 def _tables(n: int) -> _Tables:
     """The tables of the pruned engine that depend on n alone, built once
-    per n and shared, as `_forward_pairs` is; they are all tuples and
-    frozensets, so no caller can change them.
+    per n and shared, as `_forward_pairs` is; they are all tuples, so no
+    caller can change them.
 
     order lists the row-major cells in placement order: by diagonal
     (i + j) mod n, then by i, so the base cell (0, 0) comes first. Each
@@ -213,14 +213,13 @@ def _tables(n: int) -> _Tables:
     row-major cell, and swap[p] the position of the x<->y mirror of the
     cell at position p.
 
-    The links name cells by position. later[k] lists, for each later
-    position f whose cell touches the cell at k on the torus, (f, offsets,
-    mx, my): offsets are the admissible offsets m of p_f - p_k, for the
-    cells p_f and p_k at those positions (|p_f - p_k - m*n| <= 1 per axis),
-    sorted with mx outermost, and mx (my) is their single x (y) offset, or
-    None when there are several. earlier[f] lists (k, offsets) for each
-    earlier k touching f, in that order. mxs and mys hold every single x
-    and y offset of a link.
+    The links name cells by position. earlier[f] lists, for each earlier
+    position k whose cell touches the cell at f on the torus, (k, offsets):
+    offsets are the admissible offsets m of p_f - p_k, for the cells p_f and
+    p_k at those positions (|p_f - p_k - m*n| <= 1 per axis), sorted with mx
+    outermost. later[k] lists (f, mx, my) for each later f touching k, in
+    that order: mx (my) is the single x (y) offset of the pair, or None when
+    there are several.
 
     The links are read in O(n^2) from the forward king pairs (c, c2, m) of
     `_forward_pairs`: m is an offset of p_c - p_c2. With the cells at
@@ -246,24 +245,29 @@ def _tables(n: int) -> _Tables:
             # offsets is Mx x My with mx outermost, so its first and last
             # entries hold the smallest and largest mx and my.
             (mx, my), (mx_last, my_last) = offsets[0], offsets[-1]
-            row.append((f, offsets, mx if mx == mx_last else None, my if my == my_last else None))
+            row.append((f, mx if mx == mx_last else None, my if my == my_last else None))
             earlier[f].append((k, offsets))
         later.append(tuple(row))
-    mxs, mys = (frozenset(link[axis] for row in later for link in row) - {None} for axis in (2, 3))
     swap = tuple(position[_swap_position(c, n)] for c in order)
-    return _Tables(order, position, swap, tuple(later), tuple(map(tuple, earlier)), mxs, mys)
+    return _Tables(order, position, swap, tuple(later), tuple(map(tuple, earlier)))
 
 
-class _Forward:
-    """Forward-checking tables for one (n, bound), built once per scan.
+def _limit(size: int, where: str, what: str) -> None:
+    """Refuse the `what` of the search at `where` (its n, or n and bound)
+    when it would take `size` bytes, past TABLE_BYTES_LIMIT."""
+    if size > TABLE_BYTES_LIMIT:
+        raise ValueError(f"{where}: the {what} would take {size >> 20} MiB, "
+                         f"over the {TABLE_BYTES_LIMIT >> 20} MiB limit")
+
+
+def _masks(n: int, bound: int) -> list[list[tuple[int, list[int], list[int]]]]:
+    """The links of `_tables(n).later` with their masks at this bound.
 
     Value index i = ix * W + iy, with W = 2 * bound + 1, stands for
     _value_range(bound)[i] = (ix - bound, iy - bound), and a domain is an
-    int whose bit i is set when value i is still allowed. Cells are named by
-    their position in the placement order. `tables` is the record of
-    `_tables(n)`, shared by every scan at n; only the masks depend on the
-    bound. later[k] lists (f, xs, ys) for each later cell f touching k: cell
-    k holding value i = (ix, iy) allows the domain xs[ix] | ys[iy] of f.
+    int whose bit i is set when value i is still allowed. masks[k] lists
+    (f, xs, ys) for each later cell f touching k: cell k holding value
+    i = (ix, iy) allows the domain xs[ix] | ys[iy] of f.
 
     The masks are kept per axis. Against k at (qx, qy), a single x offset
     mx allows the column x = qx - mx, one block of W bits, and a single y
@@ -272,86 +276,25 @@ class _Forward:
     the W rows of its my, and an axis with several offsets takes one shared
     list of W zeros. A link with both offsets single allows the cross, one
     with neither allows nothing. The lists are shared by every link with the
-    same offset, so there are at most three of each. The value list itself
-    is not built here, and `later` only on first read: `root` decides a
-    search that ends at the base cell without it.
-
-    The constructor raises ValueError before building any table when the
-    n^2-sized ones would take more than TABLE_BYTES_LIMIT bytes, and `later`
-    raises it before building any mask when the axis lists, W masks of up
-    to W^2 bits each, would. `root` raises it before building any mask or
-    domain when the domains and the trail, up to a few ints of W^2 bits per
-    cell, would. A search that `root` decides builds neither, so its bound
-    is not limited.
+    same offset, so there are at most three of each. The axis lists, W
+    masks of up to W^2 bits each, are refused before any is built when they
+    would take more than TABLE_BYTES_LIMIT bytes.
     """
-
-    def __init__(self, n: int, bound: int):
-        size = n * n * _TABLE_BYTES_PER_CELL
-        if size > TABLE_BYTES_LIMIT:
-            raise ValueError(
-                f"n={n}: the search tables would take {size >> 20} MiB, "
-                f"over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
-            )
-        self.n = n
-        self.bound = bound
-        self.width = 2 * bound + 1
-        self.tables = _tables(n)
-
-    @functools.cached_property
-    def later(self) -> list[list[tuple[int, list[int], list[int]]]]:
-        width, tables = self.width, self.tables
-        size = (len(tables.mxs) + len(tables.mys)) * width ** 3 // 8
-        if size > TABLE_BYTES_LIMIT:
-            raise ValueError(
-                f"n={self.n} bound={self.bound}: the pruning tables would take "
-                f"{size >> 20} MiB, over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
-            )
-        block = (1 << width) - 1
-        comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
-        span, zeros = range(width), [0] * width
-        xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
-              for mx in tables.mxs}
-        ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span]
-              for my in tables.mys}
-        return [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, _, mx, my in links]
-                for links in tables.later]
-
-    def root(self) -> tuple[list[int], int]:
-        """The domains with the base cell placed at (0, 0), and the first
-        cell whose domain this placement wipes out, or -1.
-
-        Every domain is full here, so the base cell wipes out a later cell
-        exactly when neither the link's single mx nor its single my lies in
-        [-bound, bound]: the table decides that without any mask, and then
-        no domain is built and the list is empty."""
-        bound, size, table = self.bound, self.width * self.width, self.tables.later
-        for f, _, mx, my in table[0]:
-            if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
-                return [], f
-        domain_bytes = int(len(table) * size * _DOMAIN_BITS_PER_VALUE) // 8
-        if domain_bytes > TABLE_BYTES_LIMIT:
-            raise ValueError(
-                f"n={self.n} bound={bound}: the search domains would take "
-                f"{domain_bytes >> 20} MiB, over the {TABLE_BYTES_LIMIT >> 20} MiB limit"
-            )
-        links = self.later[0]
-        domains = [(1 << size) - 1] * len(table)
-        domains[0] = 1 << size // 2  # the middle value, (0, 0)
-        return domains, _narrow(domains, links, bound, bound, [])
-
-    def witness(self, assigned: list[Vec], depth: int, f: int) -> Vec:
-        """The off-axes vector that excludes the lowest value (-bound, -bound)
-        from the domain of f, given cells 0..depth placed as in `assigned`."""
-        vx = vy = -self.bound
-        for k, offsets in self.tables.earlier[f]:
-            if k > depth:
-                break
-            qx, qy = assigned[k]
-            for mx, my in offsets:
-                wx, wy = vx - qx + mx, vy - qy + my
-                if wx != 0 and wy != 0:
-                    return (wx, wy)
-        raise AssertionError("wiped-out domain with no excluding neighbour")
+    later = _tables(n).later
+    x_offsets = {mx for links in later for _, mx, _ in links} - {None}
+    y_offsets = {my for links in later for _, _, my in links} - {None}
+    width = 2 * bound + 1
+    _limit((len(x_offsets) + len(y_offsets)) * width ** 3 // 8,
+           f"n={n} bound={bound}", "pruning tables")
+    block = (1 << width) - 1
+    comb = ((1 << width * width) - 1) // block  # bit ix * W for every ix
+    span, zeros = range(width), [0] * width
+    xs = {mx: [block << (ix - mx) * width if 0 <= ix - mx < width else 0 for ix in span]
+          for mx in x_offsets}
+    ys = {my: [comb << iy - my if 0 <= iy - my < width else 0 for iy in span]
+          for my in y_offsets}
+    return [[(f, xs.get(mx, zeros), ys.get(my, zeros)) for f, mx, my in links]
+            for links in later]
 
 
 def _narrow(domains: list[int], links, ix: int, iy: int, trail: list) -> int:
@@ -371,12 +314,33 @@ def _narrow(domains: list[int], links, ix: int, iy: int, trail: list) -> int:
     return -1
 
 
+def _witness(links, assigned: list[Vec], depth: int, bound: int) -> Vec:
+    """The off-axes vector that excludes (-bound, -bound) from a cell with
+    `earlier` links `links`, given cells 0..depth placed as in `assigned`."""
+    for k, offsets in links:
+        if k > depth:
+            break
+        qx, qy = assigned[k]
+        for mx, my in offsets:
+            wx, wy = -bound - qx + mx, -bound - qy + my
+            if wx != 0 and wy != 0:
+                return (wx, wy)
+    raise AssertionError("wiped-out domain with no excluding neighbour")
+
+
 def _pruned_scan(spec: SearchSpec, start: float) -> SearchReport:
     """Forward-checking search at n >= 2 in the order of `_tables`, each
     cell trying its values in `_value_range` order. Depth d places the cell
     at position d, and the configurations it reports are read back into
     row-major order. The report's wall_time counts from `start`, a
     `time.perf_counter` reading.
+
+    Every domain is full when the base cell is placed at (0, 0), so it
+    wipes out a later cell exactly when neither single offset of their link
+    lies in [-bound, bound]: a search that ends there builds no mask or
+    domain, whatever its bound. The n^2-sized tables, and then the domains
+    and trail (a few ints of W^2 bits per cell), are refused past
+    TABLE_BYTES_LIMIT before they are built; `_masks` refuses its own.
 
     The walk keeps one live domain list and a trail of the (cell, old
     domain) changes `_narrow` made. Each depth notes the trail's length
@@ -387,27 +351,38 @@ def _pruned_scan(spec: SearchSpec, start: float) -> SearchReport:
     n = spec.n
     # Locals, read once: the node loop and `cut` run per node.
     bound, budget, symmetry, witnesses = spec.bound, spec.budget, spec.symmetry, spec.witnesses
+    _limit(n * n * _TABLE_BYTES_PER_CELL, f"n={n}", "search tables")
+    order, position, swap, later, earlier = _tables(n)
+    last = n * n - 1
+    assigned: list[Vec] = [(0, 0)] * (last + 1)
     counts: dict[Vec, int] = {}
     records: list[tuple[TileConfig, Vec]] = []
-    fwd = _Forward(n, bound)
-    last = n * n - 1
-    order, position, swap = fwd.tables.order, fwd.tables.position, fwd.tables.swap
-    assigned: list[Vec] = [(0, 0)] * (last + 1)
 
     def cut(depth: int, f: int):
-        vec = fwd.witness(assigned, depth, f)
+        vec = _witness(earlier[f], assigned, depth, bound)
         counts[vec] = counts.get(vec, 0) + 1
         if witnesses:
             translates = assigned[: depth + 1] + [(0, 0)] * (last - depth)
             translates[f] = (-bound, -bound)
             records.append((model.TileConfig(n, tuple(translates[k] for k in position)), vec))
 
-    domains, wiped = fwd.root()
+    for f, mx, my in later[0]:
+        if not (mx is not None and abs(mx) <= bound or my is not None and abs(my) <= bound):
+            wiped = f
+            break
+    else:
+        width = 2 * bound + 1
+        size = width * width
+        _limit(int((last + 1) * size * _DOMAIN_BITS_PER_VALUE) // 8,
+               f"n={n} bound={bound}", "search domains")
+        masks = _masks(n, bound)
+        domains = [(1 << size) - 1] * (last + 1)
+        domains[0] = 1 << size // 2  # the middle value, (0, 0)
+        wiped = _narrow(domains, masks[0], bound, bound, [])
     if wiped >= 0:
         cut(0, wiped)  # the base cell alone cuts the whole tree
         return SearchReport(spec, 0, 0, 0, tuple(counts.items()), tuple(records), (),
                             time.perf_counter() - start)
-    later, width = fwd.later, fwd.width
     # Per depth d: the trail's length when d was entered, the values cell d
     # has still to try, and whether the swap order was settled above d.
     trail: list[tuple[int, int]] = []
@@ -440,7 +415,7 @@ def _pruned_scan(spec: SearchSpec, start: float) -> SearchReport:
             for f, old in reversed(trail[mark:]):
                 domains[f] = old
             del trail[mark:]
-        wiped = _narrow(domains, later[depth], ix, iy, trail)
+        wiped = _narrow(domains, masks[depth], ix, iy, trail)
         if wiped >= 0:
             cut(depth, wiped)
             continue

@@ -89,11 +89,8 @@ class Component:
     n: int
     color: str
     squares: frozenset[Vec]
-    adjacency_mode: str  # "corner" or "edge"
 
     def __post_init__(self):
-        if self.adjacency_mode not in ("corner", "edge"):
-            raise ValueError(f"unknown adjacency mode {self.adjacency_mode!r}")
         if not self.squares:
             raise ValueError("empty component")
 
@@ -137,11 +134,14 @@ def _flood_fill(squares: Iterable[Vec], n: int, mode: str, key: Callable) -> lis
 
 
 def components_of_classes(sc: torus.SquareClasses, mode: str = "corner") -> list[Component]:
-    """Partition all squares into maximal same-class connected sets."""
+    """Partition all squares into maximal same-class connected sets, joined
+    across corners ("corner") or across edges only ("edge")."""
+    if mode not in ("corner", "edge"):
+        raise ValueError(f"unknown adjacency mode {mode!r}")
     n = sc.n
     squares = ((i, j) for i in range(n) for j in range(n))
     return [
-        Component(n, color, blob, mode)
+        Component(n, color, blob)
         for color, blob in _flood_fill(squares, n, mode, lambda sq: sc.classes[sq[0]][sq[1]])
     ]
 
@@ -283,6 +283,6 @@ def interiors_decomposition(component: Component) -> list[Component]:
     parts, which meet each other only at corner pinches)."""
     inside = component.squares
     return [
-        Component(component.n, component.color, blob, "edge")
+        Component(component.n, component.color, blob)
         for _, blob in _flood_fill(inside, component.n, "edge", inside.__contains__)
     ]

@@ -194,12 +194,3 @@ def parse_coloring(text: str) -> EdgeColoring:
     h = tuple(tuple(seen[("h", i, j)] for j in range(n)) for i in range(n))
     v = tuple(tuple(seen[("v", i, j)] for j in range(n)) for i in range(n))
     return EdgeColoring(n, h, v)
-
-
-def format_coloring(ec: EdgeColoring) -> str:
-    out = [f"n {ec.n}"]
-    for kind, grid in (("h", ec.h), ("v", ec.v)):
-        for i in range(ec.n):
-            for j in range(ec.n):
-                out.append(f"{kind} {i} {j} {grid[i][j]}")
-    return "\n".join(out) + "\n"

@@ -564,7 +564,7 @@ def random_blob_component(rng: random.Random, n: int, size: int, mode: str = "co
         nb = rng.choice(options)
         blob.add(nb)
         frontier.append(nb)
-    return Component(n, RED, frozenset(blob), mode)
+    return Component(n, RED, frozenset(blob))
 
 
 def uniform_coloring(n: int, h_color: str = WHITE, v_color: str = WHITE) -> EdgeColoring:
@@ -573,6 +573,41 @@ def uniform_coloring(n: int, h_color: str = WHITE, v_color: str = WHITE) -> Edge
         tuple((h_color,) * n for _ in range(n)),
         tuple((v_color,) * n for _ in range(n)),
     )
+
+
+# The files of uniform_coloring(2) and band_coloring(3, rows=(1,)).
+WHITE_COLORING_TEXT = """\
+n 2
+h 0 0 white
+h 0 1 white
+h 1 0 white
+h 1 1 white
+v 0 0 white
+v 0 1 white
+v 1 0 white
+v 1 1 white
+"""
+BAND_COLORING_TEXT = """\
+n 3
+h 0 0 white
+h 0 1 white
+h 0 2 white
+h 1 0 white
+h 1 1 white
+h 1 2 white
+h 2 0 white
+h 2 1 white
+h 2 2 white
+v 0 0 white
+v 0 1 red
+v 0 2 white
+v 1 0 white
+v 1 1 red
+v 1 2 white
+v 2 0 white
+v 2 1 red
+v 2 2 white
+"""
 
 
 def band_coloring(n: int, rows, color: str = RED) -> EdgeColoring:

@@ -26,7 +26,6 @@ from tilediff import (
     difference_set,
     edge_labels,
     epsilon_gap,
-    format_coloring,
     format_config,
     geometric_oracle,
     homotopy_class,
@@ -39,7 +38,7 @@ from tilediff import (
 )
 
 from conftest import (
-    band_coloring,
+    BAND_COLORING_TEXT,
     cocycle_defects,
     column_gain,
     cover_integer_diff_points_oracle,
@@ -279,7 +278,7 @@ def test_criterion_6_component_dichotomy():
 def test_criterion_7_byte_identical_reports(tmp_path):
     (tmp_path / "single.txt").write_text(format_config(TileConfig.uniform(1)))
     (tmp_path / "unit.boxes").write_text("box 0 0 1 1\n")
-    (tmp_path / "band.coloring").write_text(format_coloring(band_coloring(3, rows=(1,))))
+    (tmp_path / "band.coloring").write_text(BAND_COLORING_TEXT)
     command_sets = [
         ["check", "single.txt", "--json"],
         ["discretize", "unit.boxes", "--reduce", "--json"],

@@ -10,16 +10,17 @@ import pytest
 
 import tilediff.cli as cli
 import tilediff.commands as commands
-from tilediff import TileConfig, format_coloring, format_config, search, torus
+from tilediff import TileConfig, format_config, search, torus
 from tilediff.cli import build_parser, main
 from tilediff.render import ALL_LAYERS, RenderSpec, render_svg
 from conftest import (
+    BAND_COLORING_TEXT,
+    WHITE_COLORING_TEXT,
     band_coloring,
     is_config_source_oracle,
     random_config,
     random_source_text,
     run_cli,
-    uniform_coloring,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -30,8 +31,8 @@ def workdir(tmp_path):
     (tmp_path / "single.txt").write_text(format_config(TileConfig.uniform(1)))
     (tmp_path / "zero2.txt").write_text(format_config(TileConfig.uniform(2)))
     (tmp_path / "unit.boxes").write_text("box 0 0 1 1\n")
-    (tmp_path / "band.coloring").write_text(format_coloring(band_coloring(3, rows=(1,))))
-    (tmp_path / "white.coloring").write_text(format_coloring(uniform_coloring(2)))
+    (tmp_path / "band.coloring").write_text(BAND_COLORING_TEXT)
+    (tmp_path / "white.coloring").write_text(WHITE_COLORING_TEXT)
     return tmp_path
 
 

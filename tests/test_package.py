@@ -19,8 +19,8 @@ from conftest import PACKAGE_ROOT
 # Every name the package re-exports, with the submodule that defines it.
 EXPORTS = {
     "model": (
-        "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_boxes",
-        "format_config", "normalize", "parse_boxes", "parse_config",
+        "BoxUnion", "FileFormatError", "TileConfig", "Vec", "format_config",
+        "normalize", "parse_boxes", "parse_config",
     ),
     "diffset": (
         "AuditReport", "AxesCheck", "DiffSet", "LatticeSpan", "axes_subset",
@@ -34,7 +34,7 @@ EXPORTS = {
     "torus": (
         "BLUE", "RED", "WHITE", "EdgeColoring", "EdgeLabeling",
         "SquareClasses", "VertexLabeling", "color_edges",
-        "edge_labels", "format_coloring", "parse_coloring", "square_colors",
+        "edge_labels", "parse_coloring", "square_colors",
         "vertex_labels",
     ),
     "topology": (

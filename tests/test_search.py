@@ -30,7 +30,7 @@ from tilediff.search import (
     _TABLE_BYTES_PER_CELL,
     TABLE_BYTES_LIMIT,
     BudgetExceeded,
-    _Forward,
+    _masks,
     _narrow,
     _tables,
     _value_range,
@@ -504,11 +504,20 @@ def test_jobs_leave_the_report_unchanged():
             assert getattr(seq, field) == getattr(par, field)
 
 
+def root_domains(n, bound):
+    """The domains with the base cell placed at (0, 0), narrowed by its
+    masks, and the first cell whose domain that wipes out, or -1."""
+    size = (2 * bound + 1) ** 2
+    domains = [(1 << size) - 1] * (n * n)
+    domains[0] = 1 << size // 2
+    return domains, _narrow(domains, _masks(n, bound)[0], bound, bound, [])
+
+
 def test_first_free_cell_root_domain_is_the_base_cells_cross():
     # The first free cell, (1,2) at n = 3, keeps only the values that the
     # base cell allows: the cross x = 0 or y = -1 at (3,2), since the pair
     # wraps in y.
-    domains, wiped = _Forward(3, 2).root()
+    domains, wiped = root_domains(3, 2)
     assert wiped < 0
     assert _tables(3).order[1] == 5
     assert domains[1] == allowed_mask(2, 3, {0: (0, 0)}, 5)
@@ -596,7 +605,7 @@ def test_pruned_leaves_match_plain_validity_semantics():
 
 def _admissible_links(n):
     """Brute force: the constraint table from the offset rule on every pair
-    of positions k < f of the search order."""
+    of positions k < f of the search order, each link (f, offsets, mx, my)."""
     order = _tables(n).order
     table = []
     for k, ck in enumerate(order):
@@ -616,22 +625,22 @@ def _admissible_links(n):
 
 def test_links_from_forward_pairs_match_offset_rule():
     # The O(n^2) tables read from the forward pairs equal the n^4 pair loop
-    # entry for entry, order included; earlier, mxs and mys are read back
-    # from the same links.
+    # entry for entry, order included: later keeps each link's single
+    # offsets, and earlier is read back from the same links with their
+    # offsets.
     for n in range(1, 8):
-        _, _, _, later, earlier, mxs, mys = _tables(n)
+        _, _, _, later, earlier = _tables(n)
         expected = _admissible_links(n)
-        assert later == tuple(expected), n
+        assert later == tuple(tuple((f, mx, my) for f, _, mx, my in links)
+                              for links in expected), n
         for links in later:
-            fs = [f for f, _, _, _ in links]
+            fs = [f for f, _, _ in links]
             assert fs == sorted(set(fs)), n
         assert earlier == tuple(
             tuple((k, offsets) for k, links in enumerate(expected) for f2, offsets, _, _ in links
                   if f2 == f)
             for f in range(n * n)
         ), n
-        assert mxs == {mx for links in expected for _, _, mx, _ in links} - {None}, n
-        assert mys == {my for links in expected for _, _, _, my in links} - {None}, n
 
 
 def test_constraint_table_is_cached_and_read_only():
@@ -639,14 +648,13 @@ def test_constraint_table_is_cached_and_read_only():
         tables = _tables(n)
         assert tables is _tables(n)
         assert tables == _tables.__wrapped__(n), n
-        order, position, swap, later, earlier, mxs, mys = tables
+        order, position, swap, later, earlier = tables
         assert type(order) is type(position) is type(swap) is tuple
         assert type(later) is type(earlier) is tuple
-        assert type(mxs) is type(mys) is frozenset
         assert [position[c] for c in order] == list(range(n * n)), n
         for links in later:
             assert type(links) is tuple
-            assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
+            assert all(type(link) is tuple and len(link) == 3 for link in links)
         for links in earlier:
             assert type(links) is tuple
             assert all(type(link) is tuple and type(link[1]) is tuple for link in links)
@@ -733,17 +741,36 @@ def test_domain_projection_covers_a_deep_search():
 
 
 def test_pruned_search_at_n_2_takes_any_bound():
-    # The base cell wipes out its diagonal neighbour, which `root` decides
-    # before it projects the domains, here terabytes.
+    # The base cell wipes out its diagonal neighbour, which its links decide
+    # before the search projects the domains, here terabytes.
     report = run_search(SearchSpec(n=2, bound=10**6))
     assert report.witness_counts == (((-10**6, -10**6), 1),)
+
+
+def test_a_search_the_root_decides_builds_no_mask(monkeypatch):
+    # The base cell's links alone end these searches, so each reports what
+    # an unpatched run does while `_masks` refuses to run; (3,1) needs it.
+    specs = [SearchSpec(n=2, bound=12),
+             SearchSpec(n=2, bound=10**6, symmetry=True, witnesses=True),
+             SearchSpec(n=3, bound=0)]
+    expected = [run_search(spec)._replace(wall_time=0) for spec in specs]
+    assert expected[2].witness_counts == (((1, 1), 1),)
+
+    def refuse(n, bound):
+        raise AssertionError(f"masks built for ({n},{bound})")
+
+    monkeypatch.setattr(search, "_masks", refuse)
+    for spec, report in zip(specs, expected):
+        assert run_search(spec)._replace(wall_time=0) == report
+    with pytest.raises(AssertionError, match=r"^masks built for \(3,1\)$"):
+        run_search(SearchSpec(n=3, bound=1))
 
 
 def test_no_benchmark_or_golden_search_reaches_the_table_limit():
     # The largest pruned searches timed, traced or frozen: the (2,b) rungs
     # and the frontier ladder up to (5,1).
     for n, bound in [(2, 12), (3, 3), (4, 2), (5, 1)]:
-        assert _Forward(n, bound).later
+        assert _masks(n, bound)
 
 
 def test_pruned_search_runs_past_the_cross_class_limit():
@@ -793,11 +820,11 @@ def test_closed_form_masks_match_brute_force():
     cases = [(n, bound) for n in range(1, 6) for bound in range(4)]
     cases += [(2, bound) for bound in range(4, 13)]
     for n, bound in cases:
-        fwd = _Forward(n, bound)
+        masks, width = _masks(n, bound), 2 * bound + 1
         values = _value_range(bound)
         order = _tables(n).order
         for k, ck in enumerate(order):
-            links = {f: (xs, ys) for f, xs, ys in fwd.later[k]}
+            links = {f: (xs, ys) for f, xs, ys in masks[k]}
             for f in range(k + 1, n * n):
                 cf = order[f]
                 d = (cf // n - ck // n, cf % n - ck % n)
@@ -805,9 +832,9 @@ def test_closed_form_masks_match_brute_force():
                 if f not in links:
                     continue
                 xs, ys = links[f]
-                assert len(xs) == len(ys) == fwd.width, (n, bound, k, f)
+                assert len(xs) == len(ys) == width, (n, bound, k, f)
                 for i, value in enumerate(values):
-                    ix, iy = divmod(i, fwd.width)
+                    ix, iy = divmod(i, width)
                     expected = allowed_mask(bound, n, {ck: value}, cf)
                     assert xs[ix] | ys[iy] == expected, (n, bound, k, f, value)
 
@@ -816,11 +843,11 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
     rng = random.Random(1980)
     for n in (2, 3, 4, 5):
         for bound in range(4):
-            fwd = _Forward(n, bound)
+            masks, width = _masks(n, bound), 2 * bound + 1
             values = _value_range(bound)
             order = _tables(n).order
             for _ in range(12):
-                domains, wiped = fwd.root()
+                domains, wiped = root_domains(n, bound)
                 root = domains[:]
                 trail = []
                 placed = {0: (0, 0)}  # row-major cell -> translate
@@ -830,7 +857,7 @@ def test_forward_domains_match_brute_force_on_random_prefixes():
                     choices = [i for i in range(len(values)) if domains[depth] >> i & 1]
                     i = rng.choice(choices)
                     placed[order[depth]] = values[i]
-                    wiped = _narrow(domains, fwd.later[depth], *divmod(i, fwd.width), trail)
+                    wiped = _narrow(domains, masks[depth], *divmod(i, width), trail)
                     if rng.random() < 0.2:
                         break
                 # The trail logs only real changes, and undoing it in reverse

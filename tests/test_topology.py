@@ -55,13 +55,13 @@ def test_curve_and_component_validation():
         Curve(2, ())
     with pytest.raises(ValueError, match="not a closed chain"):
         Curve(3, (Step("h", 0, 0, True), Step("h", 2, 0, True), Step("h", 1, 0, True)))
-    with pytest.raises(ValueError, match="adjacency mode"):
-        Component(2, RED, frozenset({(0, 0)}), "diagonal")
+    with pytest.raises(ValueError, match="^unknown adjacency mode 'diagonal'$"):
+        components_of_classes(_classes_with(2, {(0, 0)}), "diagonal")
     with pytest.raises(ValueError, match="empty component"):
-        Component(2, RED, frozenset(), "corner")
+        Component(2, RED, frozenset())
     with pytest.raises(ValueError, match="unknown pairing"):
-        boundary_curves(Component(3, RED, frozenset({(0, 0)}), "corner"), pairing="x")
-    disconnected = Component(5, RED, frozenset({(0, 0), (2, 2)}), "corner")
+        boundary_curves(Component(3, RED, frozenset({(0, 0)})), pairing="x")
+    disconnected = Component(5, RED, frozenset({(0, 0), (2, 2)}))
     with pytest.raises(ValueError, match="not connected"):
         pi1_image(disconnected)
 
@@ -111,7 +111,7 @@ def test_components_of_edge_coloring_band():
 
 
 def test_boundary_single_square():
-    comp = Component(3, RED, frozenset({(1, 1)}), "corner")
+    comp = Component(3, RED, frozenset({(1, 1)}))
     curves = boundary_curves(comp)
     assert len(curves) == 1
     assert len(curves[0]) == 4
@@ -119,13 +119,13 @@ def test_boundary_single_square():
 
 
 def test_boundary_full_torus_empty():
-    comp = Component(2, WHITE, frozenset((i, j) for i in range(2) for j in range(2)), "corner")
+    comp = Component(2, WHITE, frozenset((i, j) for i in range(2) for j in range(2)))
     assert boundary_curves(comp) == []
 
 
 def test_boundary_band_two_wrapping_curves():
     n = 5
-    comp = Component(n, RED, frozenset((i, 2) for i in range(n)), "corner")
+    comp = Component(n, RED, frozenset((i, 2) for i in range(n)))
     curves = boundary_curves(comp)
     assert len(curves) == 2
     assert sorted(len(c) for c in curves) == [n, n]
@@ -135,7 +135,7 @@ def test_boundary_band_two_wrapping_curves():
 def test_boundary_orientation_keeps_component_left():
     # Single square: counterclockwise traversal, so the winding of each
     # edge's direction around the square center is +1 turn in total.
-    comp = Component(4, RED, frozenset({(2, 1)}), "corner")
+    comp = Component(4, RED, frozenset({(2, 1)}))
     (curve,) = boundary_curves(comp)
     kinds = [(s.kind, s.forward) for s in curve.steps]
     assert kinds == [("h", True), ("v", True), ("h", False), ("v", False)]
@@ -185,7 +185,7 @@ def test_square_boundary_gain_vanishes():
     for _ in range(20):
         config = random_config(rng, rng.randint(2, 5), 3)
         el = edge_labels(vertex_labels(config))
-        comp = Component(el.n, RED, frozenset({(1, 0)}), "corner")
+        comp = Component(el.n, RED, frozenset({(1, 0)}))
         (curve,) = boundary_curves(comp)
         assert curve_gain(curve, el) == (0, 0)
 
@@ -216,28 +216,28 @@ def test_class_equals_negated_gain():
 
 
 def test_pi1_single_square_rank_zero():
-    comp = Component(3, RED, frozenset({(0, 0)}), "corner")
+    comp = Component(3, RED, frozenset({(0, 0)}))
     assert pi1_image(comp).rank == 0
 
 
 def test_pi1_full_torus_rank_two():
     for n in (1, 2, 4):
         squares = frozenset((i, j) for i in range(n) for j in range(n))
-        image = pi1_image(Component(n, WHITE, squares, "corner"))
+        image = pi1_image(Component(n, WHITE, squares))
         assert (image.rank, image.index) == (2, 1)
 
 
 def test_pi1_band_rank_one():
-    comp = Component(4, RED, frozenset((i, 1) for i in range(4)), "corner")
+    comp = Component(4, RED, frozenset((i, 1) for i in range(4)))
     assert pi1_image(comp) == LatticeSpan(1, ((1, 0),), None)
 
 
 def test_interiors_decomposition_examples():
-    corner_pair = Component(4, RED, frozenset({(0, 0), (1, 1)}), "corner")
+    corner_pair = Component(4, RED, frozenset({(0, 0), (1, 1)}))
     assert len(interiors_decomposition(corner_pair)) == 2
-    blob = Component(4, RED, frozenset({(0, 0), (1, 0), (1, 1)}), "corner")
+    blob = Component(4, RED, frozenset({(0, 0), (1, 0), (1, 1)}))
     assert len(interiors_decomposition(blob)) == 1
-    plus = Component(5, RED, frozenset({(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}), "corner")
+    plus = Component(5, RED, frozenset({(2, 2), (1, 2), (3, 2), (2, 1), (2, 3)}))
     assert len(interiors_decomposition(plus)) == 1
 
 
@@ -508,7 +508,7 @@ def test_boundary_pairing_cross_on_necklace():
     # A wrapping chain of diagonally touching squares: split pairing yields
     # per-square contractible curves; cross pairing yields two wrapping curves
     # (the boundary of a regular neighbourhood).
-    chain = Component(3, WHITE, frozenset({(0, 0), (1, 1), (2, 2)}), "corner")
+    chain = Component(3, WHITE, frozenset({(0, 0), (1, 1), (2, 2)}))
     split = boundary_curves(chain)
     assert [homotopy_class(c) for c in split] == [(0, 0)] * 3
     cross = boundary_curves(chain, pairing="cross")

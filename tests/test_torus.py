@@ -10,7 +10,6 @@ from tilediff import (
     color_edges,
     difference_set,
     edge_labels,
-    format_coloring,
     normalize,
     parse_coloring,
     parse_config,
@@ -27,6 +26,8 @@ from tilediff.torus import (
 )
 
 from conftest import (
+    BAND_COLORING_TEXT,
+    WHITE_COLORING_TEXT,
     band_coloring,
     block_coloring,
     cocycle_defects,
@@ -228,10 +229,31 @@ def test_every_config_breaks_somewhere_in_the_chain():
 
 
 def test_coloring_roundtrip():
-    ec = block_coloring(3, corners=[(0, 0)])
-    text = format_coloring(ec)
-    assert parse_coloring(text) == ec
-    assert format_coloring(parse_coloring(text)) == text
+    text = """\
+n 3
+h 0 0 white
+h 0 1 red
+h 0 2 white
+h 1 0 white
+h 1 1 red
+h 1 2 white
+h 2 0 white
+h 2 1 white
+h 2 2 white
+v 0 0 white
+v 0 1 white
+v 0 2 white
+v 1 0 red
+v 1 1 red
+v 1 2 white
+v 2 0 white
+v 2 1 white
+v 2 2 white
+"""
+    assert parse_coloring(text) == block_coloring(3, corners=[(0, 0)])
+    # The coloring files the command-line tests write.
+    assert parse_coloring(WHITE_COLORING_TEXT) == uniform_coloring(2)
+    assert parse_coloring(BAND_COLORING_TEXT) == band_coloring(3, rows=(1,))
 
 
 def test_coloring_parse_errors():
